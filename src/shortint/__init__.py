@@ -32,7 +32,6 @@ from .density import (
     uniform_poisson_reference,
 )
 from .errors import (
-    CacheFormatError,
     InadmissibleTupleError,
     MemoryBudgetError,
     OutOfRangeError,
@@ -47,7 +46,6 @@ from .primes import (
     count_in,
     is_fundamental_discriminant,
     kronecker_symbol,
-    load_table,
     primes_between,
 )
 from .tuples import (

@@ -10,8 +10,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import math
-import os
 import sys
 from pathlib import Path
 
@@ -20,7 +18,7 @@ from . import clusters as clusters_mod
 from . import density as density_mod
 from . import tuples as tuples_mod
 from .errors import ShortIntervalError
-from .primes import ALL, PrimeFilter, build_table
+from .primes import ALL, DEFAULT_SEGMENT_SIZE, PrimeFilter, build_table
 
 
 def _write_output(text: str, path: str) -> None:
@@ -63,36 +61,26 @@ def _params_from_args(args) -> bounds_mod.BoundParams:
     return bounds_mod.DEFAULT_PARAMS
 
 
-def default_cache_path(limit: int) -> Path:
-    root = os.environ.get("SHORTINT_CACHE_DIR")
-    base = Path(root) if root else Path.home() / ".cache" / "shortint"
-    return base / f"primes-{limit}.pbm"
+def _check_lambda(lam: float) -> None:
+    if lam <= 0:
+        raise ValueError(f"--lambda must be positive, got {lam}")
 
 
 def _cmd_sieve(args) -> int:
-    table = build_table(
-        args.limit, segment_size=args.segment_size, threads=args.threads
-    )
-    if args.cache is not None:
-        path = Path(args.cache) if args.cache else default_cache_path(args.limit)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        table.save(path)
-        print(f"cache written: {path}", file=sys.stderr)
+    table = build_table(args.limit, segment_size=args.segment_size)
     print(table.count)
     return 0
 
 
 def _cmd_density(args) -> int:
     filt = _filter_from_args(args)
+    _check_lambda(args.lam)
+    if args.x < 1:
+        raise ValueError(f"--x must be >= 1, got {args.x}")
     top = 2 * args.x if args.growth else args.x
-    table = build_table(
-        density_mod.required_limit(args.lam, top), threads=args.threads
-    )
+    table = build_table(density_mod.required_limit(args.lam, top))
     if args.growth:
-        results = [
-            density_mod.growth_check(table, args.lam, m, args.x, filt)
-            for m in range(args.m_max + 1)
-        ]
+        results = density_mod.growth_check(table, args.lam, args.m_max, args.x, filt)
         if args.json:
             payload = [
                 {
@@ -161,8 +149,14 @@ def _cmd_tuples_series(args) -> int:
 
 def _cmd_slide(args) -> int:
     params = _params_from_args(args)
-    need = math.ceil(args.x_hi + 6 * args.lam * math.log(args.x_hi) + 2)
-    table = build_table(need, threads=args.threads)
+    _check_lambda(args.lam)
+    if not 1 <= args.x_lo <= args.x_hi:
+        raise ValueError(
+            f"need 1 <= --x-lo <= --x-hi, got --x-lo {args.x_lo}, --x-hi {args.x_hi}"
+        )
+    if args.max_clusters < 0:
+        raise ValueError(f"--max-clusters must be >= 0, got {args.max_clusters}")
+    table = build_table(clusters_mod.required_limit(args.lam, args.x_hi))
     stream = clusters_mod.find_clusters(
         table,
         args.lam,
@@ -218,16 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sieve", help="build a prime table and print its count")
     p.add_argument("--limit", type=int, required=True)
-    p.add_argument("--segment-size", type=int, default=2**18)
-    p.add_argument(
-        "--cache",
-        nargs="?",
-        const="",
-        default=None,
-        metavar="PATH",
-        help="write the table cache (default location under SHORTINT_CACHE_DIR)",
-    )
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--segment-size", type=int, default=DEFAULT_SEGMENT_SIZE)
     p.set_defaults(func=_cmd_sieve)
 
     p = sub.add_parser("density", help="window-count densities or growth ratios")
@@ -283,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--falsifications", default="-",
         help="falsification JSONL destination (default: stderr)",
     )
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_slide)
 
     p = sub.add_parser("bounds", help="derived constants and bound values as JSON")

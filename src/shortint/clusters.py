@@ -20,10 +20,15 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .bounds import BoundParams, DEFAULT_PARAMS, spacing_divisor, tuple_size
+from .density import count_windows, spans, window_counts
 from .errors import OutOfRangeError, ParameterRangeError
 from .primes import ALL, PrimeFilter, PrimeTable, primes_between
 
-DEFAULT_CHUNK_SIZE = 2**20
+
+def required_limit(lam: float, x_hi: int) -> int:
+    """Smallest table limit that covers a cluster scan to x_hi and the slides
+    across its clusters."""
+    return math.ceil(x_hi + 6 * lam * math.log(x_hi) + 1)
 
 
 def _spacing_divisor_for(m: int, params: BoundParams) -> float:
@@ -102,7 +107,6 @@ def find_clusters(
     filt: PrimeFilter = ALL,
     require_spacing: bool = False,
     params: BoundParams = DEFAULT_PARAMS,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> Iterator[Cluster]:
     """Yield clusters with >= m+1 filtered primes, scanning every integer base
     point in [x_lo, x_hi].
@@ -118,7 +122,7 @@ def find_clusters(
         raise ValueError(f"need 1 <= x_lo <= x_hi, got {x_lo}, {x_hi}")
     if m < 0:
         raise ValueError(f"m must be non-negative, got {m}")
-    need = math.ceil(x_hi + 6 * lam * math.log(x_hi) + 1)
+    need = required_limit(lam, x_hi)
     if need > table.limit:
         raise OutOfRangeError(
             f"scan to x_hi={x_hi} at lambda={lam} needs limit >= {need}, "
@@ -130,53 +134,29 @@ def find_clusters(
     win_i = math.floor(window)  # p <= N0 + window  <=>  p - N0 <= win_i
     portion_i = math.ceil(portion) - 1  # p - N0 < portion  <=>  p - N0 <= portion_i
 
-    primes = table.primes()
-    if filt.kind != "all":
-        primes = primes[filt.mask(primes)]
-    # bad_gaps[i] = number of gaps at or below the spacing threshold among the
-    # first i consecutive-prime gaps; one pad entry so ranks up to len(primes)
-    # stay indexable (a base past the last filtered prime has that rank)
-    bad_gaps = np.zeros(len(primes) + 1, dtype=np.int64)
-    if len(primes) >= 2:
-        np.cumsum(np.diff(primes) <= threshold, out=bad_gaps[1:-1])
-        bad_gaps[-1] = bad_gaps[-2]
-
-    for a in range(x_lo, x_hi + 1, chunk_size):
-        b = min(a + chunk_size - 1, x_hi)
-        pad_hi = b + win_i
-        size = pad_hi - a + 1
-        ind = np.zeros(size, dtype=np.int32)
-        lo_i = int(np.searchsorted(primes, a, side="left"))
-        hi_i = int(np.searchsorted(primes, pad_hi, side="right"))
-        ind[primes[lo_i:hi_i] - a] = 1
-        cum = np.cumsum(ind, dtype=np.int32)
-
+    for a, b in spans(x_lo, x_hi):
+        primes = primes_between(table, a, b + win_i, filt)
         n = np.arange(a, b + 1, dtype=np.int64)
-        left_excl = cum[n - a] - ind[n - a]  # primes in [a, N0-1]
-        in_window = cum[n - a + win_i] - left_excl
-        in_portion = (
-            cum[np.minimum(n - a + portion_i, size - 1)] - left_excl
-            if portion_i >= 0
-            else np.zeros(len(n), dtype=np.int32)
-        )
-        first_idx = lo_i + left_excl  # global index of first prime >= N0
-        last_idx = lo_i + left_excl + in_window  # one past last prime in window
-        n_bad = bad_gaps[np.maximum(last_idx - 1, first_idx)] - bad_gaps[first_idx]
+        in_window = count_windows(primes, a, n, n + win_i)
+        rich = np.flatnonzero(in_window >= m + 1)
+        n, in_window = n[rich], in_window[rich]
+        first = np.searchsorted(primes, n, side="left")  # first prime >= N0
+        last_prime = primes[first + in_window - 1]
+        in_portion = count_windows(primes, a, n, n + portion_i)
+        # a gap at or below the threshold between consecutive window primes
+        # starts at a prime in [N0, last_prime - 1]
+        bad_starts = primes[:-1][np.diff(primes) <= threshold]
+        n_bad = count_windows(bad_starts, a, n, last_prime - 1)
         spaced = (in_window == in_portion) & (n_bad == 0)
-
-        mask = in_window >= m + 1
-        if require_spacing:
-            mask &= spaced
-        for offset in np.flatnonzero(mask):
-            base = int(n[offset])
-            i0, i1 = int(first_idx[offset]), int(last_idx[offset])
-            positions = tuple((primes[i0:i1] - base).tolist())
+        for i in np.flatnonzero(spaced) if require_spacing else range(len(n)):
+            base, i0 = int(n[i]), int(first[i])
+            positions = tuple((primes[i0 : i0 + int(in_window[i])] - base).tolist())
             yield Cluster(
                 base=base,
                 window=window,
                 lam=lam,
                 prime_positions=positions,
-                spacing_ok=bool(spaced[offset]),
+                spacing_ok=bool(spaced[i]),
                 first_portion=portion,
                 spacing_threshold=threshold,
             )
@@ -200,23 +180,12 @@ def slide(
         raise ValueError(f"m must be non-negative, got {m}")
     base, lam = cluster.base, cluster.lam
     j_max = math.floor(lam * math.log(base))
-    reach = base + j_max + lam * math.log(base + j_max) + 1
-    if reach > table.limit:
-        raise OutOfRangeError(
-            f"slide at base={base} needs limit >= {math.ceil(reach)}, "
-            f"have {table.limit}"
-        )
-    primes = primes_between(table, base, reach, filt)
-    n_j = base + np.arange(j_max + 1, dtype=np.int64)
-    rhs = n_j + lam * np.log(n_j.astype(np.float64))
-    counts_arr = np.searchsorted(primes, np.floor(rhs), side="right") - np.searchsorted(
-        primes, n_j, side="left"
-    )
-    counts = tuple(int(c) for c in counts_arr)
+    counts_arr = window_counts(table, lam, base, base + j_max, filt)
+    counts = tuple(counts_arr.tolist())
 
     rich = np.flatnonzero(counts_arr >= m + 1)
     j_drop = int(rich[-1]) if len(rich) else None
-    m_run = tuple(int(j) for j in np.flatnonzero(counts_arr == m))
+    m_run = tuple(np.flatnonzero(counts_arr == m).tolist())
 
     falsifications: list[Falsification] = []
     jumps = np.flatnonzero(counts_arr[1:] > counts_arr[:-1] + 1)

@@ -1,10 +1,11 @@
 """Densities of starting points n <= x whose short interval [n, n + lam*log n]
 contains exactly m filtered primes, with Poisson reference values.
 
-The measurement slides a window whose right edge n + lam*log n is monotone in
-n, so per-n counts reduce to two lookups in a cumulative prime counter; the
-scan is chunked, vectorised, and equal by construction to a naive per-n
-recount.
+Every window count in the package goes through one kernel: right_edge gives
+the integer right end of a window, count_windows counts sorted primes in many
+windows at once, and window_counts yields c(n), the number of filtered primes
+in [n, n + lam*log n], for a run of n.  The density scan, the growth check,
+the cluster scan and the slide are thin consumers of it.
 """
 
 from __future__ import annotations
@@ -13,13 +14,68 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 
 from .errors import OutOfRangeError
-from .primes import ALL, PrimeFilter, PrimeTable
+from .primes import ALL, PrimeFilter, PrimeTable, primes_between
 
-DEFAULT_CHUNK_SIZE = 2**22
+SCAN_CHUNK = 2**16  # starting points per kernel call; bounds the prefix arrays
+# Below this many windows, two binary searches per window beat building a
+# prefix count over the whole span (slide traces are ~20 windows, scan chunks
+# are SCAN_CHUNK windows).
+SEARCH_SPAN = 256
+
+
+def right_edge(n: np.ndarray, lam: float) -> np.ndarray:
+    """floor(n + lam*log n) for an int64 array of n >= 1: the last integer
+    inside each window."""
+    return np.floor(n + lam * np.log(n.astype(np.float64))).astype(np.int64)
+
+
+def count_windows(
+    primes: np.ndarray, lo: int, lefts: np.ndarray, rights: np.ndarray
+) -> np.ndarray:
+    """For each i, the number of primes p with lefts[i] <= p <= rights[i].
+
+    primes is sorted with every entry >= lo; lefts >= lo, rights >= lefts - 1
+    (an empty window), and rights is non-decreasing.
+    """
+    if len(lefts) < SEARCH_SPAN:
+        return np.searchsorted(primes, rights, side="right") - np.searchsorted(
+            primes, lefts, side="left"
+        )
+    hi = int(rights[-1])
+    inside = primes[: np.searchsorted(primes, hi, side="right")]
+    ind = np.zeros(hi - lo + 2, dtype=np.int32)
+    ind[inside - lo + 1] = 1
+    cum = np.cumsum(ind, out=ind)  # cum[t] = #primes in [lo, lo + t - 1]
+    return cum[rights - lo + 1] - cum[lefts - lo]
+
+
+def spans(a: int, b: int) -> Iterator[tuple[int, int]]:
+    """[a, b] cut into consecutive closed runs of at most SCAN_CHUNK integers."""
+    for lo in range(a, b + 1, SCAN_CHUNK):
+        yield lo, min(lo + SCAN_CHUNK - 1, b)
+
+
+def window_counts(
+    table: PrimeTable, lam: float, a: int, b: int, filt: PrimeFilter = ALL
+) -> np.ndarray:
+    """c(n), the number of filtered primes in [n, n + lam*log n], for n = a..b.
+
+    Raises OutOfRangeError when a window reaches beyond the table.
+    """
+    if lam < 0 or not 1 <= a <= b:
+        raise ValueError(f"need lam >= 0 and 1 <= a <= b, got {lam}, {a}, {b}")
+    parts = []
+    for lo, hi in spans(a, b):
+        n = np.arange(lo, hi + 1, dtype=np.int64)
+        rights = right_edge(n, lam)
+        primes = primes_between(table, lo, int(rights[-1]), filt)
+        parts.append(count_windows(primes, lo, n, rights))
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def poisson_reference(lam: float, m: int) -> float:
@@ -96,24 +152,35 @@ def required_limit(lam: float, x: int) -> int:
     return math.ceil(x + lam * math.log(x) + 1)
 
 
-def _chunk_histogram(
-    primes: np.ndarray, lam: float, a: int, b: int, m_max: int
+def _histogram(
+    table: PrimeTable,
+    lam: float,
+    a: int,
+    b: int,
+    m_max: int,
+    filt: PrimeFilter,
+    threads: int = 1,
 ) -> np.ndarray:
-    """Histogram of per-n window counts for n in [a, b] (overflow in the last bin)."""
-    pad_hi = int(b + lam * math.log(b)) + 1
-    size = pad_hi - a + 1
-    ind = np.zeros(size, dtype=np.int32)
-    lo_i = np.searchsorted(primes, a, side="left")
-    hi_i = np.searchsorted(primes, pad_hi, side="right")
-    ind[primes[lo_i:hi_i] - a] = 1
-    cum = np.cumsum(ind, dtype=np.int32)  # cum[t] = #primes in [a, a+t]
-    n = np.arange(a, b + 1, dtype=np.int64)
-    rhs = n + lam * np.log(n.astype(np.float64))
-    right = cum[np.floor(rhs).astype(np.int64) - a]
-    left_excl = cum[n - a] - ind[n - a]  # #primes in [a, n-1]
-    c = (right - left_excl).astype(np.int64)
-    np.clip(c, None, m_max + 1, out=c)
-    return np.bincount(c, minlength=m_max + 2)
+    """bincount of c(n) over n in [a, b], every c(n) > m_max in the last bin."""
+
+    def part(span: tuple[int, int]) -> np.ndarray:
+        c = window_counts(table, lam, *span, filt)
+        return np.bincount(np.minimum(c, m_max + 1), minlength=m_max + 2)
+
+    chunks = list(spans(a, b))
+    if threads > 1 and len(chunks) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return np.sum(list(pool.map(part, chunks)), axis=0)
+    return sum(map(part, chunks), np.zeros(m_max + 2, dtype=np.int64))
+
+
+def _validate_scan(lam: float, x: int, m_max: int) -> None:
+    if lam <= 0:
+        raise ValueError(f"lambda must be positive, got {lam}")
+    if x < 1:
+        raise ValueError(f"x must be >= 1, got {x}")
+    if m_max < 0:
+        raise ValueError(f"m_max must be >= 0, got {m_max}")
 
 
 def measure_density(
@@ -122,41 +189,22 @@ def measure_density(
     x: int,
     m_max: int,
     filt: PrimeFilter = ALL,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
     threads: int = 1,
 ) -> DensityReport:
     """Count, for every n <= x, the filtered primes in [n, n + lam*log n].
 
     n runs from 1; the window of n = 1 is the single point {1} and lands in
-    m = 0.  Chunks re-derive their window boundaries independently, so they
-    may be processed concurrently and merged by addition.
+    m = 0.  Chunks of starting points are counted independently, so they may
+    be processed concurrently and merged by addition.
     """
-    if lam <= 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
-    if x < 1:
-        raise ValueError(f"x must be >= 1, got {x}")
-    if m_max < 0:
-        raise ValueError(f"m_max must be >= 0, got {m_max}")
+    _validate_scan(lam, x, m_max)
     need = required_limit(lam, x)
     if need > table.limit:
         raise OutOfRangeError(
             f"scan to x={x} at lambda={lam} requires a table with "
             f"limit >= {need}, have {table.limit}"
         )
-    primes = table.primes()
-    if filt.kind != "all":
-        primes = primes[filt.mask(primes)]
-    spans = [(a, min(a + chunk_size - 1, x)) for a in range(1, x + 1, chunk_size)]
-    if threads > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(
-                pool.map(lambda s: _chunk_histogram(primes, lam, *s, m_max), spans)
-            )
-        hist = np.sum(parts, axis=0)
-    else:
-        hist = np.zeros(m_max + 2, dtype=np.int64)
-        for a, b in spans:
-            hist += _chunk_histogram(primes, lam, a, b, m_max)
+    hist = _histogram(table, lam, 1, x, m_max, filt, threads)
     counts = {m: int(hist[m]) for m in range(m_max + 1)}
     return DensityReport(
         lam=float(lam),
@@ -186,20 +234,28 @@ class GrowthResult:
 def growth_check(
     table: PrimeTable,
     lam: float,
-    m: int,
+    m_max: int,
     x: int,
     filt: PrimeFilter = ALL,
-) -> GrowthResult:
-    """Ratio of exact-m counts between scans to 2x and to x."""
+) -> list[GrowthResult]:
+    """Ratio of exact-m counts between scans to 2x and to x, for m = 0..m_max,
+    from one pass over [1, 2x] split at x."""
+    _validate_scan(lam, x, m_max)
     need = required_limit(lam, 2 * x)
     if need > table.limit:
         raise OutOfRangeError(
             f"growth check at x={x} needs limit >= {need}, have {table.limit}"
         )
-    at_x = measure_density(table, lam, x, m, filt).counts[m]
-    at_2x = measure_density(table, lam, 2 * x, m, filt).counts[m]
-    ratio = at_2x / at_x if at_x > 0 else None
-    return GrowthResult(m=m, x=x, count_at_x=at_x, count_at_2x=at_2x, ratio=ratio)
+    at_x = _histogram(table, lam, 1, x, m_max, filt)
+    at_2x = at_x + _histogram(table, lam, x + 1, 2 * x, m_max, filt)
+    results = []
+    for m in range(m_max + 1):
+        cx, c2x = int(at_x[m]), int(at_2x[m])
+        ratio = c2x / cx if cx > 0 else None
+        results.append(
+            GrowthResult(m=m, x=x, count_at_x=cx, count_at_2x=c2x, ratio=ratio)
+        )
+    return results
 
 
 def _fmt(v: float) -> str:

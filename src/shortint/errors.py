@@ -13,10 +13,6 @@ class MemoryBudgetError(ShortIntervalError):
     """Building a table would exceed the configured memory budget."""
 
 
-class CacheFormatError(ShortIntervalError):
-    """An on-disk prime table cache is malformed or inconsistent."""
-
-
 class InadmissibleTupleError(ShortIntervalError):
     """An operation that requires an admissible tuple received one that is not."""
 

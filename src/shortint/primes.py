@@ -9,16 +9,12 @@ between threads.
 from __future__ import annotations
 
 import math
-import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .errors import CacheFormatError, MemoryBudgetError, OutOfRangeError
+from .errors import MemoryBudgetError, OutOfRangeError
 
-CACHE_MAGIC = b"PBM1"
 DEFAULT_SEGMENT_SIZE = 2**18  # odd entries per segment, sized for L2 cache
 DEFAULT_MEMORY_BUDGET = 2**31  # bytes
 
@@ -194,31 +190,21 @@ class PrimeTable:
             self._prime_cache = cache
         return self._prime_cache
 
-    def save(self, path: str | Path) -> None:
-        """Write the cache file: magic, little-endian u64 limit, then the odd
-        bitmap as little-endian 64-bit words with bit 0 of word 0 <-> 3."""
-        packed = np.packbits(self._bits, bitorder="little").tobytes()
-        packed += b"\x00" * ((-len(packed)) % 8)
-        with open(path, "wb") as fh:
-            fh.write(CACHE_MAGIC)
-            fh.write(struct.pack("<Q", self.limit))
-            fh.write(packed)
-
     def __repr__(self) -> str:
         return f"PrimeTable(limit={self.limit}, count={self.count})"
 
 
-def _odd_base_primes(limit: int) -> list[int]:
-    """Odd primes up to sqrt(limit), by a one-shot dense sieve."""
-    top = math.isqrt(limit)
-    if top < 3:
+def primes_upto(n: int) -> list[int]:
+    """All primes <= n, by a one-shot dense sieve; meant for small n such as
+    the sieving primes of a table."""
+    if n < 2:
         return []
-    is_prime = np.ones(top + 1, dtype=bool)
+    is_prime = np.ones(n + 1, dtype=bool)
     is_prime[:2] = False
-    for p in range(2, math.isqrt(top) + 1):
+    for p in range(2, math.isqrt(n) + 1):
         if is_prime[p]:
             is_prime[p * p :: p] = False
-    return np.flatnonzero(is_prime)[1:].tolist()  # drop 2
+    return np.flatnonzero(is_prime).tolist()
 
 
 def _mark_segment(bits: np.ndarray, base: list[int], i0: int, i1: int) -> None:
@@ -238,13 +224,11 @@ def _mark_segment(bits: np.ndarray, base: list[int], i0: int, i1: int) -> None:
 def build_table(
     limit: int,
     segment_size: int = DEFAULT_SEGMENT_SIZE,
-    threads: int = 1,
     memory_budget: int = DEFAULT_MEMORY_BUDGET,
 ) -> PrimeTable:
     """Sieve the primes up to `limit`.
 
-    The result is independent of segment_size and threads; segments touch
-    disjoint bitmap ranges, so they may be sieved concurrently.
+    The result is independent of segment_size.
     """
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
@@ -259,42 +243,11 @@ def build_table(
         )
     bits = np.ones(n_odds, dtype=bool)
     if n_odds:
-        base = _odd_base_primes(limit)
-        segments = [
-            (i0, min(i0 + segment_size, n_odds))
-            for i0 in range(0, n_odds, segment_size)
-        ]
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                list(pool.map(lambda seg: _mark_segment(bits, base, *seg), segments))
-        else:
-            for i0, i1 in segments:
-                _mark_segment(bits, base, i0, i1)
+        base = primes_upto(math.isqrt(limit))[1:]  # the bitmap holds odd n only
+        for i0 in range(0, n_odds, segment_size):
+            _mark_segment(bits, base, i0, min(i0 + segment_size, n_odds))
     bits.setflags(write=False)
     return PrimeTable(limit, bits)
-
-
-def load_table(path: str | Path) -> PrimeTable:
-    """Load a table written by PrimeTable.save, verifying magic and limit."""
-    data = Path(path).read_bytes()
-    if data[:4] != CACHE_MAGIC:
-        raise CacheFormatError(f"{path}: bad magic {data[:4]!r}")
-    if len(data) < 12:
-        raise CacheFormatError(f"{path}: truncated header")
-    limit = struct.unpack("<Q", data[4:12])[0]
-    if limit < 2:
-        raise CacheFormatError(f"{path}: invalid limit {limit}")
-    n_odds = (limit - 1) // 2
-    n_words = (n_odds + 63) // 64
-    if len(data) != 12 + 8 * n_words:
-        raise CacheFormatError(
-            f"{path}: payload is {len(data) - 12} bytes, "
-            f"expected {8 * n_words} for limit {limit}"
-        )
-    raw = np.frombuffer(data, dtype=np.uint8, offset=12)
-    bits = np.unpackbits(raw, bitorder="little")[:n_odds].astype(bool)
-    bits.setflags(write=False)
-    return PrimeTable(int(limit), bits)
 
 
 def _int_bounds(lo: float, hi: float) -> tuple[int, int]:

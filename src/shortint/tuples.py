@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InadmissibleTupleError
-from .primes import build_table
+from .primes import build_table, primes_upto
 
 
 def _validate_offsets(offsets: Sequence[int]) -> None:
@@ -28,23 +28,12 @@ def _validate_offsets(offsets: Sequence[int]) -> None:
             raise ValueError(f"offsets must be strictly increasing ({a} before {b})")
 
 
-def _primes_upto(n: int) -> list[int]:
-    if n < 2:
-        return []
-    flags = bytearray([1]) * (n + 1)
-    flags[0] = flags[1] = 0
-    for p in range(2, math.isqrt(n) + 1):
-        if flags[p]:
-            flags[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
-    return [p for p in range(2, n + 1) if flags[p]]
-
-
 def first_covered_prime(offsets: Sequence[int]) -> int | None:
     """Smallest prime whose residue classes are all hit by the offsets, or
     None when the offsets are admissible.  Primes above len(offsets) cannot
     be covered by that few residues."""
     _validate_offsets(offsets)
-    for p in _primes_upto(len(offsets)):
+    for p in primes_upto(len(offsets)):
         if len({h % p for h in offsets}) == p:
             return p
     return None
@@ -118,7 +107,7 @@ def greedy_sieve(window: float, k: int) -> SievedSet:
         raise ValueError(f"k must be >= 1, got {k}")
     elements = np.arange(math.floor(window) + 1, dtype=np.int64)
     removed: list[tuple[int, int]] = []
-    for p in _primes_upto(k):
+    for p in primes_upto(k):
         counts = np.bincount(elements % p, minlength=p)
         r = int(np.argmin(counts))  # argmin takes the first, i.e. smallest, class
         elements = elements[elements % p != r]

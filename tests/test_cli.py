@@ -3,27 +3,11 @@ import json
 import pytest
 
 from shortint.cli import main
-from shortint.primes import load_table
 
 
 def test_sieve_prints_count(capsys):
     assert main(["sieve", "--limit", "10000"]) == 0
     assert capsys.readouterr().out.strip() == "1229"
-
-
-def test_sieve_cache_explicit_path(tmp_path, capsys):
-    path = tmp_path / "cache.pbm"
-    assert main(["sieve", "--limit", "5000", "--cache", str(path)]) == 0
-    table = load_table(path)
-    assert table.limit == 5000 and table.count == 669
-
-
-def test_sieve_cache_honours_env_dir(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("SHORTINT_CACHE_DIR", str(tmp_path / "store"))
-    assert main(["sieve", "--limit", "3000", "--cache"]) == 0
-    cached = tmp_path / "store" / "primes-3000.pbm"
-    assert cached.exists()
-    assert load_table(cached).limit == 3000
 
 
 def test_tuples_check_exit_codes(capsys):
@@ -181,3 +165,11 @@ def test_precondition_errors_exit_1(capsys):
     assert main(["density", "--lambda", "-2", "--x", "10", "--m-max", "1"]) == 1
     assert "lambda" in capsys.readouterr().err
     assert main(["sieve", "--limit", "1"]) == 1
+    capsys.readouterr()
+    assert main(["density", "--lambda", "1", "--x", "0", "--m-max", "1"]) == 1
+    assert "--x must be >= 1" in capsys.readouterr().err
+    slide = ["slide", "--lambda", "1", "--x-lo", "1", "--m", "1"]
+    assert main([*slide, "--x-hi", "0"]) == 1
+    assert "--x-hi" in capsys.readouterr().err
+    assert main([*slide, "--x-hi", "100", "--max-clusters", "-1"]) == 1
+    assert "--max-clusters must be >= 0" in capsys.readouterr().err

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from shortint import density
 from shortint.bounds import BoundParams, tuple_size
 from shortint.clusters import (
     SlideTrace,
@@ -14,6 +15,7 @@ from shortint.clusters import (
     slide,
     trace_csv,
 )
+from shortint.density import window_counts
 from shortint.errors import OutOfRangeError
 from shortint.primes import ALL, PrimeFilter, count_in, primes_between
 
@@ -32,16 +34,15 @@ def test_find_clusters_near_twin_primes(table_1e6):
     assert all(len(c.prime_positions) >= 2 for c in clusters)
 
 
-def test_find_clusters_matches_per_base_brute_force(table_1e6):
+def test_find_clusters_matches_per_base_brute_force(table_1e6, monkeypatch):
     # every base point, via count_in and explicit positions; tiny chunks so
     # several chunk boundaries fall inside the scanned range
+    monkeypatch.setattr(density, "SCAN_CHUNK", 97)
     lam, x_lo, x_hi, m = 1.3, 5000, 6000, 2
     params = SMALL_K
     got = {
         c.base: c
-        for c in find_clusters(
-            table_1e6, lam, x_lo, x_hi, m, params=params, chunk_size=97
-        )
+        for c in find_clusters(table_1e6, lam, x_lo, x_hi, m, params=params)
     }
     window = 5 * lam * math.log(x_hi)
     portion = lam * math.log(x_hi)
@@ -60,7 +61,7 @@ def test_find_clusters_matches_per_base_brute_force(table_1e6):
         c.base
         for c in find_clusters(
             table_1e6, lam, x_lo, x_hi, m,
-            require_spacing=True, params=params, chunk_size=97,
+            require_spacing=True, params=params,
         )
     }
     assert spaced == {b for b, c in got.items() if c.spacing_ok}
@@ -119,12 +120,17 @@ def test_filtered_cluster_scan(table_1e6):
 
 
 def test_slide_counts_match_independent_recount(table_1e6):
+    # c(n) over the whole range, counted by prefix sums in scan chunks; each
+    # short slide trace is counted by binary search and must equal its slice
+    c_all = window_counts(table_1e6, 1.0, 10**4, 10**5 + 20)
     for c in itertools.islice(find_clusters(table_1e6, 1.0, 10**4, 10**5, 1), 100):
         trace = slide(table_1e6, c, 1)
         assert len(trace.counts) == math.floor(math.log(c.base)) + 1
         for j, count in enumerate(trace.counts):
             n_j = c.base + j
             assert count == count_in(table_1e6, n_j, n_j + math.log(n_j))
+        start = c.base - 10**4
+        assert trace.counts == tuple(c_all[start : start + len(trace.counts)].tolist())
 
 
 def test_slide_drop_index_properties(table_1e6):

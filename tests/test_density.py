@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from shortint import density
 from shortint.density import (
     DensityReport,
     density_csv,
@@ -14,6 +15,7 @@ from shortint.density import (
     poisson_reference,
     required_limit,
     uniform_poisson_reference,
+    window_counts,
 )
 from shortint.errors import OutOfRangeError
 from shortint.primes import ALL, PrimeFilter, count_in
@@ -76,12 +78,32 @@ def test_sliding_scan_equals_naive_recount_filtered(table_1e5):
         assert rep.counts == counts and rep.overflow == overflow
 
 
-def test_chunking_and_threads_do_not_change_counts(table_1e5):
+def test_chunking_and_threads_do_not_change_counts(table_1e5, monkeypatch):
     base = measure_density(table_1e5, 1.0, 30000, 6)
-    chunked = measure_density(table_1e5, 1.0, 30000, 6, chunk_size=1024)
-    threaded = measure_density(table_1e5, 1.0, 30000, 6, chunk_size=4096, threads=4)
+    monkeypatch.setattr(density, "SCAN_CHUNK", 1024)
+    chunked = measure_density(table_1e5, 1.0, 30000, 6)
+    monkeypatch.setattr(density, "SCAN_CHUNK", 4096)
+    threaded = measure_density(table_1e5, 1.0, 30000, 6, threads=4)
     assert base.counts == chunked.counts == threaded.counts
     assert base.overflow == chunked.overflow == threaded.overflow
+
+
+@pytest.mark.parametrize("lam", (0.25, 1.0, 5.0, 30.0))
+def test_window_counts_match_naive_recount(table_1e5, monkeypatch, lam):
+    # both counting methods (binary search below SEARCH_SPAN windows, prefix
+    # sums from it on) and a span that crosses several scan chunks
+    monkeypatch.setattr(density, "SCAN_CHUNK", 300)
+    t = density.SEARCH_SPAN
+    filters = (ALL, PrimeFilter.residue_class(2, 3), PrimeFilter.kronecker(-3, -1))
+    runs = ((1, 1), (7919, 1), (2, t - 1), (4000, t), (50, t + 1), (700, 1000))
+    for a, length in runs:
+        for filt in filters:
+            got = window_counts(table_1e5, lam, a, a + length - 1, filt)
+            want = [
+                count_in(table_1e5, n, n + lam * math.log(n), filt)
+                for n in range(a, a + length)
+            ]
+            assert got.tolist() == want, (a, length, filt.tag)
 
 
 def test_growing_lambda_never_loses_tail_mass(table_1e5):
@@ -132,16 +154,28 @@ def test_uniform_poisson_examples():
 
 def test_growth_check_frozen_example(table_1e6):
     # own brute-force baseline: prime-free windows of length 5*log(n)
-    g = growth_check(table_1e6, 5.0, 0, 10**5)
-    assert (g.count_at_x, g.count_at_2x) == (55, 150)
+    [g] = growth_check(table_1e6, 5.0, 0, 10**5)
+    assert (g.m, g.count_at_x, g.count_at_2x) == (0, 55, 150)
     assert g.ratio == pytest.approx(150 / 55)
 
 
+def test_growth_check_matches_scans_to_x_and_2x(table_1e5, monkeypatch):
+    monkeypatch.setattr(density, "SCAN_CHUNK", 1000)
+    for filt in (ALL, PrimeFilter.residue_class(1, 4)):
+        results = growth_check(table_1e5, 1.0, 4, 2500, filt)
+        at_x = measure_density(table_1e5, 1.0, 2500, 4, filt)
+        at_2x = measure_density(table_1e5, 1.0, 5000, 4, filt)
+        assert [r.m for r in results] == list(range(5))
+        for r in results:
+            assert r.count_at_x == at_x.counts[r.m]
+            assert r.count_at_2x == at_2x.counts[r.m]
+
+
 def test_growth_check_empty_signal(table_1e5):
-    g = growth_check(table_1e5, 0.1, 7, 1000)  # no window that small holds 7 primes
+    g = growth_check(table_1e5, 0.1, 7, 1000)[7]  # no window that small holds 7 primes
     assert g.count_at_x == 0 and g.count_at_2x == 0 and g.ratio is None
     # huge lambda: every window beyond n=1 holds far more than 1 prime
-    g = growth_check(table_1e5, 40.0, 1, 500)
+    g = growth_check(table_1e5, 40.0, 1, 500)[1]
     assert g.count_at_x == 0 and g.count_at_2x == 0 and g.ratio is None
 
 

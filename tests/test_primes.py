@@ -1,11 +1,10 @@
 import math
 import random
-import struct
 
 import numpy as np
 import pytest
 
-from shortint.errors import CacheFormatError, MemoryBudgetError, OutOfRangeError
+from shortint.errors import MemoryBudgetError, OutOfRangeError
 from shortint.primes import (
     ALL,
     PrimeFilter,
@@ -13,7 +12,6 @@ from shortint.primes import (
     count_in,
     is_fundamental_discriminant,
     kronecker_symbol,
-    load_table,
     primes_between,
 )
 
@@ -56,8 +54,6 @@ def test_segment_size_and_threads_do_not_change_output():
         other = build_table(10**5, segment_size=segment_size)
         assert other.count == reference.count
         assert np.array_equal(other._bits, reference._bits)
-    threaded = build_table(10**5, segment_size=1024, threads=4)
-    assert np.array_equal(threaded._bits, reference._bits)
 
 
 def test_build_argument_validation():
@@ -199,45 +195,6 @@ def test_filter_validation():
         PrimeFilter.kronecker(9, 1)  # not fundamental
     with pytest.raises(ValueError):
         PrimeFilter.kronecker(5, 0)  # bad sign
-
-
-def test_cache_roundtrip(tmp_path):
-    table = build_table(12345)
-    path = tmp_path / "t.pbm"
-    table.save(path)
-    loaded = load_table(path)
-    assert loaded.limit == table.limit
-    assert loaded.count == table.count
-    assert np.array_equal(loaded._bits, table._bits)
-
-
-def test_cache_exact_bytes(tmp_path):
-    path = tmp_path / "ten.pbm"
-    build_table(10, 64).save(path)
-    expected = b"PBM1" + struct.pack("<Q", 10) + struct.pack("<Q", 0b0111)
-    assert path.read_bytes() == expected  # bits: 3, 5, 7 prime; 9 composite
-
-
-def test_cache_rejects_corruption(tmp_path):
-    table = build_table(1000)
-    path = tmp_path / "t.pbm"
-    table.save(path)
-    raw = bytearray(path.read_bytes())
-
-    bad_magic = tmp_path / "m.pbm"
-    bad_magic.write_bytes(b"XXXX" + bytes(raw[4:]))
-    with pytest.raises(CacheFormatError, match="magic"):
-        load_table(bad_magic)
-
-    truncated = tmp_path / "s.pbm"
-    truncated.write_bytes(bytes(raw[:-8]))
-    with pytest.raises(CacheFormatError):
-        load_table(truncated)
-
-    wrong_limit = tmp_path / "l.pbm"
-    wrong_limit.write_bytes(raw[:4] + struct.pack("<Q", 10**6) + bytes(raw[12:]))
-    with pytest.raises(CacheFormatError):
-        load_table(wrong_limit)
 
 
 def test_primes_between_filtered(table_1e5):
