@@ -3,7 +3,6 @@ and the singular-series diagnostic."""
 
 from __future__ import annotations
 
-import bisect
 import math
 import random
 from dataclasses import dataclass, field
@@ -11,15 +10,24 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InadmissibleTupleError
-from .primes import build_table, primes_upto
+from .errors import InadmissibleTupleError, MemoryBudgetError
+from .primes import DEFAULT_MEMORY_BUDGET, build_table, primes_upto
+
+INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _is_integer(h) -> bool:
+    try:
+        return h == int(h)
+    except (ValueError, OverflowError):  # nan, inf
+        return False
 
 
 def _validate_offsets(offsets: Sequence[int]) -> None:
     if len(offsets) == 0:
         raise ValueError("offsets must be non-empty")
     for h in offsets:
-        if h != int(h):
+        if not _is_integer(h):
             raise ValueError(f"offsets must be integers, got {h!r}")
         if h < 0:
             raise ValueError(f"offsets must be non-negative, got {h}")
@@ -100,12 +108,23 @@ class SievedSet:
 def greedy_sieve(window: float, k: int) -> SievedSet:
     """Sieve {0, ..., floor(window)} by the primes p <= k in increasing order,
     removing at each step the residue class mod p with the fewest survivors
-    (ties broken towards the smallest residue)."""
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
+    (ties broken towards the smallest residue).
+
+    Raises MemoryBudgetError before allocating when the int64 elements, the
+    int64 residues and the keep-mask of one step exceed DEFAULT_MEMORY_BUDGET.
+    """
+    if not 1 <= window < math.inf:
+        raise ValueError(f"window must be finite and >= 1, got {window}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    elements = np.arange(math.floor(window) + 1, dtype=np.int64)
+    size = math.floor(window) + 1
+    estimate = 17 * size  # 8 B element + 8 B residue + 1 B mask
+    if estimate > DEFAULT_MEMORY_BUDGET:
+        raise MemoryBudgetError(
+            f"window={window} needs about {estimate:,} bytes for the sieve; "
+            f"budget is {DEFAULT_MEMORY_BUDGET:,}"
+        )
+    elements = np.arange(size, dtype=np.int64)
     removed: list[tuple[int, int]] = []
     for p in primes_upto(k):
         counts = np.bincount(elements % p, minlength=p)
@@ -115,12 +134,16 @@ def greedy_sieve(window: float, k: int) -> SievedSet:
     return SievedSet(elements, float(window), tuple(removed))
 
 
-def _elements_of(source: SievedSet | Iterable[int]) -> list[int]:
+def _elements_of(source: SievedSet | Iterable[int]) -> np.ndarray:
+    """The source's elements as a sorted int64 array, validated before any
+    cast so that non-integers and values beyond int64 raise ValueError."""
     if isinstance(source, SievedSet):
-        return source.elements.tolist()
-    els = [int(e) for e in source]
+        return source.elements
+    els = list(source)
     _validate_offsets(els)
-    return els
+    if els[-1] > INT64_MAX:
+        raise ValueError(f"offsets must be at most {INT64_MAX} (int64), got {els[-1]}")
+    return np.array([int(e) for e in els], dtype=np.int64)
 
 
 def select_spaced(
@@ -144,7 +167,7 @@ def select_spaced(
     if strategy not in ("first-fit", "random"):
         raise ValueError(f"strategy must be 'first-fit' or 'random', got {strategy!r}")
     window = sieved.window if isinstance(sieved, SievedSet) else None
-    candidates = np.asarray(_elements_of(sieved), dtype=np.int64)
+    candidates = _elements_of(sieved)
     rng = random.Random(seed) if strategy == "random" else None
     chosen: list[int] = []
     for _ in range(k):
@@ -164,9 +187,15 @@ def count_spaced_selections(
     """Exact number of k-subsets with all pairwise gaps > spacing, paired with
     the product lower bound (1/k!) * prod_i max(0, n - 2*(i-1)*spacing).
 
-    The exact count runs a DP over the sorted elements; since elements are
-    sorted, the pairwise condition is equivalent to consecutive chosen gaps
-    exceeding `spacing`.  The exact count always dominates the bound.
+    Since elements are sorted, the pairwise condition is equivalent to
+    consecutive chosen gaps exceeding `spacing`.  The exact count is a DP of
+    k-1 array passes: ways[i] counts the selections ending at element i, and
+    one pass sums the ways of every element at least `spacing + 1` below it.
+    Entries are Python ints (object arrays), so the count is exact at any
+    size.  The bound assumes each pick knocks out at most 2*spacing other
+    candidates; the exact count dominates it on sieved sets (gaps >= 2) with
+    spacing >= 1, but dense sets can fall below it: range(30) with k=30 and
+    spacing 0 has exactly one selection against a bound of about 7.8e11.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -178,17 +207,15 @@ def count_spaced_selections(
     if k > n:
         exact = 0
     else:
-        ways = [1] * n  # selections of size 1 ending at each element
+        # cut[i]: number of elements below els[i] - spacing, i.e. those that
+        # may precede els[i] in a selection
+        cut = np.searchsorted(els, els - min(spacing, INT64_MAX), side="left")
+        ways = np.ones(n, dtype=object)  # selections of size 1 ending at each element
+        prefix = np.zeros(n + 1, dtype=object)
         for _ in range(k - 1):
-            prefix = [0] * (n + 1)
-            for i in range(n):
-                prefix[i + 1] = prefix[i] + ways[i]
-            nxt = [0] * n
-            for i in range(n):
-                cut = bisect.bisect_left(els, els[i] - spacing)
-                nxt[i] = prefix[cut]
-            ways = nxt
-        exact = sum(ways)
+            np.cumsum(ways, out=prefix[1:])
+            ways = prefix[cut]
+        exact = int(ways.sum())
 
     prod = 1.0
     for i in range(k):

@@ -161,6 +161,11 @@ def test_usage_errors_exit_2(capsys):
     assert main([]) == 2
 
 
+def test_tuples_greedy_huge_window_fails_with_budget_error(capsys):
+    assert main(["tuples", "greedy", "--window", "1e12", "--k", "3"]) == 1
+    assert "budget" in capsys.readouterr().err
+
+
 def test_precondition_errors_exit_1(capsys):
     assert main(["density", "--lambda", "-2", "--x", "10", "--m-max", "1"]) == 1
     assert "lambda" in capsys.readouterr().err

@@ -5,8 +5,8 @@ import random
 import numpy as np
 import pytest
 
-from shortint.errors import InadmissibleTupleError
-from shortint.primes import build_table
+from shortint.errors import InadmissibleTupleError, MemoryBudgetError
+from shortint.primes import DEFAULT_MEMORY_BUDGET, build_table
 from shortint.tuples import (
     AdmissibleTuple,
     SievedSet,
@@ -75,6 +75,21 @@ def test_greedy_sieve_argument_validation():
         greedy_sieve(0.5, 3)
     with pytest.raises(ValueError):
         greedy_sieve(20, 0)
+
+
+def test_greedy_sieve_refuses_windows_over_the_memory_budget(monkeypatch):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("the sieve allocated before checking its budget")
+
+    monkeypatch.setattr(np, "arange", no_allocation)
+    with pytest.raises(MemoryBudgetError) as info:
+        greedy_sieve(1e12, 3)
+    message = str(info.value)
+    assert f"{17 * (10**12 + 1):,}" in message
+    assert f"{DEFAULT_MEMORY_BUDGET:,}" in message
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            greedy_sieve(bad, 3)
 
 
 def test_greedy_sieve_removes_minimum_class_each_step():
@@ -165,6 +180,39 @@ def test_count_spaced_matches_exhaustive_on_arbitrary_sets():
         assert exact == brute_spaced_count(elements, k, spacing)
         if k == 1:
             assert exact == bound == n
+
+
+def test_count_spaced_matches_closed_form_above_int64():
+    # For range(N) the selections with consecutive gaps > s are the
+    # k-subsets of range(N - (k-1)s); on d*range(N) the threshold is s // d.
+    exact, _ = count_spaced_selections(range(2000), 30, 5)
+    assert type(exact) is int
+    assert exact == math.comb(1855, 30)
+    assert exact > 2**63
+    sieved = SievedSet(np.arange(2000), window=1999.0)
+    assert count_spaced_selections(sieved, 30, 5)[0] == exact
+    scaled, _ = count_spaced_selections([7 * i for i in range(900)], 25, 20)
+    assert scaled == math.comb(900 - 24 * (20 // 7), 25) > 2**63
+    assert count_spaced_selections(range(40), 40, 0)[0] == 1  # k == n
+    assert count_spaced_selections(range(40), 40, 1)[0] == 0
+    assert count_spaced_selections(range(40), 41, 0)[0] == 0  # k > n
+    assert count_spaced_selections([0, 6, 20], 2, 10**30)[0] == 0
+
+
+def test_spaced_functions_reject_non_integer_and_oversized_elements():
+    for bad in ([0, 2.5, 6], [0, math.inf], [0, math.nan]):
+        with pytest.raises(ValueError, match="offsets must be integers"):
+            count_spaced_selections(bad, 2, 1)
+        with pytest.raises(ValueError, match="offsets must be integers"):
+            select_spaced(bad, 2, 1)
+    too_big = [0, 2**63]
+    with pytest.raises(ValueError, match=str(2**63 - 1)):
+        count_spaced_selections(too_big, 2, 1)
+    with pytest.raises(ValueError, match=str(2**63 - 1)):
+        select_spaced(too_big, 2, 1)
+    # integral floats and numpy integers are still integers
+    assert count_spaced_selections([0.0, 2.0, 6.0], 2, 1)[0] == 3
+    assert select_spaced(np.array([0, 2, 6]), 2, 1).offsets == (0, 2)
 
 
 def test_bound_dominated_by_exact_count_on_sieved_sets():
