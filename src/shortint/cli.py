@@ -18,7 +18,7 @@ from . import clusters as clusters_mod
 from . import density as density_mod
 from . import tuples as tuples_mod
 from .errors import ShortIntervalError
-from .primes import ALL, DEFAULT_SEGMENT_SIZE, PrimeFilter, build_table
+from .primes import ALL, PrimeFilter, build_table
 
 
 def _write_output(text: str, path: str) -> None:
@@ -67,7 +67,7 @@ def _check_lambda(lam: float) -> None:
 
 
 def _cmd_sieve(args) -> int:
-    table = build_table(args.limit, segment_size=args.segment_size)
+    table = build_table(args.limit)
     print(table.count)
     return 0
 
@@ -97,9 +97,7 @@ def _cmd_density(args) -> int:
             text = density_mod.growth_csv(results)
         _write_output(text, args.out)
         return 0
-    report = density_mod.measure_density(
-        table, args.lam, args.x, args.m_max, filt, threads=args.threads
-    )
+    report = density_mod.measure_density(table, args.lam, args.x, args.m_max, filt)
     if args.json:
         payload = density_mod.density_json(report, args.compare_poisson)
         text = json.dumps(_round12(payload), indent=2) + "\n"
@@ -212,7 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sieve", help="build a prime table and print its count")
     p.add_argument("--limit", type=int, required=True)
-    p.add_argument("--segment-size", type=int, default=DEFAULT_SEGMENT_SIZE)
     p.set_defaults(func=_cmd_sieve)
 
     p = sub.add_parser("density", help="window-count densities or growth ratios")
@@ -230,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--growth", action="store_true", help="emit x vs 2x count ratios")
     p.add_argument("--json", action="store_true")
     p.add_argument("--out", default="-")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_density)
 
     p = sub.add_parser("tuples", help="greedy sieve, admissibility, singular series")

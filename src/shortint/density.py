@@ -5,12 +5,15 @@ Every window count in the package goes through one kernel: right_edge gives
 the integer right end of a window, count_windows counts sorted primes in many
 windows at once, and window_counts yields c(n), the number of filtered primes
 in [n, n + lam*log n], for a run of n.  The density scan, the growth check,
-the cluster scan and the slide are thin consumers of it.
+the cluster scan and the slide are thin consumers of it.  The density and
+growth scans count their chunks on WORKERS threads, one per CPU the process
+may run on (restrict them with taskset); the output never depends on it.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -26,6 +29,11 @@ SCAN_CHUNK = 2**16  # starting points per kernel call; bounds the prefix arrays
 # prefix count over the whole span (slide traces are ~20 windows, scan chunks
 # are SCAN_CHUNK windows).
 SEARCH_SPAN = 256
+WORKERS = (
+    len(os.sched_getaffinity(0))
+    if hasattr(os, "sched_getaffinity")
+    else os.cpu_count() or 1
+)
 
 
 def right_edge(n: np.ndarray, lam: float) -> np.ndarray:
@@ -159,19 +167,17 @@ def _histogram(
     b: int,
     m_max: int,
     filt: PrimeFilter,
-    threads: int = 1,
 ) -> np.ndarray:
-    """bincount of c(n) over n in [a, b], every c(n) > m_max in the last bin."""
+    """bincount of c(n) over n in [a, b], every c(n) > m_max in the last bin;
+    the chunks of [a, b] are counted on WORKERS threads."""
 
     def part(span: tuple[int, int]) -> np.ndarray:
         c = window_counts(table, lam, *span, filt)
         return np.bincount(np.minimum(c, m_max + 1), minlength=m_max + 2)
 
-    chunks = list(spans(a, b))
-    if threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return np.sum(list(pool.map(part, chunks)), axis=0)
-    return sum(map(part, chunks), np.zeros(m_max + 2, dtype=np.int64))
+    table.primes()  # build the shared index here, not once per worker
+    with ThreadPoolExecutor(max_workers=WORKERS) as pool:
+        return sum(pool.map(part, spans(a, b)), np.zeros(m_max + 2, dtype=np.int64))
 
 
 def _validate_scan(lam: float, x: int, m_max: int) -> None:
@@ -189,13 +195,12 @@ def measure_density(
     x: int,
     m_max: int,
     filt: PrimeFilter = ALL,
-    threads: int = 1,
 ) -> DensityReport:
     """Count, for every n <= x, the filtered primes in [n, n + lam*log n].
 
     n runs from 1; the window of n = 1 is the single point {1} and lands in
-    m = 0.  Chunks of starting points are counted independently, so they may
-    be processed concurrently and merged by addition.
+    m = 0.  Chunks of starting points are counted independently on WORKERS
+    threads and merged by addition.
     """
     _validate_scan(lam, x, m_max)
     need = required_limit(lam, x)
@@ -204,7 +209,7 @@ def measure_density(
             f"scan to x={x} at lambda={lam} requires a table with "
             f"limit >= {need}, have {table.limit}"
         )
-    hist = _histogram(table, lam, 1, x, m_max, filt, threads)
+    hist = _histogram(table, lam, 1, x, m_max, filt)
     counts = {m: int(hist[m]) for m in range(m_max + 1)}
     return DensityReport(
         lam=float(lam),

@@ -1,9 +1,10 @@
 """Segmented prime sieve with residue- and quadratic-class filtered views.
 
 The table keeps one flag per odd integer (bit i <-> 3 + 2i); the prime 2 is
-handled logically.  Construction walks fixed-size segments so the working set
-stays cache-resident, and the finished table is immutable and safe to share
-between threads.
+handled logically.  Construction walks segments of SEGMENT_SIZE odd entries so
+the working set stays cache-resident, and the finished table is immutable and
+safe to share between threads.  This is the package's only sieve: primes_upto
+runs it too, and build_table takes its sieving primes from primes_upto.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from .errors import MemoryBudgetError, OutOfRangeError
 
-DEFAULT_SEGMENT_SIZE = 2**18  # odd entries per segment, sized for L2 cache
+SEGMENT_SIZE = 2**18  # odd entries per segment, sized for L2 cache
 DEFAULT_MEMORY_BUDGET = 2**31  # bytes
 
 
@@ -184,8 +185,7 @@ class PrimeTable:
     def primes(self) -> np.ndarray:
         """All primes <= limit as a sorted int64 array (cached, read-only)."""
         if self._prime_cache is None:
-            odds = np.flatnonzero(self._bits).astype(np.int64) * 2 + 3
-            cache = np.concatenate((np.array([2], dtype=np.int64), odds))
+            cache = _primes_of(self._bits)
             cache.setflags(write=False)
             self._prime_cache = cache
         return self._prime_cache
@@ -194,17 +194,15 @@ class PrimeTable:
         return f"PrimeTable(limit={self.limit}, count={self.count})"
 
 
+def _primes_of(odd_bits: np.ndarray) -> np.ndarray:
+    odds = np.flatnonzero(odd_bits).astype(np.int64) * 2 + 3
+    return np.concatenate((np.array([2], dtype=np.int64), odds))
+
+
 def primes_upto(n: int) -> list[int]:
-    """All primes <= n, by a one-shot dense sieve; meant for small n such as
+    """All primes <= n, from the segmented sieve; meant for small n such as
     the sieving primes of a table."""
-    if n < 2:
-        return []
-    is_prime = np.ones(n + 1, dtype=bool)
-    is_prime[:2] = False
-    for p in range(2, math.isqrt(n) + 1):
-        if is_prime[p]:
-            is_prime[p * p :: p] = False
-    return np.flatnonzero(is_prime).tolist()
+    return _primes_of(_sieve(n)).tolist() if n >= 2 else []
 
 
 def _mark_segment(bits: np.ndarray, base: list[int], i0: int, i1: int) -> None:
@@ -221,19 +219,22 @@ def _mark_segment(bits: np.ndarray, base: list[int], i0: int, i1: int) -> None:
             bits[idx:i1:p] = False
 
 
-def build_table(
-    limit: int,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-    memory_budget: int = DEFAULT_MEMORY_BUDGET,
-) -> PrimeTable:
-    """Sieve the primes up to `limit`.
+def _sieve(limit: int) -> np.ndarray:
+    """Odd-only flags for 3, 5, ..., <= limit, marked segment by segment."""
+    n_odds = (limit - 1) // 2
+    bits = np.ones(n_odds, dtype=bool)
+    if n_odds:
+        base = primes_upto(math.isqrt(limit))[1:]  # the bitmap holds odd n only
+        for i0 in range(0, n_odds, SEGMENT_SIZE):
+            _mark_segment(bits, base, i0, min(i0 + SEGMENT_SIZE, n_odds))
+    return bits
 
-    The result is independent of segment_size.
-    """
+
+def build_table(limit: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> PrimeTable:
+    """Sieve the primes up to `limit`, refusing tables whose bitmap and prime
+    index would exceed memory_budget bytes."""
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
-    if segment_size < 64:
-        raise ValueError(f"segment_size must be >= 64, got {segment_size}")
     n_odds = (limit - 1) // 2  # odd integers 3, 5, ..., <= limit
     estimate = n_odds + 8 * (limit // max(int(math.log(limit)), 1))
     if estimate > memory_budget:
@@ -241,11 +242,7 @@ def build_table(
             f"limit={limit} needs about {estimate:,} bytes for the bitmap and "
             f"prime index; budget is {memory_budget:,}"
         )
-    bits = np.ones(n_odds, dtype=bool)
-    if n_odds:
-        base = primes_upto(math.isqrt(limit))[1:]  # the bitmap holds odd n only
-        for i0 in range(0, n_odds, segment_size):
-            _mark_segment(bits, base, i0, min(i0 + segment_size, n_odds))
+    bits = _sieve(limit)
     bits.setflags(write=False)
     return PrimeTable(limit, bits)
 

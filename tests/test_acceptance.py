@@ -262,18 +262,23 @@ def test_criterion_09_post_drop_run_length(slide_scan, spacing_scan):
 
 
 def test_criterion_10_growth_ratios():
-    table = build_table(2 * 10**6 + 64)
+    limit = 2 * 10**6 + 64
+    table = build_table(limit)
+    # brute-force baseline, independent of build_table and the vectorised
+    # scan: a dense sieve over every integer turned into a prefix count, and
+    # each right edge from libm, the float formula count_in applies
+    flags = np.ones(limit + 1, dtype=bool)
+    flags[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if flags[p]:
+            flags[p * p :: p] = False
+    pi = np.cumsum(flags)  # pi[t] = number of primes <= t
+    starts = range(1, 2 * 10**6 + 1)
     results = {}
     for m, lam in ((0, 0.5), (1, 1.0)):
-        # brute-force baseline, independent of the vectorised scan: one pass
-        # over [1, 2e6] that records its running total at 1e6 on the way
-        counts = {}
-        total = 0
-        for n in range(1, 2 * 10**6 + 1):
-            if count_in(table, n, n + lam * math.log(n)) == m:
-                total += 1
-            if n in (10**6, 2 * 10**6):
-                counts[n] = total
+        edges = np.array([math.floor(n + lam * math.log(n)) for n in starts])
+        hit = pi[edges] - pi[np.arange(len(starts))] == m  # pi[n - 1]
+        counts = {x: int(np.count_nonzero(hit[:x])) for x in (10**6, 2 * 10**6)}
         for x, total in counts.items():
             report = measure_density(table, lam, x, m)
             assert report.counts[m] == total

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from shortint import density
 from shortint.cli import main
 
 
@@ -52,14 +53,17 @@ def test_density_csv_expected_rows(capsys):
     assert lines[1].split(",")[:3] == ["0", "2", "0.2"]
 
 
-def test_density_outputs_are_reproducible(tmp_path):
+def test_density_outputs_are_reproducible(tmp_path, monkeypatch):
     args = [
         "density", "--lambda", "0.5", "--x", "2000", "--m-max", "4",
         "--mod", "4", "--res", "1", "--compare-poisson",
     ]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    monkeypatch.setattr(density, "SCAN_CHUNK", 300)
+    monkeypatch.setattr(density, "WORKERS", 1)
     assert main([*args, "--out", str(a)]) == 0
-    assert main([*args, "--out", str(b), "--threads", "3"]) == 0
+    monkeypatch.setattr(density, "WORKERS", 4)
+    assert main([*args, "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
 
 

@@ -1,5 +1,8 @@
+import itertools
 import json
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -18,7 +21,7 @@ from shortint.density import (
     window_counts,
 )
 from shortint.errors import OutOfRangeError
-from shortint.primes import ALL, PrimeFilter, count_in
+from shortint.primes import ALL, PrimeFilter, PrimeTable, build_table, count_in
 
 
 def naive_histogram(table, lam, x, m_max, filt=ALL):
@@ -79,13 +82,38 @@ def test_sliding_scan_equals_naive_recount_filtered(table_1e5):
 
 
 def test_chunking_and_threads_do_not_change_counts(table_1e5, monkeypatch):
+    monkeypatch.setattr(density, "WORKERS", 1)
     base = measure_density(table_1e5, 1.0, 30000, 6)
     monkeypatch.setattr(density, "SCAN_CHUNK", 1024)
     chunked = measure_density(table_1e5, 1.0, 30000, 6)
     monkeypatch.setattr(density, "SCAN_CHUNK", 4096)
-    threaded = measure_density(table_1e5, 1.0, 30000, 6, threads=4)
+    monkeypatch.setattr(density, "WORKERS", 4)
+    threaded = measure_density(table_1e5, 1.0, 30000, 6)
     assert base.counts == chunked.counts == threaded.counts
     assert base.overflow == chunked.overflow == threaded.overflow
+
+
+def test_prime_index_is_built_once_on_the_calling_thread(monkeypatch):
+    table = build_table(20000)
+    builds = []
+    original = PrimeTable.primes
+
+    def recording(self):
+        if self._prime_cache is None:
+            builds.append(threading.current_thread())
+        return original(self)
+
+    monkeypatch.setattr(PrimeTable, "primes", recording)
+    monkeypatch.setattr(density, "WORKERS", 4)
+    monkeypatch.setattr(density, "SCAN_CHUNK", 500)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        measure_density(table, 1.0, 9000, 4)
+        growth_check(table, 1.0, 4, 9000)
+    finally:
+        sys.setswitchinterval(interval)
+    assert builds == [threading.current_thread()]
 
 
 @pytest.mark.parametrize("lam", (0.25, 1.0, 5.0, 30.0))
@@ -161,7 +189,9 @@ def test_growth_check_frozen_example(table_1e6):
 
 def test_growth_check_matches_scans_to_x_and_2x(table_1e5, monkeypatch):
     monkeypatch.setattr(density, "SCAN_CHUNK", 1000)
-    for filt in (ALL, PrimeFilter.residue_class(1, 4)):
+    filters = (ALL, PrimeFilter.residue_class(1, 4))
+    for workers, filt in itertools.product((1, 4), filters):
+        monkeypatch.setattr(density, "WORKERS", workers)
         results = growth_check(table_1e5, 1.0, 4, 2500, filt)
         at_x = measure_density(table_1e5, 1.0, 2500, 4, filt)
         at_2x = measure_density(table_1e5, 1.0, 5000, 4, filt)

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from shortint import primes
 from shortint.errors import MemoryBudgetError, OutOfRangeError
 from shortint.primes import (
     ALL,
@@ -42,16 +43,19 @@ def test_membership_matches_trial_division_exhaustively(table_1e5):
         assert table_1e5.membership(n) == trial_division_is_prime(n), n
 
 
-def test_count_examples():
-    assert build_table(100, 64).count == 25
-    assert build_table(2, 64).count == 1
-    assert build_table(10**6, 2**16).count == dense_sieve_count(10**6) == 78498
+def test_count_examples(monkeypatch):
+    monkeypatch.setattr(primes, "SEGMENT_SIZE", 64)
+    assert build_table(100).count == 25
+    assert build_table(2).count == 1
+    monkeypatch.setattr(primes, "SEGMENT_SIZE", 2**16)
+    assert build_table(10**6).count == dense_sieve_count(10**6) == 78498
 
 
-def test_segment_size_and_threads_do_not_change_output():
+def test_segment_size_does_not_change_output(monkeypatch):
     reference = build_table(10**5)
     for segment_size in (64, 97, 1000, 2**18):
-        other = build_table(10**5, segment_size=segment_size)
+        monkeypatch.setattr(primes, "SEGMENT_SIZE", segment_size)
+        other = build_table(10**5)
         assert other.count == reference.count
         assert np.array_equal(other._bits, reference._bits)
 
@@ -59,8 +63,6 @@ def test_segment_size_and_threads_do_not_change_output():
 def test_build_argument_validation():
     with pytest.raises(ValueError):
         build_table(1)
-    with pytest.raises(ValueError):
-        build_table(100, segment_size=32)
 
 
 def test_memory_budget_error_names_required_bytes():
