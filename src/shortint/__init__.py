@@ -17,6 +17,7 @@ from .clusters import (
     Cluster,
     Falsification,
     SlideTrace,
+    Slides,
     extract_m_runs,
     find_clusters,
     guaranteed_run_floor,

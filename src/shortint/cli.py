@@ -8,10 +8,11 @@ produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import sys
-from pathlib import Path
+from typing import TextIO
 
 from . import bounds as bounds_mod
 from . import clusters as clusters_mod
@@ -21,11 +22,17 @@ from .errors import ShortIntervalError
 from .primes import ALL, PrimeFilter, build_table
 
 
-def _write_output(text: str, path: str) -> None:
+def _open_output(path: str, std: TextIO | None = None):
+    """A text stream for path: std (default sys.stdout, left open) for "-",
+    else the file, truncated."""
     if path == "-":
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text)
+        return contextlib.nullcontext(sys.stdout if std is None else std)
+    return open(path, "w")
+
+
+def _write_output(text: str, path: str) -> None:
+    with _open_output(path) as out:
+        out.write(text)
 
 
 def _round12(obj):
@@ -155,35 +162,41 @@ def _cmd_slide(args) -> int:
     if args.max_clusters < 0:
         raise ValueError(f"--max-clusters must be >= 0, got {args.max_clusters}")
     table = build_table(clusters_mod.required_limit(args.lam, args.x_hi))
-    stream = clusters_mod.find_clusters(
-        table,
-        args.lam,
-        args.x_lo,
-        args.x_hi,
-        args.m,
-        require_spacing=args.require_spacing,
-        params=params,
+    stream = itertools.islice(
+        clusters_mod.find_clusters(
+            table,
+            args.lam,
+            args.x_lo,
+            args.x_hi,
+            args.m,
+            require_spacing=args.require_spacing,
+            params=params,
+        ),
+        args.max_clusters,
     )
-    traces = [
-        clusters_mod.slide(table, c, args.m)
-        for c in itertools.islice(stream, args.max_clusters)
-    ]
-    _write_output(clusters_mod.trace_csv(traces), args.out)
-    records = clusters_mod.falsifications_jsonl(traces)
-    if args.falsifications != "-":
-        Path(args.falsifications).write_text(records)
-    elif records:
-        sys.stderr.write(records)
-    n_fals = sum(len(t.falsifications) for t in traces)
-    n_drop = sum(1 for t in traces if t.j_drop is not None)
-    run_lengths = [
-        length
-        for t in traces
-        for start, length in clusters_mod.extract_m_runs(t, args.m)
-    ]
+    n_traces = n_drop = n_fals = n_runs = longest = 0
+    header = clusters_mod.TRACE_HEADER
+    # the scan checks its arguments on the first block, before any output
+    # file is opened; each block is slid and written as it is done
+    block = list(itertools.islice(stream, clusters_mod.SLIDE_BLOCK))
+    with _open_output(args.out) as out, _open_output(
+        args.falsifications, sys.stderr
+    ) as records:
+        out.write(header)
+        while block:
+            slides = clusters_mod.slide(table, block, args.m)
+            out.write(clusters_mod.trace_csv(slides)[len(header) :])
+            records.write(clusters_mod.falsifications_jsonl(slides))
+            runs = clusters_mod.extract_m_runs(slides, args.m)
+            n_traces += len(slides)
+            n_drop += int((slides.j_drop >= 0).sum())
+            n_fals += len(slides.falsifications)
+            n_runs += len(runs)
+            longest = max([longest, *(length for _, length in runs)])
+            block = list(itertools.islice(stream, clusters_mod.SLIDE_BLOCK))
     stats = (
-        f"traces={len(traces)} with_drop={n_drop} "
-        f"m_runs={len(run_lengths)} longest_run={max(run_lengths, default=0)} "
+        f"traces={n_traces} with_drop={n_drop} "
+        f"m_runs={n_runs} longest_run={longest} "
         f"falsifications={n_fals}"
     )
     print(stats, file=sys.stderr)

@@ -4,8 +4,9 @@ find_clusters scans integer base points N0 and yields windows
 [N0, N0 + 5*lam*log(x_hi)] holding at least m+1 filtered primes, tagging
 whether the primes are confined to the first fifth with pairwise gaps above
 the well-spacing threshold.  slide() then walks the windows
-I_j = [N0 + j, N0 + j + lam*log(N0 + j)] and locates the last index whose
-count still exceeds m; immediately after it the count drops to exactly m.
+I_j = [N0 + j, N0 + j + lam*log(N0 + j)] of a batch of clusters in one pass
+and locates, on each trace, the last index whose count still exceeds m;
+immediately after it the count drops to exactly m.
 Claims the sliding process relies on are checked on every trace, and any
 violation is recorded as a falsification rather than assumed impossible.
 """
@@ -23,6 +24,10 @@ from .bounds import BoundParams, DEFAULT_PARAMS, spacing_divisor, tuple_size
 from .density import count_windows, spans, window_counts
 from .errors import OutOfRangeError, ParameterRangeError
 from .primes import ALL, PrimeFilter, PrimeTable, primes_between
+
+# clusters per slide() call in the CLI; its memory is O(block), not
+# O(--max-clusters)
+SLIDE_BLOCK = 4096
 
 
 def required_limit(lam: float, x_hi: int) -> int:
@@ -82,7 +87,7 @@ class Falsification:
 
 @dataclass(frozen=True)
 class SlideTrace:
-    """Window counts along one slide.
+    """Window counts along one slide: the per-trace view of Slides.
 
     counts[j] is the number of filtered primes in I_j for j = 0..floor(lam *
     log base).  j_drop is the last j with counts[j] >= m+1 (None if none);
@@ -96,6 +101,49 @@ class SlideTrace:
     j_drop: int | None
     m_run: tuple[int, ...]
     falsifications: tuple[Falsification, ...]
+
+
+@dataclass(frozen=True, eq=False)
+class Slides:
+    """Window counts along a batch of slides, stored column-wise.
+
+    Trace i starts at bases[i] and its counts are
+    counts[starts[i] : starts[i + 1]]; j_drop[i] is its drop index, -1 if it
+    has none.  falsifications holds every record, trace by trace, and those
+    of trace i are falsifications[falsification_starts[i] :
+    falsification_starts[i + 1]].  Indexing and iteration give SlideTrace
+    views.  lam is nan for an empty batch.
+    """
+
+    lam: float
+    m: int
+    bases: np.ndarray
+    starts: np.ndarray
+    counts: np.ndarray
+    j_drop: np.ndarray
+    falsifications: tuple[Falsification, ...]
+    falsification_starts: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.bases)
+
+    def __getitem__(self, i: int) -> SlideTrace:
+        i = range(len(self))[i]
+        counts = self.counts[self.starts[i] : self.starts[i + 1]]
+        j_drop = int(self.j_drop[i])
+        fals = self.falsification_starts
+        return SlideTrace(
+            base=int(self.bases[i]),
+            lam=self.lam,
+            m=self.m,
+            counts=tuple(counts.tolist()),
+            j_drop=j_drop if j_drop >= 0 else None,
+            m_run=tuple(np.flatnonzero(counts == self.m).tolist()),
+            falsifications=self.falsifications[fals[i] : fals[i + 1]],
+        )
+
+    def __iter__(self) -> Iterator[SlideTrace]:
+        return (self[i] for i in range(len(self)))
 
 
 def find_clusters(
@@ -148,15 +196,20 @@ def find_clusters(
         bad_starts = primes[:-1][np.diff(primes) <= threshold]
         n_bad = count_windows(bad_starts, a, n, last_prime - 1)
         spaced = (in_window == in_portion) & (n_bad == 0)
-        for i in np.flatnonzero(spaced) if require_spacing else range(len(n)):
-            base, i0 = int(n[i]), int(first[i])
-            positions = tuple((primes[i0 : i0 + int(in_window[i])] - base).tolist())
+        if require_spacing:
+            n, first, in_window, spaced = (
+                v[spaced] for v in (n, first, in_window, spaced)
+            )
+        chunk_primes = primes.tolist()
+        for base, i0, size, ok in zip(
+            n.tolist(), first.tolist(), in_window.tolist(), spaced.tolist()
+        ):
             yield Cluster(
                 base=base,
                 window=window,
                 lam=lam,
-                prime_positions=positions,
-                spacing_ok=bool(spaced[i]),
+                prime_positions=tuple(p - base for p in chunk_primes[i0 : i0 + size]),
+                spacing_ok=ok,
                 first_portion=portion,
                 spacing_threshold=threshold,
             )
@@ -164,78 +217,141 @@ def find_clusters(
 
 def slide(
     table: PrimeTable,
-    cluster: Cluster,
+    clusters: Iterable[Cluster],
     m: int,
     filt: PrimeFilter = ALL,
-) -> SlideTrace:
+) -> Slides:
     """Count filtered primes in each I_j = [N0+j, N0+j+lam*log(N0+j)] for
-    j = 0..floor(lam*log N0) and locate the drop index.
+    j = 0..floor(lam*log N0) on every cluster, and locate the drop indices.
 
-    Two claims are verified on the trace and recorded as falsifications when
-    violated: counts never increase by more than 1 between consecutive j, and
-    whenever the count is observed to drop below m+1 right after j_drop, the
-    integer N0 + j_drop is itself a filtered prime.
+    The clusters share one lambda and may come in any order, overlapping or
+    repeated; the traces keep their order.  The trace intervals are merged
+    into maximal covering runs and each run is counted by one window_counts
+    call, so the work is linear in the number of windows.  Two claims are
+    verified on every trace and recorded as falsifications when violated:
+    counts never increase by more than 1 between consecutive j, and whenever
+    the count is observed to drop below m+1 right after j_drop, the integer
+    N0 + j_drop is itself a filtered prime.
     """
     if m < 0:
         raise ValueError(f"m must be non-negative, got {m}")
-    base, lam = cluster.base, cluster.lam
-    j_max = math.floor(lam * math.log(base))
-    counts_arr = window_counts(table, lam, base, base + j_max, filt)
-    counts = tuple(counts_arr.tolist())
+    clusters = list(clusters)
+    lams = {c.lam for c in clusters}
+    if len(lams) > 1:
+        raise ValueError(f"clusters of one slide must share lambda, got {sorted(lams)}")
+    lam = lams.pop() if lams else math.nan
+    n = len(clusters)
+    bases = np.array([c.base for c in clusters], dtype=np.int64)
+    # libm math.log per base, not np.log over the array: one ulp of difference
+    # could change a trace's length
+    lengths = np.array(
+        [math.floor(lam * math.log(c.base)) + 1 for c in clusters], dtype=np.int64
+    )
+    starts = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(lengths, out=starts[1:])
 
-    rich = np.flatnonzero(counts_arr >= m + 1)
-    j_drop = int(rich[-1]) if len(rich) else None
-    m_run = tuple(np.flatnonzero(counts_arr == m).tolist())
+    # covering runs: traces sorted by base, merged where they overlap or touch
+    order = np.argsort(bases, kind="stable")
+    sorted_bases = bases[order]
+    reach = np.maximum.accumulate(sorted_bases + lengths[order] - 1)
+    opens = np.ones(n, dtype=bool)
+    opens[1:] = sorted_bases[1:] > reach[:-1] + 1
+    run_lo = sorted_bases[opens]
+    run_hi = np.append(reach[:-1][opens[1:]], reach[-1:])  # reach before each open
+    run_off = np.zeros(len(run_lo) + 1, dtype=np.int64)
+    np.cumsum(run_hi - run_lo + 1, out=run_off[1:])
+    cover = np.concatenate(
+        [np.zeros(0, dtype=np.int64)]
+        + [
+            window_counts(table, lam, a, b, filt)
+            for a, b in zip(run_lo.tolist(), run_hi.tolist())
+        ]
+    )
+    run_of = np.empty(n, dtype=np.int64)
+    run_of[order] = np.cumsum(opens) - 1
+    first = run_off[run_of] + bases - run_lo[run_of]  # trace start inside cover
+    counts = cover[np.repeat(first - starts[:-1], lengths) + np.arange(starts[-1])]
+
+    rich = np.where(counts >= m + 1, np.arange(len(counts)), -1)
+    last = np.maximum.reduceat(rich, starts[:-1])  # every trace has a window
+    j_drop = np.where(last >= 0, last - starts[:-1], -1)
+
+    # count jumps, found once in cover: pair (k, k+1) belongs to every trace
+    # holding both k and k+1 (a pair that straddles two runs belongs to none)
+    jumps = np.flatnonzero(cover[1:] > cover[:-1] + 1)
+    jumps_lo = np.searchsorted(jumps, first)
+    jumps_hi = np.searchsorted(jumps, first + lengths - 1)
+
+    # drop points: N0 + j_drop must be a filtered prime when the trace goes on
+    dropped = np.flatnonzero((j_drop >= 0) & (j_drop < lengths - 1))
+    n_drop = bases[dropped] + j_drop[dropped]
+    primes = table.primes()
+    at = np.minimum(np.searchsorted(primes, n_drop), len(primes) - 1)
+    bad_drop = np.zeros(n, dtype=bool)
+    bad_drop[dropped[(primes[at] != n_drop) | ~filt.mask(n_drop)]] = True
 
     falsifications: list[Falsification] = []
-    jumps = np.flatnonzero(counts_arr[1:] > counts_arr[:-1] + 1)
-    for j in jumps:
-        falsifications.append(
-            Falsification(
-                kind="count-jump",
-                base=base,
-                j=int(j),
-                expected=counts[int(j)] + 1,
-                observed=counts[int(j) + 1],
+    falsification_starts = np.zeros(n + 1, dtype=np.int64)
+    for t in np.flatnonzero((jumps_hi > jumps_lo) | bad_drop).tolist():
+        base = int(bases[t])
+        for k in jumps[jumps_lo[t] : jumps_hi[t]].tolist():
+            falsifications.append(
+                Falsification(
+                    kind="count-jump",
+                    base=base,
+                    j=k - int(first[t]),
+                    expected=int(cover[k]) + 1,
+                    observed=int(cover[k + 1]),
+                )
             )
-        )
-    if j_drop is not None and j_drop < j_max:
-        n_drop = base + j_drop
-        if not (table.membership(n_drop) and filt.passes(n_drop)):
+        if bad_drop[t]:
+            n_t = base + int(j_drop[t])
             falsifications.append(
                 Falsification(
                     kind="drop-point-not-prime",
                     base=base,
-                    j=j_drop,
-                    expected=f"{n_drop} is a filtered prime",
-                    observed=f"{n_drop} is not",
+                    j=int(j_drop[t]),
+                    expected=f"{n_t} is a filtered prime",
+                    observed=f"{n_t} is not",
                 )
             )
-    return SlideTrace(
-        base=base,
+        falsification_starts[t + 1] = len(falsifications)
+    # traces without records keep the offset of the trace before them
+    return Slides(
         lam=lam,
         m=m,
+        bases=bases,
+        starts=starts,
         counts=counts,
         j_drop=j_drop,
-        m_run=m_run,
         falsifications=tuple(falsifications),
+        falsification_starts=np.maximum.accumulate(falsification_starts),
     )
 
 
-def extract_m_runs(trace: SlideTrace, m: int) -> list[tuple[int, int]]:
-    """Maximal consecutive runs of counts[j] == m, as (start_j, length)."""
-    runs: list[tuple[int, int]] = []
-    start = None
-    for j, c in enumerate(trace.counts):
-        if c == m:
-            if start is None:
-                start = j
-        elif start is not None:
-            runs.append((start, j - start))
-            start = None
-    if start is not None:
-        runs.append((start, len(trace.counts) - start))
-    return runs
+def extract_m_runs(traces: Slides | SlideTrace, m: int) -> list[tuple[int, int]]:
+    """Maximal runs of consecutive counts[j] == m inside each trace, as
+    (start_j, length), trace by trace."""
+    if isinstance(traces, SlideTrace):
+        counts = np.array(traces.counts, dtype=np.int64)
+        starts = np.array([0, len(counts)])
+    else:
+        counts, starts = traces.counts, traces.starts
+    if not len(counts):
+        return []
+    hit = counts == m
+    opens = np.zeros(len(counts), dtype=bool)
+    opens[starts[:-1]] = True  # a trace begins here
+    opens[1:] |= ~hit[:-1]
+    closes = np.zeros(len(counts), dtype=bool)
+    closes[starts[1:] - 1] = True  # a trace ends here
+    closes[:-1] |= ~hit[1:]
+    run_starts = np.flatnonzero(hit & opens)
+    run_ends = np.flatnonzero(hit & closes) + 1
+    trace = np.searchsorted(starts, run_starts, side="right") - 1
+    return list(
+        zip((run_starts - starts[trace]).tolist(), (run_ends - run_starts).tolist())
+    )
 
 
 def guaranteed_run_floor(cluster: Cluster) -> int:
@@ -244,16 +360,42 @@ def guaranteed_run_floor(cluster: Cluster) -> int:
     return math.floor(cluster.spacing_threshold)
 
 
-def trace_csv(traces: Iterable[SlideTrace]) -> str:
-    """Concatenated per-trace rows j,N_j,count (j restarts at 0 per trace)."""
-    lines = ["j,N_j,count"]
-    for trace in traces:
-        for j, c in enumerate(trace.counts):
-            lines.append(f"{j},{trace.base + j},{c}")
-    return "\n".join(lines) + "\n"
+TRACE_HEADER = "j,N_j,count\n"
 
 
-def falsifications_jsonl(traces: Iterable[SlideTrace]) -> str:
+def _decimal_columns(columns: list[np.ndarray]) -> str:
+    """Rows of non-negative integer columns as comma-separated decimals, one
+    line per row, built digit by digit in a byte matrix."""
+    rows = len(columns[0])
+    fields = []
+    for col in columns:
+        top = int(col.max()) if rows else 0
+        width = len(str(top))
+        digits = np.empty((width, rows), dtype=np.uint8)
+        v = col.astype(np.uint32 if top < 2**32 else np.uint64)
+        for k in range(width - 1, -1, -1):
+            q = v // 10
+            digits[k] = v - q * 10
+            v = q
+        digits += ord("0")
+        # leading zeros become 0 bytes, dropped below; the last digit stays
+        digits[:-1][np.logical_and.accumulate(digits[:-1] == ord("0"), axis=0)] = 0
+        fields += [digits, np.full((1, rows), ord(","), dtype=np.uint8)]
+    fields[-1] = np.full((1, rows), ord("\n"), dtype=np.uint8)
+    text = np.vstack(fields).T.ravel()
+    return text[text != 0].tobytes().decode("ascii")
+
+
+def trace_csv(slides: Slides) -> str:
+    """TRACE_HEADER, then the rows j,N_j,count of every trace (j restarts at
+    0 per trace)."""
+    lengths = np.diff(slides.starts)
+    j = np.arange(len(slides.counts)) - np.repeat(slides.starts[:-1], lengths)
+    n_j = np.repeat(slides.bases, lengths) + j
+    return TRACE_HEADER + _decimal_columns([j, n_j, slides.counts])
+
+
+def falsifications_jsonl(slides: Slides) -> str:
     """All falsification records of the traces, one JSON object per line."""
-    lines = [f.to_json() for trace in traces for f in trace.falsifications]
+    lines = [f.to_json() for f in slides.falsifications]
     return "\n".join(lines) + ("\n" if lines else "")

@@ -26,8 +26,8 @@ from .primes import ALL, PrimeFilter, PrimeTable, primes_between
 
 SCAN_CHUNK = 2**16  # starting points per kernel call; bounds the prefix arrays
 # Below this many windows, two binary searches per window beat building a
-# prefix count over the whole span (slide traces are ~20 windows, scan chunks
-# are SCAN_CHUNK windows).
+# prefix count over the whole span (a slide's covering run over sparse
+# clusters is ~20 windows, scan chunks are SCAN_CHUNK windows).
 SEARCH_SPAN = 256
 WORKERS = (
     len(os.sched_getaffinity(0))

@@ -10,6 +10,7 @@ runs it too, and build_table takes its sieving primes from primes_upto.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -170,6 +171,7 @@ class PrimeTable:
         self._bits = odd_bits
         self.count = (1 if self.limit >= 2 else 0) + int(np.count_nonzero(odd_bits))
         self._prime_cache: np.ndarray | None = None
+        self._prime_lock = threading.Lock()
 
     def membership(self, n: int) -> bool:
         if n > self.limit:
@@ -183,12 +185,20 @@ class PrimeTable:
     __contains__ = membership
 
     def primes(self) -> np.ndarray:
-        """All primes <= limit as a sorted int64 array (cached, read-only)."""
-        if self._prime_cache is None:
-            cache = _primes_of(self._bits)
-            cache.setflags(write=False)
-            self._prime_cache = cache
-        return self._prime_cache
+        """All primes <= limit as a sorted int64 array (cached, read-only).
+
+        The first call builds the index under a lock, so threads that race to
+        it build it once; later calls take no lock.
+        """
+        cache = self._prime_cache
+        if cache is None:
+            with self._prime_lock:
+                if self._prime_cache is None:
+                    built = _primes_of(self._bits)
+                    built.setflags(write=False)
+                    self._prime_cache = built
+                cache = self._prime_cache
+        return cache
 
     def __repr__(self) -> str:
         return f"PrimeTable(limit={self.limit}, count={self.count})"

@@ -187,33 +187,29 @@ def test_criterion_06_selection_count_soundness():
 
 @pytest.fixture(scope="module")
 def slide_scan(table_1e7):
-    traces = [
-        slide(table_1e7, cluster, 1)
-        for cluster in itertools.islice(
-            find_clusters(table_1e7, 1.0, 9 * 10**6, 10**7, 1), 8000
-        )
-    ]
-    traces += [
-        slide(table_1e7, cluster, 0)
-        for cluster in itertools.islice(
-            find_clusters(table_1e7, 0.5, 5 * 10**6, 6 * 10**6, 0), 3000
-        )
-    ]
+    traces = list(slide(
+        table_1e7,
+        itertools.islice(find_clusters(table_1e7, 1.0, 9 * 10**6, 10**7, 1), 8000),
+        1,
+    ))
+    traces += slide(
+        table_1e7,
+        itertools.islice(find_clusters(table_1e7, 0.5, 5 * 10**6, 6 * 10**6, 0), 3000),
+        0,
+    )
     return traces
 
 
 @pytest.fixture(scope="module")
 def spacing_scan(table_1e7):
-    return [
-        (cluster, slide(table_1e7, cluster, 0))
-        for cluster in itertools.islice(
-            find_clusters(
-                table_1e7, 1.0, 9 * 10**6, 10**7, 0,
-                require_spacing=True, params=SMALL_K,
-            ),
-            3000,
-        )
-    ]
+    clusters = list(itertools.islice(
+        find_clusters(
+            table_1e7, 1.0, 9 * 10**6, 10**7, 0,
+            require_spacing=True, params=SMALL_K,
+        ),
+        3000,
+    ))
+    return list(zip(clusters, slide(table_1e7, clusters, 0)))
 
 
 def test_criterion_07_count_increases_by_exactly_one(slide_scan):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from shortint import density
+from shortint import clusters, density
 from shortint.cli import main
 
 
@@ -128,6 +128,53 @@ def test_slide_nonzero_exit_on_falsification(tmp_path, capsys):
     assert "count-jump" in capsys.readouterr().err
 
 
+def test_slide_with_no_clusters_writes_the_header_only(tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    code = main(
+        ["slide", "--lambda", "1", "--x-lo", "10000", "--x-hi", "12000",
+         "--m", "1", "--max-clusters", "0", "--out", str(out)]
+    )
+    assert code == 0
+    assert out.read_text() == "j,N_j,count\n"
+    assert capsys.readouterr().err == (
+        "traces=0 with_drop=0 m_runs=0 longest_run=0 falsifications=0\n"
+    )
+
+
+def test_slide_stdout_matches_the_out_file(tmp_path, capsys):
+    argv = ["slide", "--lambda", "1", "--x-lo", "10000", "--x-hi", "12000",
+            "--m", "1", "--max-clusters", "50"]
+    out = tmp_path / "t.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    to_file = capsys.readouterr()
+    assert main([*argv, "--out", "-"]) == 0
+    to_stdout = capsys.readouterr()
+    assert to_file.out == ""
+    assert to_stdout.out == out.read_text()
+    assert to_stdout.err == to_file.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["--lambda", "1", "--x-lo", "10000", "--x-hi", "12000", "--m", "1",
+         "--max-clusters", "20"],
+        ["--lambda", "30", "--x-lo", "3", "--x-hi", "40", "--m", "0"],
+    ),
+)
+def test_slide_blocks_do_not_change_output(tmp_path, capsys, monkeypatch, argv):
+    # blocks of 3 clusters put block boundaries inside the covering runs and
+    # between the count-jump records
+    outputs = []
+    for block in (clusters.SLIDE_BLOCK, 3):
+        monkeypatch.setattr(clusters, "SLIDE_BLOCK", block)
+        out, fals = tmp_path / f"t{block}.csv", tmp_path / f"f{block}.jsonl"
+        code = main(["slide", *argv, "--out", str(out), "--falsifications", str(fals)])
+        outputs.append((code, out.read_text(), fals.read_text(), capsys.readouterr()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][1].count("\n") > 40
+
+
 def test_slide_with_constants_file(tmp_path, capsys):
     consts = tmp_path / "c.json"
     consts.write_text(json.dumps({"scale": 2.0}))
@@ -170,7 +217,7 @@ def test_tuples_greedy_huge_window_fails_with_budget_error(capsys):
     assert "budget" in capsys.readouterr().err
 
 
-def test_precondition_errors_exit_1(capsys):
+def test_precondition_errors_exit_1(capsys, tmp_path):
     assert main(["density", "--lambda", "-2", "--x", "10", "--m-max", "1"]) == 1
     assert "lambda" in capsys.readouterr().err
     assert main(["sieve", "--limit", "1"]) == 1
@@ -182,3 +229,8 @@ def test_precondition_errors_exit_1(capsys):
     assert "--x-hi" in capsys.readouterr().err
     assert main([*slide, "--x-hi", "100", "--max-clusters", "-1"]) == 1
     assert "--max-clusters must be >= 0" in capsys.readouterr().err
+    out = tmp_path / "t.csv"
+    assert main(["slide", "--lambda", "1", "--x-lo", "10", "--x-hi", "100",
+                 "--m", "-1", "--out", str(out)]) == 1
+    assert "m must be non-negative" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,12 +1,16 @@
 import itertools
 import json
 import math
+import random
 
+import numpy as np
 import pytest
 
+from shortint import clusters as clusters_mod
 from shortint import density
 from shortint.bounds import BoundParams, tuple_size
 from shortint.clusters import (
+    Cluster,
     SlideTrace,
     extract_m_runs,
     falsifications_jsonl,
@@ -123,8 +127,8 @@ def test_slide_counts_match_independent_recount(table_1e6):
     # c(n) over the whole range, counted by prefix sums in scan chunks; each
     # short slide trace is counted by binary search and must equal its slice
     c_all = window_counts(table_1e6, 1.0, 10**4, 10**5 + 20)
-    for c in itertools.islice(find_clusters(table_1e6, 1.0, 10**4, 10**5, 1), 100):
-        trace = slide(table_1e6, c, 1)
+    clusters = list(itertools.islice(find_clusters(table_1e6, 1.0, 10**4, 10**5, 1), 100))
+    for c, trace in zip(clusters, slide(table_1e6, clusters, 1)):
         assert len(trace.counts) == math.floor(math.log(c.base)) + 1
         for j, count in enumerate(trace.counts):
             n_j = c.base + j
@@ -135,8 +139,8 @@ def test_slide_counts_match_independent_recount(table_1e6):
 
 def test_slide_drop_index_properties(table_1e6):
     seen_drop = 0
-    for c in itertools.islice(find_clusters(table_1e6, 1.0, 10**4, 10**5, 1), 300):
-        trace = slide(table_1e6, c, 1)
+    clusters = list(itertools.islice(find_clusters(table_1e6, 1.0, 10**4, 10**5, 1), 300))
+    for c, trace in zip(clusters, slide(table_1e6, clusters, 1)):
         assert not trace.falsifications
         if trace.j_drop is None:
             assert all(count < 2 for count in trace.counts)
@@ -156,10 +160,10 @@ def test_slide_first_window_covers_confined_cluster(table_1e6):
     # every cluster prime confined to the first portion and reachable from j=0:
     # the j=0 window already sees them all
     checked = 0
-    for c in itertools.islice(
+    clusters = list(itertools.islice(
         find_clusters(table_1e6, 1.0, 10**4, 10**5, 1, require_spacing=True), 50
-    ):
-        trace = slide(table_1e6, c, 1)
+    ))
+    for c, trace in zip(clusters, slide(table_1e6, clusters, 1)):
         span = max(c.prime_positions)
         if span <= c.lam * math.log(c.base):
             assert trace.counts[0] == len(c.prime_positions)
@@ -198,15 +202,15 @@ def test_extract_m_runs_examples():
 
 def test_post_drop_run_meets_guarantee_on_spacing_ok_clusters(table_1e7):
     verified = 0
-    for c in itertools.islice(
+    clusters = list(itertools.islice(
         find_clusters(
             table_1e7, 1.0, 9 * 10**6, 10**7, 0, require_spacing=True, params=SMALL_K
         ),
         2000,
-    ):
+    ))
+    for c, trace in zip(clusters, slide(table_1e7, clusters, 0)):
         floor_len = guaranteed_run_floor(c)
         assert floor_len >= 1  # log(1e7)/16 > 1: the guarantee is non-trivial here
-        trace = slide(table_1e7, c, 0)
         assert not trace.falsifications
         if trace.j_drop is None or trace.j_drop + floor_len > len(trace.counts) - 1:
             continue
@@ -234,7 +238,7 @@ def test_windows_stay_inside_cluster_for_small_lambda(table_1e6):
 
 def test_slide_with_unreachable_m_has_no_drop(table_1e6):
     c = next(iter(find_clusters(table_1e6, 1.0, 10**4, 10**4 + 100, 0)))
-    trace = slide(table_1e6, c, max(slide(table_1e6, c, 0).counts) + 5)
+    trace = slide(table_1e6, [c], max(slide(table_1e6, [c], 0)[0].counts) + 5)[0]
     assert trace.j_drop is None
     assert trace.m_run == ()
     assert not trace.falsifications
@@ -263,10 +267,11 @@ def test_pathological_scan_produces_count_jump_records(table_1e6):
     # window growth 1 + lam/N exceeds 2 at tiny N with huge lam: two primes can
     # enter one step, and the detector must say so rather than hide it
     cluster = next(iter(find_clusters(table_1e6, 30.0, 3, 3, 0)))
-    trace = slide(table_1e6, cluster, 0)
+    slides = slide(table_1e6, [cluster], 0)
+    trace = slides[0]
     kinds = {f.kind for f in trace.falsifications}
     assert kinds == {"count-jump"}
-    lines = falsifications_jsonl([trace]).splitlines()
+    lines = falsifications_jsonl(slides).splitlines()
     assert len(lines) == len(trace.falsifications)
     record = json.loads(lines[0])
     assert set(record) == {"kind", "base", "j", "expected", "observed"}
@@ -275,8 +280,7 @@ def test_pathological_scan_produces_count_jump_records(table_1e6):
 
 def test_trace_csv_layout(table_1e6):
     c = next(iter(find_clusters(table_1e6, 1.0, 10**4, 10**4 + 50, 0)))
-    trace = slide(table_1e6, c, 0)
-    lines = trace_csv([trace]).strip().splitlines()
+    lines = trace_csv(slide(table_1e6, [c], 0)).strip().splitlines()
     assert lines[0] == "j,N_j,count"
     first = lines[1].split(",")
     assert first[0] == "0" and int(first[1]) == c.base
@@ -295,3 +299,175 @@ def test_tuple_size_overflow_degrades_to_zero_threshold(table_1e6):
     # m far beyond the float range for k(m): threshold collapses to 0 and the
     # scan still runs (and finds nothing at such m)
     assert list(find_clusters(table_1e6, 1.0, 100, 2000, 40)) == []
+
+
+# -- the batched slide against per-window recounts ------------------------------
+
+
+def _check_slides(table, clusters, m, filt=ALL):
+    """slide() on the batch against count_in per window, the definitions of
+    j_drop and m_run, a per-row CSV and a per-trace run scan."""
+    slides = slide(table, clusters, m, filt)
+    assert len(slides) == len(clusters)
+    assert slides.starts[0] == 0 and slides.starts[-1] == len(slides.counts)
+    rows, runs = ["j,N_j,count\n"], []
+    for c, trace in zip(clusters, slides):
+        j_max = math.floor(c.lam * math.log(c.base))
+        expected = [
+            count_in(table, c.base + j, c.base + j + c.lam * math.log(c.base + j), filt)
+            for j in range(j_max + 1)
+        ]
+        assert trace.base == c.base and trace.m == m
+        assert list(trace.counts) == expected, c.base
+        rich = [j for j, count in enumerate(expected) if count >= m + 1]
+        assert trace.j_drop == (rich[-1] if rich else None)
+        assert trace.m_run == tuple(j for j, count in enumerate(expected) if count == m)
+        assert not trace.falsifications
+        rows += [f"{j},{c.base + j},{count}\n" for j, count in enumerate(expected)]
+        j = 0
+        for hit, group in itertools.groupby(expected, key=lambda count: count == m):
+            size = len(list(group))
+            if hit:
+                runs.append((j, size))
+            j += size
+    assert [int(j) for j in slides.j_drop] == [
+        -1 if t.j_drop is None else t.j_drop for t in slides
+    ]
+    assert trace_csv(slides) == "".join(rows)
+    assert extract_m_runs(slides, m) == runs
+    assert falsifications_jsonl(slides) == ""
+    return slides
+
+
+def test_slides_dense_overlapping_clusters(table_1e6):
+    # lam=1 near 1e6: consecutive bases, every trace overlaps the next
+    clusters = list(
+        itertools.islice(find_clusters(table_1e6, 1.0, 998_000, 999_000, 1), 300)
+    )
+    assert all(b.base <= a.base + 13 for a, b in zip(clusters, clusters[1:]))
+    _check_slides(table_1e6, clusters, 1)
+
+
+def test_slides_sparse_spaced_clusters_form_several_runs(table_1e6):
+    clusters = list(
+        itertools.islice(
+            find_clusters(table_1e6, 1.0, 10**5, 4 * 10**5, 0, require_spacing=True),
+            200,
+        )
+    )
+    gaps = sum(
+        b.base > a.base + math.floor(math.log(a.base)) + 1
+        for a, b in zip(clusters, clusters[1:])
+    )
+    assert gaps >= 10  # disjoint traces: several covering runs
+    _check_slides(table_1e6, clusters, 0)
+
+
+def test_slides_keep_input_order_and_repeats(table_1e6):
+    clusters = list(
+        itertools.islice(find_clusters(table_1e6, 1.0, 10**4, 10**5, 1), 150)
+    )
+    shuffled = clusters[:]
+    random.Random(0).shuffle(shuffled)
+    shuffled.append(shuffled[7])
+    slides = _check_slides(table_1e6, shuffled, 1)
+    assert slides.bases.tolist() == [c.base for c in shuffled]
+    assert slides[-1] == slides[7]
+
+
+@pytest.mark.parametrize(
+    "filt", (PrimeFilter.residue_class(1, 4), PrimeFilter.kronecker(5, -1))
+)
+def test_slides_with_filters(table_1e6, filt):
+    clusters = list(
+        itertools.islice(find_clusters(table_1e6, 2.0, 10**4, 10**5, 1, filt=filt), 150)
+    )
+    assert clusters
+    _check_slides(table_1e6, clusters, 1, filt)
+
+
+def test_slides_of_no_clusters(table_1e6):
+    slides = _check_slides(table_1e6, [], 1)
+    assert len(slides) == 0 and list(slides) == []
+    assert trace_csv(slides) == "j,N_j,count\n"
+
+
+def test_slide_rejects_mixed_lambdas(table_1e6):
+    a = next(iter(find_clusters(table_1e6, 1.0, 10**4, 10**4 + 50, 0)))
+    b = next(iter(find_clusters(table_1e6, 2.0, 10**4, 10**4 + 50, 0)))
+    with pytest.raises(ValueError, match="share lambda"):
+        slide(table_1e6, [a, b], 0)
+
+
+# the records the per-cluster slide wrote for lam=30 over bases 3..40: every
+# trace's own count jumps, jumps shared by overlapping traces repeated
+LAM30_RECORDS = [
+    ("count-jump", 3, 0, 11, 12),
+    ("count-jump", 3, 1, 13, 14),
+    ("count-jump", 3, 5, 16, 17),
+    ("count-jump", 4, 0, 13, 14),
+    ("count-jump", 4, 4, 16, 17),
+    ("count-jump", 5, 3, 16, 17),
+    ("count-jump", 6, 2, 16, 17),
+    ("count-jump", 7, 1, 16, 17),
+    ("count-jump", 8, 0, 16, 17),
+]
+
+
+def test_falsification_records_come_trace_by_trace(table_1e6):
+    clusters = list(find_clusters(table_1e6, 30.0, 3, 40, 0))
+    assert len(clusters) == 38
+    slides = slide(table_1e6, clusters, 0)
+    records = [json.loads(line) for line in falsifications_jsonl(slides).splitlines()]
+    assert [tuple(r.values()) for r in records] == LAM30_RECORDS
+    assert [len(t.falsifications) for t in slides][:7] == [3, 2, 1, 1, 1, 1, 0]
+    # in reverse input order the traces, and so the records, come reversed
+    backwards = slide(table_1e6, clusters[::-1], 0)
+    assert [f.base for f in backwards.falsifications] == [8, 7, 6, 5, 4, 4, 3, 3, 3]
+    assert [f.j for f in backwards.falsifications][-3:] == [0, 1, 5]
+
+
+def _fake_kernel(counts):
+    def kernel(table, lam, a, b, filt):
+        return np.array([counts.get(n, 0) for n in range(a, b + 1)])
+
+    return kernel
+
+
+def _bare_cluster(base):
+    return Cluster(base=base, window=30.0, lam=1.0, prime_positions=(),
+                   spacing_ok=False, first_portion=6.0, spacing_threshold=0.0)
+
+
+def test_drop_point_record_follows_the_count_jumps(table_1e6, monkeypatch):
+    # traces over N = 1002..1008 and 1000..1006 under a kernel with jumps at
+    # N = 1000, 1001 and 1006, and drops right after the composites 1003 =
+    # 17*59 and 1007 = 19*53: each trace lists its own jumps, then its drop
+    monkeypatch.setattr(
+        clusters_mod,
+        "window_counts",
+        _fake_kernel({1000: 0, 1001: 3, 1002: 5, 1003: 3, 1007: 2}),
+    )
+    slides = slide(table_1e6, [_bare_cluster(1002), _bare_cluster(1000)], 1)
+    assert [t.counts for t in slides] == [(5, 3, 0, 0, 0, 2, 0), (0, 3, 5, 3, 0, 0, 0)]
+    assert [t.j_drop for t in slides] == [5, 3]
+    got = [(f.base, f.kind, f.j, f.expected, f.observed) for f in slides.falsifications]
+    assert got == [
+        (1002, "count-jump", 4, 1, 2),
+        (1002, "drop-point-not-prime", 5, "1007 is a filtered prime", "1007 is not"),
+        (1000, "count-jump", 0, 1, 3),
+        (1000, "count-jump", 1, 4, 5),
+        (1000, "drop-point-not-prime", 3, "1003 is a filtered prime", "1003 is not"),
+    ]
+    assert [len(t.falsifications) for t in slides] == [2, 3]
+
+
+def test_drop_point_must_pass_the_filter(table_1e6, monkeypatch):
+    # the count drops right after the prime 1009 = 1 (mod 4)
+    monkeypatch.setattr(clusters_mod, "window_counts", _fake_kernel({1009: 2}))
+    cluster = _bare_cluster(1009)
+    assert not slide(table_1e6, [cluster], 1, PrimeFilter.residue_class(1, 4)).falsifications
+    (record,) = slide(
+        table_1e6, [cluster], 1, PrimeFilter.residue_class(3, 4)
+    ).falsifications
+    assert (record.kind, record.j) == ("drop-point-not-prime", 0)

@@ -1,5 +1,7 @@
 import math
 import random
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -203,3 +205,31 @@ def test_primes_between_filtered(table_1e5):
     out = primes_between(table_1e5, 1, 30, PrimeFilter.residue_class(1, 4))
     assert out.tolist() == [5, 13, 17, 29]
     assert primes_between(table_1e5, 24, 28).tolist() == []
+
+
+def test_prime_index_is_built_once_when_threads_race(monkeypatch):
+    # both threads find the index missing; the build is slow enough that the
+    # second arrives while the first is still building
+    table = build_table(20000)
+    calls = []
+    original = primes._primes_of
+
+    def slow_build(odd_bits):
+        calls.append(threading.current_thread())
+        time.sleep(0.2)
+        return original(odd_bits)
+
+    monkeypatch.setattr(primes, "_primes_of", slow_build)
+    results = []
+    threads = [
+        threading.Thread(target=lambda: results.append(table.primes()))
+        for _ in range(2)
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+    assert not any(t.is_alive() for t in threads)
+    assert len(calls) == 1
+    assert len(results) == 2 and results[0] is results[1]
+    assert len(results[0]) == table.count == 2262
