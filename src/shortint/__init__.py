@@ -30,7 +30,6 @@ from .density import (
     measure_density,
     poisson_reference,
     required_limit,
-    uniform_poisson_reference,
 )
 from .errors import (
     InadmissibleTupleError,

@@ -11,6 +11,7 @@ import argparse
 import contextlib
 import itertools
 import json
+import math
 import sys
 from typing import TextIO
 
@@ -18,7 +19,7 @@ from . import bounds as bounds_mod
 from . import clusters as clusters_mod
 from . import density as density_mod
 from . import tuples as tuples_mod
-from .errors import ShortIntervalError
+from .errors import ParameterRangeError, ShortIntervalError
 from .primes import ALL, PrimeFilter, build_table
 
 
@@ -69,8 +70,8 @@ def _params_from_args(args) -> bounds_mod.BoundParams:
 
 
 def _check_lambda(lam: float) -> None:
-    if lam <= 0:
-        raise ValueError(f"--lambda must be positive, got {lam}")
+    if not (math.isfinite(lam) and lam > 0):
+        raise ParameterRangeError(f"--lambda must be finite and positive, got {lam}")
 
 
 def _cmd_sieve(args) -> int:

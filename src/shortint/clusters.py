@@ -21,7 +21,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .bounds import BoundParams, DEFAULT_PARAMS, spacing_divisor, tuple_size
-from .density import count_windows, spans, window_counts
+from .density import count_windows, right_edge, spans, window_counts
 from .errors import OutOfRangeError, ParameterRangeError
 from .primes import ALL, PrimeFilter, PrimeTable, primes_between
 
@@ -160,10 +160,13 @@ def find_clusters(
     point in [x_lo, x_hi].
 
     The window length 5*lam*log(x_hi) and the spacing threshold
-    lam*log(x_hi) / spacing_divisor(k(m)) use x_hi as the scale
-    representative.  With require_spacing, only spacing_ok clusters are
-    yielded.
+    lam*log(x_hi) / spacing_divisor(k(m)) are one float each per scan, with
+    x_hi as the scale representative: they size the clusters and are not the
+    edges of any slid window, which slide() takes from density.right_edge.
+    With require_spacing, only spacing_ok clusters are yielded.
     """
+    if not math.isfinite(lam):
+        raise ParameterRangeError(f"lambda must be finite and positive, got {lam}")
     if lam <= 0:
         raise ValueError(f"lambda must be positive, got {lam}")
     if not 1 <= x_lo <= x_hi:
@@ -242,11 +245,7 @@ def slide(
     lam = lams.pop() if lams else math.nan
     n = len(clusters)
     bases = np.array([c.base for c in clusters], dtype=np.int64)
-    # libm math.log per base, not np.log over the array: one ulp of difference
-    # could change a trace's length
-    lengths = np.array(
-        [math.floor(lam * math.log(c.base)) + 1 for c in clusters], dtype=np.int64
-    )
+    lengths = right_edge(bases, lam) - bases + 1  # j = 0..L(base)
     starts = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(lengths, out=starts[1:])
 

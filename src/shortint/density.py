@@ -1,45 +1,91 @@
 """Densities of starting points n <= x whose short interval [n, n + lam*log n]
 contains exactly m filtered primes, with Poisson reference values.
 
-Every window count in the package goes through one kernel: right_edge gives
-the integer right end of a window, count_windows counts sorted primes in many
-windows at once, and window_counts yields c(n), the number of filtered primes
-in [n, n + lam*log n], for a run of n.  The density scan, the growth check,
-the cluster scan and the slide are thin consumers of it.  The density and
-growth scans count their chunks on WORKERS threads, one per CPU the process
-may run on (restrict them with taskset); the output never depends on it.
+Window edges are exact for the float64 value of lam.  For integer n the last
+integer of the window is n + L(n) with L(n) = floor(lam*log n), a step
+function whose breakpoints edge_steps settles in decimal arithmetic;
+right_edge is the one place that turns them into edges.  count_windows counts
+sorted primes in many windows at once, and window_counts yields c(n), the
+number of filtered primes in the window of n, for a run of n; the cluster scan
+and the slide build on them.  The density and growth scans never form c(n)
+one n at a time: where L is constant, c changes only where a filtered prime
+leaves or enters the window, so their histograms are built from those events
+in O(pi(x)) work, on the calling thread.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Iterator
 
 import numpy as np
 
-from .errors import OutOfRangeError
+from .errors import OutOfRangeError, ParameterRangeError
 from .primes import ALL, PrimeFilter, PrimeTable, primes_between
 
-SCAN_CHUNK = 2**16  # starting points per kernel call; bounds the prefix arrays
+SCAN_CHUNK = 2**16  # starting points per kernel call; bounds the per-call arrays
 # Below this many windows, two binary searches per window beat building a
 # prefix count over the whole span (a slide's covering run over sparse
 # clusters is ~20 windows, scan chunks are SCAN_CHUNK windows).
 SEARCH_SPAN = 256
-WORKERS = (
-    len(os.sched_getaffinity(0))
-    if hasattr(os, "sched_getaffinity")
-    else os.cpu_count() or 1
-)
+
+
+@functools.lru_cache
+def edge_steps(lam: float, limit: int) -> np.ndarray:
+    """The breakpoints of L(n) = floor(lam*log n) up to limit, as a sorted
+    read-only int64 array.
+
+    Entry k - 1 is n_k, the least n >= 1 with lam*log n >= k, for k = 1, 2,
+    ... while n_k <= limit; breakpoints that coincide repeat, so L(n) is the
+    number of entries <= n.  lam is taken as the exact value of its float64,
+    Decimal(lam).  Each n_k is seeded from exp(k/lam) and settled exactly:
+    lam*log n is never an integer for n > 1, so raising the decimal precision
+    until the sign of lam*log n - k is certain always ends.  Cached, since a
+    scan or a slide asks for the same breakpoints once per window-count call.
+    """
+    lam_d = Decimal(lam)
+
+    def reaches(n: int, k: int) -> bool:
+        """lam*log n >= k, decided exactly."""
+        prec = 30
+        while True:
+            with localcontext() as ctx:
+                ctx.prec = prec
+                value = lam_d * Decimal(n).ln()
+                gap = value - k
+                # two roundings leave value within 10**(1 - prec) * |value|
+                # of lam*log n
+                if abs(gap) > abs(value).scaleb(2 - prec):
+                    return gap > 0
+            prec *= 2
+
+    steps = []
+    top = math.log(limit) + 1  # beyond it k/lam puts n_k past limit; exp stays finite
+    k = 1
+    while k <= lam * top:
+        n = max(math.ceil(math.exp(k / lam)), 2)
+        while not reaches(n, k):
+            n += 1
+        while reaches(n - 1, k):
+            n -= 1
+        if n > limit:
+            break
+        steps.append(n)
+        k += 1
+    out = np.array(steps, dtype=np.int64)
+    out.setflags(write=False)
+    return out
 
 
 def right_edge(n: np.ndarray, lam: float) -> np.ndarray:
-    """floor(n + lam*log n) for an int64 array of n >= 1: the last integer
-    inside each window."""
-    return np.floor(n + lam * np.log(n.astype(np.float64))).astype(np.int64)
+    """n + L(n) for an int64 array of n >= 1: the last integer inside each
+    window [n, n + lam*log n], exact for the float64 value of lam."""
+    steps = edge_steps(lam, int(n.max(initial=1)))
+    return n + np.searchsorted(steps, n, side="right")
 
 
 def count_windows(
@@ -68,6 +114,17 @@ def spans(a: int, b: int) -> Iterator[tuple[int, int]]:
         yield lo, min(lo + SCAN_CHUNK - 1, b)
 
 
+def _edge_spans(steps: np.ndarray, a: int, b: int) -> Iterator[tuple[int, int, int]]:
+    """The spans of [a, b] cut again at the breakpoints steps, as (lo, hi, L)
+    with L(n) = L for every n in [lo, hi]."""
+    for lo, hi in spans(a, b):
+        i, j = np.searchsorted(steps, (lo, hi), side="right").tolist()
+        cuts = [lo, *steps[i:j].tolist(), hi + 1]
+        for length, (start, stop) in enumerate(zip(cuts, cuts[1:]), start=i):
+            if start < stop:  # coinciding breakpoints leave empty pieces
+                yield start, stop - 1, length
+
+
 def window_counts(
     table: PrimeTable, lam: float, a: int, b: int, filt: PrimeFilter = ALL
 ) -> np.ndarray:
@@ -75,14 +132,15 @@ def window_counts(
 
     Raises OutOfRangeError when a window reaches beyond the table.
     """
+    if not math.isfinite(lam):
+        raise ParameterRangeError(f"lambda must be finite and non-negative, got {lam}")
     if lam < 0 or not 1 <= a <= b:
         raise ValueError(f"need lam >= 0 and 1 <= a <= b, got {lam}, {a}, {b}")
     parts = []
-    for lo, hi in spans(a, b):
+    for lo, hi, length in _edge_spans(edge_steps(lam, table.limit), a, b):
         n = np.arange(lo, hi + 1, dtype=np.int64)
-        rights = right_edge(n, lam)
-        primes = primes_between(table, lo, int(rights[-1]), filt)
-        parts.append(count_windows(primes, lo, n, rights))
+        primes = primes_between(table, lo, hi + length, filt)
+        parts.append(count_windows(primes, lo, n, n + length))
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
@@ -99,17 +157,6 @@ def poisson_reference(lam: float, m: int) -> float:
         except OverflowError:
             pass
     return math.exp(m * math.log(lam) - lam - math.lgamma(m + 1))
-
-
-def uniform_poisson_reference(lam: float, m: int) -> float:
-    """lam^m / m!: the reference for windows whose lambda shrinks with x."""
-    if not 0 < lam <= 1:
-        raise ValueError(f"lambda must lie in (0, 1], got {lam}")
-    if m < 0:
-        raise ValueError(f"m must be non-negative, got {m}")
-    if m <= 170:
-        return lam**m / math.factorial(m)
-    return math.exp(m * math.log(lam) - math.lgamma(m + 1))
 
 
 @dataclass(frozen=True)
@@ -168,19 +215,36 @@ def _histogram(
     m_max: int,
     filt: PrimeFilter,
 ) -> np.ndarray:
-    """bincount of c(n) over n in [a, b], every c(n) > m_max in the last bin;
-    the chunks of [a, b] are counted on WORKERS threads."""
+    """bincount of c(n) over n in [a, b], every c(n) > m_max in the last bin.
 
-    def part(span: tuple[int, int]) -> np.ndarray:
-        c = window_counts(table, lam, *span, filt)
-        return np.bincount(np.minimum(c, m_max + 1), minlength=m_max + 2)
-
-    table.primes()  # build the shared index here, not once per worker
-    with ThreadPoolExecutor(max_workers=WORKERS) as pool:
-        return sum(pool.map(part, spans(a, b)), np.zeros(m_max + 2, dtype=np.int64))
+    On a span [lo, hi] where L is constant, c(lo) takes two binary searches;
+    after it c(n) - c(n - 1) is -1 when n - 1 is a filtered prime (it leaves
+    the window) plus +1 when n + L is one (it enters).  So c is constant
+    between those events, and each of its values is counted with the length
+    of its run.
+    """
+    hist = np.zeros(m_max + 2, dtype=np.int64)
+    for lo, hi, length in _edge_spans(edge_steps(lam, table.limit), a, b):
+        primes = primes_between(table, lo, hi + length, filt)
+        first_in = int(np.searchsorted(primes, lo + length, side="right"))
+        leaves = primes[: np.searchsorted(primes, hi, side="left")] + 1
+        enters = primes[first_in:] - length
+        # both lists are sorted, so the stable sort is a merge; at one n the
+        # leave (even key) sorts first
+        keys = np.concatenate((2 * leaves, 2 * enters + 1))
+        keys.sort(kind="stable")
+        at = np.concatenate(([lo], keys >> 1))
+        c = np.cumsum(np.concatenate(([first_in], 2 * (keys & 1) - 1)))
+        runs = np.diff(at, append=hi + 1)
+        hist += np.bincount(
+            np.minimum(c, m_max + 1), weights=runs, minlength=m_max + 2
+        ).astype(np.int64)
+    return hist
 
 
 def _validate_scan(lam: float, x: int, m_max: int) -> None:
+    if not math.isfinite(lam):
+        raise ParameterRangeError(f"lambda must be finite and positive, got {lam}")
     if lam <= 0:
         raise ValueError(f"lambda must be positive, got {lam}")
     if x < 1:
@@ -199,8 +263,7 @@ def measure_density(
     """Count, for every n <= x, the filtered primes in [n, n + lam*log n].
 
     n runs from 1; the window of n = 1 is the single point {1} and lands in
-    m = 0.  Chunks of starting points are counted independently on WORKERS
-    threads and merged by addition.
+    m = 0.
     """
     _validate_scan(lam, x, m_max)
     need = required_limit(lam, x)

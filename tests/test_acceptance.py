@@ -23,6 +23,8 @@ from shortint.density import measure_density, poisson_reference
 from shortint.primes import ALL, PrimeFilter, build_table, count_in
 from shortint.tuples import count_spaced_selections, greedy_sieve, singular_series
 
+from exact_edges import exact_edges
+
 SMALL_K = BoundParams(scale=2.0)
 
 
@@ -76,8 +78,9 @@ def test_criterion_02_density_oracle_equivalence(table_1e5):
     for lam in (0.25, 1.0, 5.0):
         report = measure_density(table_1e5, lam, 10**5, m_max)
         naive = [0] * (m_max + 2)
-        for n in range(1, 10**5 + 1):
-            c = count_in(table_1e5, n, n + lam * math.log(n))
+        edges = exact_edges(lam, np.arange(1, 10**5 + 1)).tolist()
+        for n, edge in enumerate(edges, start=1):
+            c = count_in(table_1e5, n, edge)
             naive[min(c, m_max + 1)] += 1
         assert report.counts == {m: naive[m] for m in range(m_max + 1)}
         assert report.overflow == naive[m_max + 1]
@@ -262,7 +265,7 @@ def test_criterion_10_growth_ratios():
     table = build_table(limit)
     # brute-force baseline, independent of build_table and the vectorised
     # scan: a dense sieve over every integer turned into a prefix count, and
-    # each right edge from libm, the float formula count_in applies
+    # each right edge exact, from the tests' own decimal oracle
     flags = np.ones(limit + 1, dtype=bool)
     flags[:2] = False
     for p in range(2, math.isqrt(limit) + 1):
@@ -272,7 +275,7 @@ def test_criterion_10_growth_ratios():
     starts = range(1, 2 * 10**6 + 1)
     results = {}
     for m, lam in ((0, 0.5), (1, 1.0)):
-        edges = np.array([math.floor(n + lam * math.log(n)) for n in starts])
+        edges = exact_edges(lam, np.array(starts))
         hit = pi[edges] - pi[np.arange(len(starts))] == m  # pi[n - 1]
         counts = {x: int(np.count_nonzero(hit[:x])) for x in (10**6, 2 * 10**6)}
         for x, total in counts.items():

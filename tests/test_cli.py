@@ -59,10 +59,8 @@ def test_density_outputs_are_reproducible(tmp_path, monkeypatch):
         "--mod", "4", "--res", "1", "--compare-poisson",
     ]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    monkeypatch.setattr(density, "SCAN_CHUNK", 300)
-    monkeypatch.setattr(density, "WORKERS", 1)
     assert main([*args, "--out", str(a)]) == 0
-    monkeypatch.setattr(density, "WORKERS", 4)
+    monkeypatch.setattr(density, "SCAN_CHUNK", 300)
     assert main([*args, "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
 
@@ -234,3 +232,21 @@ def test_precondition_errors_exit_1(capsys, tmp_path):
                  "--m", "-1", "--out", str(out)]) == 1
     assert "m must be non-negative" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["density", "--lambda", "inf", "--x", "10", "--m-max", "1"],
+        ["density", "--lambda", "nan", "--x", "10", "--m-max", "1"],
+        ["density", "--lambda", "nan", "--x", "10", "--m-max", "1", "--growth"],
+        ["slide", "--lambda", "nan", "--x-lo", "10", "--x-hi", "100", "--m", "1"],
+        ["slide", "--lambda", "inf", "--x-lo", "10", "--x-hi", "100", "--m", "1"],
+    ),
+)
+def test_non_finite_lambda_exits_1_with_one_line(capsys, argv):
+    assert main(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: --lambda must be finite and positive, got ")
+    assert out.err.count("\n") == 1 and "Traceback" not in out.err

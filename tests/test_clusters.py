@@ -20,8 +20,10 @@ from shortint.clusters import (
     trace_csv,
 )
 from shortint.density import window_counts
-from shortint.errors import OutOfRangeError
+from shortint.errors import OutOfRangeError, ParameterRangeError
 from shortint.primes import ALL, PrimeFilter, count_in, primes_between
+
+from exact_edges import exact_edge, exact_length
 
 SMALL_K = BoundParams(scale=2.0)  # k(0) = 2, spacing divisor 16
 
@@ -129,10 +131,10 @@ def test_slide_counts_match_independent_recount(table_1e6):
     c_all = window_counts(table_1e6, 1.0, 10**4, 10**5 + 20)
     clusters = list(itertools.islice(find_clusters(table_1e6, 1.0, 10**4, 10**5, 1), 100))
     for c, trace in zip(clusters, slide(table_1e6, clusters, 1)):
-        assert len(trace.counts) == math.floor(math.log(c.base)) + 1
+        assert len(trace.counts) == exact_length(1.0, c.base) + 1
         for j, count in enumerate(trace.counts):
             n_j = c.base + j
-            assert count == count_in(table_1e6, n_j, n_j + math.log(n_j))
+            assert count == count_in(table_1e6, n_j, exact_edge(1.0, n_j))
         start = c.base - 10**4
         assert trace.counts == tuple(c_all[start : start + len(trace.counts)].tolist())
 
@@ -293,6 +295,9 @@ def test_find_clusters_range_validation(table_1e6):
         list(find_clusters(table_1e6, -1.0, 10, 100, 0))
     with pytest.raises(ValueError):
         list(find_clusters(table_1e6, 1.0, 100, 10, 0))
+    for lam in (math.inf, math.nan):
+        with pytest.raises(ParameterRangeError, match="lambda must be finite"):
+            list(find_clusters(table_1e6, lam, 10, 100, 0))
 
 
 def test_tuple_size_overflow_degrades_to_zero_threshold(table_1e6):
@@ -312,9 +317,9 @@ def _check_slides(table, clusters, m, filt=ALL):
     assert slides.starts[0] == 0 and slides.starts[-1] == len(slides.counts)
     rows, runs = ["j,N_j,count\n"], []
     for c, trace in zip(clusters, slides):
-        j_max = math.floor(c.lam * math.log(c.base))
+        j_max = exact_length(c.lam, c.base)
         expected = [
-            count_in(table, c.base + j, c.base + j + c.lam * math.log(c.base + j), filt)
+            count_in(table, c.base + j, exact_edge(c.lam, c.base + j), filt)
             for j in range(j_max + 1)
         ]
         assert trace.base == c.base and trace.m == m
@@ -390,6 +395,18 @@ def test_slides_of_no_clusters(table_1e6):
     slides = _check_slides(table_1e6, [], 1)
     assert len(slides) == 0 and list(slides) == []
     assert trace_csv(slides) == "j,N_j,count\n"
+
+
+def test_slide_lengths_step_at_a_breakpoint(table_1e7):
+    # e**16 = 8886110.52: the trace of 8886110 has j = 0..15, that of 8886111
+    # j = 0..16
+    made = [
+        Cluster(base=b, window=0.0, lam=1.0, prime_positions=(), spacing_ok=False,
+                first_portion=0.0, spacing_threshold=0.0)
+        for b in (8886110, 8886111)
+    ]
+    slides = _check_slides(table_1e7, made, 0)
+    assert [len(t.counts) for t in slides] == [16, 17]
 
 
 def test_slide_rejects_mixed_lambdas(table_1e6):

@@ -1,10 +1,8 @@
-import itertools
 import json
 import math
-import sys
-import threading
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from shortint import density
@@ -12,24 +10,28 @@ from shortint.density import (
     DensityReport,
     density_csv,
     density_json,
+    edge_steps,
     growth_check,
     growth_csv,
     measure_density,
     poisson_reference,
     required_limit,
-    uniform_poisson_reference,
+    right_edge,
     window_counts,
 )
-from shortint.errors import OutOfRangeError
-from shortint.primes import ALL, PrimeFilter, PrimeTable, build_table, count_in
+from shortint.errors import OutOfRangeError, ParameterRangeError
+from shortint.primes import ALL, PrimeFilter, count_in
+
+from exact_edges import exact_edge, exact_edges, exact_length
 
 
 def naive_histogram(table, lam, x, m_max, filt=ALL):
-    """Independent per-n recount straight from count_in."""
+    """Independent per-n recount straight from count_in, with exact edges."""
     counts = {m: 0 for m in range(m_max + 1)}
     overflow = 0
-    for n in range(1, x + 1):
-        c = count_in(table, n, n + lam * math.log(n), filt)
+    edges = exact_edges(lam, np.arange(1, x + 1)).tolist()
+    for n, edge in enumerate(edges, start=1):
+        c = count_in(table, n, edge, filt)
         if c <= m_max:
             counts[c] += 1
         else:
@@ -81,39 +83,101 @@ def test_sliding_scan_equals_naive_recount_filtered(table_1e5):
         assert rep.counts == counts and rep.overflow == overflow
 
 
-def test_chunking_and_threads_do_not_change_counts(table_1e5, monkeypatch):
-    monkeypatch.setattr(density, "WORKERS", 1)
+def test_chunking_does_not_change_counts(table_1e5, monkeypatch):
     base = measure_density(table_1e5, 1.0, 30000, 6)
     monkeypatch.setattr(density, "SCAN_CHUNK", 1024)
     chunked = measure_density(table_1e5, 1.0, 30000, 6)
     monkeypatch.setattr(density, "SCAN_CHUNK", 4096)
-    monkeypatch.setattr(density, "WORKERS", 4)
-    threaded = measure_density(table_1e5, 1.0, 30000, 6)
-    assert base.counts == chunked.counts == threaded.counts
-    assert base.overflow == chunked.overflow == threaded.overflow
+    other = measure_density(table_1e5, 1.0, 30000, 6)
+    assert base.counts == chunked.counts == other.counts
+    assert base.overflow == chunked.overflow == other.overflow
 
 
-def test_prime_index_is_built_once_on_the_calling_thread(monkeypatch):
-    table = build_table(20000)
-    builds = []
-    original = PrimeTable.primes
+# (lam, x): x at a breakpoint of L(n) = floor(lam*log n), one below it, or tiny
+EVENT_CASES = (
+    (1.0, 404), (1.0, 403), (5.0, 1097), (5.0, 1096), (0.3, 786), (0.3, 785),
+    (10.0, 2), (1.0, 1), (1.0, 2),
+)
+BREAKPOINTS = {(1.0, 404), (5.0, 1097), (0.3, 786), (10.0, 2)}
 
-    def recording(self):
-        if self._prime_cache is None:
-            builds.append(threading.current_thread())
-        return original(self)
 
-    monkeypatch.setattr(PrimeTable, "primes", recording)
-    monkeypatch.setattr(density, "WORKERS", 4)
-    monkeypatch.setattr(density, "SCAN_CHUNK", 500)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
+@pytest.mark.parametrize("chunk", (7, 1024))
+def test_event_scan_matches_naive_recount(table_1e5, monkeypatch, chunk):
+    monkeypatch.setattr(density, "SCAN_CHUNK", chunk)
+    filters = (ALL, PrimeFilter.residue_class(1, 4), PrimeFilter.kronecker(-4, 1))
+    for lam, x in EVENT_CASES:
+        at_break = exact_length(lam, x) > exact_length(lam, x - 1) if x > 1 else False
+        assert at_break == ((lam, x) in BREAKPOINTS)
+        for filt in filters:
+            counts, overflow = naive_histogram(table_1e5, lam, x, 3, filt)
+            rep = measure_density(table_1e5, lam, x, 3, filt)
+            assert (rep.counts, rep.overflow) == (counts, overflow), (lam, x, filt.tag)
+            counts_2x, _ = naive_histogram(table_1e5, lam, 2 * x, 3, filt)
+            results = growth_check(table_1e5, lam, 3, x, filt)
+            assert [(r.count_at_x, r.count_at_2x) for r in results] == [
+                (counts[m], counts_2x[m]) for m in range(4)
+            ], (lam, x, filt.tag)
+
+
+def test_right_edge_where_the_float_sum_misfloors():
+    # floor(n + log n) in float64 rounds up to the next integer here; at
+    # 178482300 that integer is the prime 178482319
+    n = np.array([65659969, 178482300])
+    assert right_edge(n, 1.0).tolist() == [65659986, 178482318]
+    assert right_edge(n, 1.0).tolist() == [exact_edge(1.0, v) for v in n.tolist()]
+
+
+@pytest.mark.parametrize("k", (18, 19, 20, 21, 22))
+def test_right_edge_just_below_breakpoints(k):
+    top = math.ceil(math.exp(k))
+    n = np.arange(top - 400, top + 3)
+    assert right_edge(n, 1.0).tolist() == exact_edges(1.0, n).tolist()
+
+
+@pytest.mark.parametrize("lam", (0.3, 1.0, 5.0, 10.0))
+def test_edge_steps_are_the_first_crossings(lam):
+    # every jump of the exact L over 1..limit, repeated by its size
+    limit = 10**5
+    n = np.arange(1, limit + 1)
+    lengths = exact_edges(lam, n) - n
+    assert edge_steps(lam, limit).tolist() == np.repeat(n[1:], np.diff(lengths)).tolist()
+    # far out: entry k - 1 is the least n with floor(lam*ln n) >= k
+    steps = edge_steps(lam, 10**10).tolist()
+    assert len(steps) == exact_length(lam, 10**10)
+    for k, step in enumerate(steps, start=1):
+        assert exact_length(lam, step) >= k > exact_length(lam, step - 1)
+
+
+@pytest.mark.parametrize("shift", (-7.0, 7.0))
+def test_edge_steps_settle_from_a_wrong_seed(monkeypatch, shift):
+    # the exp(k/lam) seed only starts the search: seeds 7 too high or too low
+    # settle on the same breakpoints
+    want = edge_steps(1.0, 10**6).tolist()
+    exp = math.exp
+    monkeypatch.setattr(math, "exp", lambda t: exp(t) + shift)
+    edge_steps.cache_clear()
     try:
-        measure_density(table, 1.0, 9000, 4)
-        growth_check(table, 1.0, 4, 9000)
+        assert edge_steps(1.0, 10**6).tolist() == want
     finally:
-        sys.setswitchinterval(interval)
-    assert builds == [threading.current_thread()]
+        edge_steps.cache_clear()
+
+
+def test_edge_steps_edge_cases():
+    assert len(edge_steps(1e-3, 10**10)) == 0  # no breakpoint below e**1000
+    assert right_edge(np.array([1, 10**10]), 1e-3).tolist() == [1, 10**10]
+    # 10*ln 2 = 6.93 and 10*ln 3 = 10.99: six breakpoints at 2, four at 3
+    assert edge_steps(10.0, 3).tolist() == [2] * 6 + [3] * 4
+    assert right_edge(np.array([1, 2, 3]), 10.0).tolist() == [1, 8, 13]
+
+
+def test_non_finite_lambda_is_rejected(table_1e5):
+    for lam in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ParameterRangeError, match="lambda must be finite"):
+            measure_density(table_1e5, lam, 100, 2)
+        with pytest.raises(ParameterRangeError, match="lambda must be finite"):
+            growth_check(table_1e5, lam, 2, 100)
+        with pytest.raises(ParameterRangeError, match="lambda must be finite"):
+            window_counts(table_1e5, lam, 1, 100)
 
 
 @pytest.mark.parametrize("lam", (0.25, 1.0, 5.0, 30.0))
@@ -128,7 +192,7 @@ def test_window_counts_match_naive_recount(table_1e5, monkeypatch, lam):
         for filt in filters:
             got = window_counts(table_1e5, lam, a, a + length - 1, filt)
             want = [
-                count_in(table_1e5, n, n + lam * math.log(n), filt)
+                count_in(table_1e5, n, exact_edge(lam, n), filt)
                 for n in range(a, a + length)
             ]
             assert got.tolist() == want, (a, length, filt.tag)
@@ -172,14 +236,6 @@ def test_poisson_reference_large_m_uses_log_form():
     assert poisson_reference(500.0, 3) > 0.0 or poisson_reference(500.0, 3) == 0.0
 
 
-def test_uniform_poisson_examples():
-    assert uniform_poisson_reference(0.1, 0) == 1.0
-    assert uniform_poisson_reference(0.1, 1) == 0.1
-    assert uniform_poisson_reference(0.5, 2) == 0.125
-    with pytest.raises(ValueError):
-        uniform_poisson_reference(1.5, 0)
-
-
 def test_growth_check_frozen_example(table_1e6):
     # own brute-force baseline: prime-free windows of length 5*log(n)
     [g] = growth_check(table_1e6, 5.0, 0, 10**5)
@@ -189,9 +245,7 @@ def test_growth_check_frozen_example(table_1e6):
 
 def test_growth_check_matches_scans_to_x_and_2x(table_1e5, monkeypatch):
     monkeypatch.setattr(density, "SCAN_CHUNK", 1000)
-    filters = (ALL, PrimeFilter.residue_class(1, 4))
-    for workers, filt in itertools.product((1, 4), filters):
-        monkeypatch.setattr(density, "WORKERS", workers)
+    for filt in (ALL, PrimeFilter.residue_class(1, 4)):
         results = growth_check(table_1e5, 1.0, 4, 2500, filt)
         at_x = measure_density(table_1e5, 1.0, 2500, 4, filt)
         at_2x = measure_density(table_1e5, 1.0, 5000, 4, filt)
