@@ -57,7 +57,6 @@ from .tuples import (
     greedy_sieve,
     is_admissible,
     parse_offsets,
-    progression_tuple,
     select_spaced,
     singular_series,
 )

@@ -185,7 +185,7 @@ def _cmd_slide(args) -> int:
     ) as records:
         out.write(header)
         while block:
-            slides = clusters_mod.slide(table, block, args.m)
+            slides = clusters_mod.slide(table, args.lam, [c.base for c in block], args.m)
             out.write(clusters_mod.trace_csv(slides)[len(header) :])
             records.write(clusters_mod.falsifications_jsonl(slides))
             runs = clusters_mod.extract_m_runs(slides, args.m)

@@ -1,12 +1,12 @@
 """Prime-cluster scanning and the interval-sliding process.
 
-find_clusters scans integer base points N0 and yields windows
-[N0, N0 + 5*lam*log(x_hi)] holding at least m+1 filtered primes, tagging
-whether the primes are confined to the first fifth with pairwise gaps above
-the well-spacing threshold.  slide() then walks the windows
-I_j = [N0 + j, N0 + j + lam*log(N0 + j)] of a batch of clusters in one pass
-and locates, on each trace, the last index whose count still exceeds m;
-immediately after it the count drops to exactly m.
+find_clusters scans integer base points N0 and yields, as (base, spacing_ok)
+records, those whose window [N0, N0 + 5*lam*log(x_hi)] holds at least m+1
+filtered primes; spacing_ok tells whether the primes are confined to the
+first fifth with pairwise gaps above the well-spacing threshold.  slide()
+then walks the windows I_j = [N0 + j, N0 + j + lam*log(N0 + j)] from a batch
+of bases in one pass and locates, on each trace, the last index whose count
+still exceeds m; immediately after it the count drops to exactly m.
 Claims the sliding process relies on are checked on every trace, and any
 violation is recorded as a falsification rather than assumed impossible.
 """
@@ -16,12 +16,19 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .bounds import BoundParams, DEFAULT_PARAMS, spacing_divisor, tuple_size
-from .density import count_windows, right_edge, spans, window_counts
+from .density import (
+    check_lambda,
+    count_windows,
+    right_edge,
+    spans,
+    table_limit,
+    window_counts,
+)
 from .errors import OutOfRangeError, ParameterRangeError
 from .primes import ALL, PrimeFilter, PrimeTable, primes_between
 
@@ -33,34 +40,33 @@ SLIDE_BLOCK = 4096
 def required_limit(lam: float, x_hi: int) -> int:
     """Smallest table limit that covers a cluster scan to x_hi and the slides
     across its clusters."""
-    return math.ceil(x_hi + 6 * lam * math.log(x_hi) + 1)
+    return table_limit(x_hi + 6 * lam * math.log(x_hi) + 1, lam, x_hi)
 
 
-def _spacing_divisor_for(m: int, params: BoundParams) -> float:
-    """spacing_divisor(k(m)), degrading to +inf (threshold 0) when the tuple
-    size grows beyond the float range."""
+def _scan_scales(
+    lam: float, x_hi: int, m: int, params: BoundParams
+) -> tuple[float, float]:
+    """The first portion lam*log(x_hi) of a scan to x_hi and its spacing
+    threshold, portion / spacing_divisor(k(m)); the threshold degrades to 0
+    when the tuple size grows beyond the float range."""
+    portion = lam * math.log(x_hi)
     try:
-        return spacing_divisor(tuple_size(m, params))
+        return portion, portion / spacing_divisor(tuple_size(m, params))
     except ParameterRangeError:
-        return math.inf
+        return portion, 0.0
 
 
-@dataclass(frozen=True)
-class Cluster:
-    """A window [base, base + window] and the filtered primes inside it.
+class Cluster(NamedTuple):
+    """A base point whose window [base, base + 5*lam*log(x_hi)] holds at
+    least m+1 filtered primes.
 
-    prime_positions are offsets p - base.  spacing_ok records whether every
-    prime sits in the first fifth of the window (position < first_portion)
-    and consecutive primes are more than spacing_threshold apart.
+    spacing_ok records whether every one of them sits in the first fifth of
+    the window and consecutive ones are more than the spacing threshold
+    apart.
     """
 
     base: int
-    window: float
-    lam: float
-    prime_positions: tuple[int, ...]
     spacing_ok: bool
-    first_portion: float
-    spacing_threshold: float
 
 
 @dataclass(frozen=True)
@@ -112,7 +118,7 @@ class Slides:
     has none.  falsifications holds every record, trace by trace, and those
     of trace i are falsifications[falsification_starts[i] :
     falsification_starts[i + 1]].  Indexing and iteration give SlideTrace
-    views.  lam is nan for an empty batch.
+    views.
     """
 
     lam: float
@@ -157,7 +163,7 @@ def find_clusters(
     params: BoundParams = DEFAULT_PARAMS,
 ) -> Iterator[Cluster]:
     """Yield clusters with >= m+1 filtered primes, scanning every integer base
-    point in [x_lo, x_hi].
+    point in [x_lo, x_hi] in increasing order.
 
     The window length 5*lam*log(x_hi) and the spacing threshold
     lam*log(x_hi) / spacing_divisor(k(m)) are one float each per scan, with
@@ -165,10 +171,7 @@ def find_clusters(
     edges of any slid window, which slide() takes from density.right_edge.
     With require_spacing, only spacing_ok clusters are yielded.
     """
-    if not math.isfinite(lam):
-        raise ParameterRangeError(f"lambda must be finite and positive, got {lam}")
-    if lam <= 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
+    check_lambda(lam)
     if not 1 <= x_lo <= x_hi:
         raise ValueError(f"need 1 <= x_lo <= x_hi, got {x_lo}, {x_hi}")
     if m < 0:
@@ -179,9 +182,8 @@ def find_clusters(
             f"scan to x_hi={x_hi} at lambda={lam} needs limit >= {need}, "
             f"have {table.limit}"
         )
-    portion = lam * math.log(x_hi)
+    portion, threshold = _scan_scales(lam, x_hi, m, params)
     window = 5.0 * portion
-    threshold = portion / _spacing_divisor_for(m, params)
     win_i = math.floor(window)  # p <= N0 + window  <=>  p - N0 <= win_i
     portion_i = math.ceil(portion) - 1  # p - N0 < portion  <=>  p - N0 <= portion_i
 
@@ -200,51 +202,34 @@ def find_clusters(
         n_bad = count_windows(bad_starts, a, n, last_prime - 1)
         spaced = (in_window == in_portion) & (n_bad == 0)
         if require_spacing:
-            n, first, in_window, spaced = (
-                v[spaced] for v in (n, first, in_window, spaced)
-            )
-        chunk_primes = primes.tolist()
-        for base, i0, size, ok in zip(
-            n.tolist(), first.tolist(), in_window.tolist(), spaced.tolist()
-        ):
-            yield Cluster(
-                base=base,
-                window=window,
-                lam=lam,
-                prime_positions=tuple(p - base for p in chunk_primes[i0 : i0 + size]),
-                spacing_ok=ok,
-                first_portion=portion,
-                spacing_threshold=threshold,
-            )
+            n, spaced = n[spaced], spaced[spaced]
+        yield from map(Cluster, n.tolist(), spaced.tolist())
 
 
 def slide(
     table: PrimeTable,
-    clusters: Iterable[Cluster],
+    lam: float,
+    bases: Sequence[int] | np.ndarray,
     m: int,
     filt: PrimeFilter = ALL,
 ) -> Slides:
     """Count filtered primes in each I_j = [N0+j, N0+j+lam*log(N0+j)] for
-    j = 0..floor(lam*log N0) on every cluster, and locate the drop indices.
+    j = 0..floor(lam*log N0) from every base N0, and locate the drop indices.
 
-    The clusters share one lambda and may come in any order, overlapping or
-    repeated; the traces keep their order.  The trace intervals are merged
-    into maximal covering runs and each run is counted by one window_counts
-    call, so the work is linear in the number of windows.  Two claims are
-    verified on every trace and recorded as falsifications when violated:
-    counts never increase by more than 1 between consecutive j, and whenever
-    the count is observed to drop below m+1 right after j_drop, the integer
-    N0 + j_drop is itself a filtered prime.
+    The bases may come in any order, overlapping or repeated; the traces keep
+    their order.  The trace intervals are merged into maximal covering runs
+    and each run is counted by one window_counts call, so the work is linear
+    in the number of windows.  Two claims are verified on every trace and
+    recorded as falsifications when violated: counts never increase by more
+    than 1 between consecutive j, and whenever the count is observed to drop
+    below m+1 right after j_drop, the integer N0 + j_drop is itself a
+    filtered prime.
     """
+    check_lambda(lam)
     if m < 0:
         raise ValueError(f"m must be non-negative, got {m}")
-    clusters = list(clusters)
-    lams = {c.lam for c in clusters}
-    if len(lams) > 1:
-        raise ValueError(f"clusters of one slide must share lambda, got {sorted(lams)}")
-    lam = lams.pop() if lams else math.nan
-    n = len(clusters)
-    bases = np.array([c.base for c in clusters], dtype=np.int64)
+    bases = np.array(bases, dtype=np.int64)
+    n = len(bases)
     lengths = right_edge(bases, lam) - bases + 1  # j = 0..L(base)
     starts = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(lengths, out=starts[1:])
@@ -353,10 +338,13 @@ def extract_m_runs(traces: Slides | SlideTrace, m: int) -> list[tuple[int, int]]
     )
 
 
-def guaranteed_run_floor(cluster: Cluster) -> int:
-    """Run length promised after the drop index on a spacing_ok cluster whose
-    drop index leaves that much room before the trace ends."""
-    return math.floor(cluster.spacing_threshold)
+def guaranteed_run_floor(
+    lam: float, x_hi: int, m: int, params: BoundParams = DEFAULT_PARAMS
+) -> int:
+    """Run length promised after the drop index on a spacing_ok cluster of a
+    scan to x_hi, when the drop index leaves that much room before the trace
+    ends: the floor of the scan's spacing threshold."""
+    return math.floor(_scan_scales(lam, x_hi, m, params)[1])
 
 
 TRACE_HEADER = "j,N_j,count\n"

@@ -44,13 +44,20 @@ def edge_steps(lam: float, limit: int) -> np.ndarray:
     number of entries <= n.  lam is taken as the exact value of its float64,
     Decimal(lam).  Each n_k is seeded from exp(k/lam) and settled exactly:
     lam*log n is never an integer for n > 1, so raising the decimal precision
-    until the sign of lam*log n - k is certain always ends.  Cached, since a
-    scan or a slide asks for the same breakpoints once per window-count call.
+    until the sign of lam*log n - k is certain always ends.  Only an n whose
+    float64 lam*log n lies within a relative 1e-9 of k goes to Decimal.
+    Cached, since a scan or a slide asks for the same breakpoints once per
+    window-count call.
     """
     lam_d = Decimal(lam)
 
     def reaches(n: int, k: int) -> bool:
         """lam*log n >= k, decided exactly."""
+        # float64 lam*log n is off by a few ulps, far below 1e-9 of it: its
+        # side of k is certain unless it lies that close to k
+        approx = lam * math.log(n)
+        if abs(approx - k) > 1e-9 * approx:
+            return approx > k
         prec = 30
         while True:
             with localcontext() as ctx:
@@ -204,7 +211,17 @@ class DensityReport:
 
 def required_limit(lam: float, x: int) -> int:
     """Smallest table limit that covers every window of a scan up to x."""
-    return math.ceil(x + lam * math.log(x) + 1)
+    return table_limit(x + lam * math.log(x) + 1, lam, x)
+
+
+def table_limit(top: float, lam: float, x: int) -> int:
+    """ceil(top), the table limit a scan to x at lam needs; a top beyond the
+    float range raises ParameterRangeError."""
+    if not math.isfinite(top):
+        raise ParameterRangeError(
+            f"the table limit for x={x} at lambda={lam} overflows the float range"
+        )
+    return math.ceil(top)
 
 
 def _histogram(
@@ -242,11 +259,16 @@ def _histogram(
     return hist
 
 
-def _validate_scan(lam: float, x: int, m_max: int) -> None:
+def check_lambda(lam: float) -> None:
+    """ParameterRangeError for a non-finite lam, ValueError for lam <= 0."""
     if not math.isfinite(lam):
         raise ParameterRangeError(f"lambda must be finite and positive, got {lam}")
     if lam <= 0:
         raise ValueError(f"lambda must be positive, got {lam}")
+
+
+def _validate_scan(lam: float, x: int, m_max: int) -> None:
+    check_lambda(lam)
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
     if m_max < 0:

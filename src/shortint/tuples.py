@@ -258,35 +258,6 @@ def singular_series(
     return math.exp(log_total)
 
 
-def progression_tuple(
-    window: float,
-    k: int,
-    a: int,
-    q: int,
-    spacing: int,
-    strategy: str = "first-fit",
-    seed: int | None = None,
-) -> AdmissibleTuple | None:
-    """Well-spaced admissible tuple whose offsets all lie in a (mod q).
-
-    Runs the greedy sieve and spaced selection on the cofactor coordinates
-    b = (h - a)/q with the spacing threshold scaled down by q, then maps back
-    h = a + q*b.  Returns None when the window leaves no room.
-    """
-    if q < 1 or not 0 <= a < q:
-        raise ValueError(f"need 0 <= a < q with q >= 1, got a={a}, q={q}")
-    if math.gcd(a, q) != 1:
-        raise ValueError(f"a={a} and q={q} must be coprime")
-    b_window = (window - a) / q
-    if b_window < 1:
-        return None
-    sieved_b = greedy_sieve(b_window, k)
-    picked = select_spaced(sieved_b, k, spacing // q, strategy, seed)
-    if picked is None:
-        return None
-    return AdmissibleTuple(tuple(a + q * b for b in picked.offsets), float(window))
-
-
 def parse_offsets(line: str) -> tuple[int, ...]:
     """Parse the exchange format "h1,h2,...,hk"; offsets must strictly increase."""
     try:

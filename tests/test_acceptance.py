@@ -188,16 +188,22 @@ def test_criterion_06_selection_count_soundness():
 # -- criteria 7-9: sliding process properties over >= 1e4 traces --------------
 
 
+def _bases(clusters, count):
+    return [c.base for c in itertools.islice(clusters, count)]
+
+
 @pytest.fixture(scope="module")
 def slide_scan(table_1e7):
     traces = list(slide(
         table_1e7,
-        itertools.islice(find_clusters(table_1e7, 1.0, 9 * 10**6, 10**7, 1), 8000),
+        1.0,
+        _bases(find_clusters(table_1e7, 1.0, 9 * 10**6, 10**7, 1), 8000),
         1,
     ))
     traces += slide(
         table_1e7,
-        itertools.islice(find_clusters(table_1e7, 0.5, 5 * 10**6, 6 * 10**6, 0), 3000),
+        0.5,
+        _bases(find_clusters(table_1e7, 0.5, 5 * 10**6, 6 * 10**6, 0), 3000),
         0,
     )
     return traces
@@ -205,14 +211,14 @@ def slide_scan(table_1e7):
 
 @pytest.fixture(scope="module")
 def spacing_scan(table_1e7):
-    clusters = list(itertools.islice(
+    bases = _bases(
         find_clusters(
             table_1e7, 1.0, 9 * 10**6, 10**7, 0,
             require_spacing=True, params=SMALL_K,
         ),
         3000,
-    ))
-    return list(zip(clusters, slide(table_1e7, clusters, 0)))
+    )
+    return slide(table_1e7, 1.0, bases, 0)
 
 
 def test_criterion_07_count_increases_by_exactly_one(slide_scan):
@@ -240,14 +246,14 @@ def test_criterion_08_drop_point_is_prime(slide_scan, table_1e7):
 def test_criterion_09_post_drop_run_length(slide_scan, spacing_scan):
     # non-trivial floor (= 1) on the dedicated spacing_ok scan
     verified = 0
-    for cluster, trace in spacing_scan:
-        floor_len = guaranteed_run_floor(cluster)
-        assert floor_len == 1
+    floor_len = guaranteed_run_floor(1.0, 10**7, 0, SMALL_K)
+    assert floor_len == 1
+    for trace in spacing_scan:
         if trace.j_drop is None or trace.j_drop + floor_len > len(trace.counts) - 1:
             continue
         runs = extract_m_runs(trace, 0)
         run = next(r for r in runs if r[0] <= trace.j_drop + 1 < r[0] + r[1])
-        assert run[1] >= floor_len, (cluster.base, trace.counts)
+        assert run[1] >= floor_len, (trace.base, trace.counts)
         verified += 1
     assert verified > 500
     # trivially satisfied floor (= 0) on the criterion-7 scan traces

@@ -250,3 +250,20 @@ def test_non_finite_lambda_exits_1_with_one_line(capsys, argv):
     assert out.out == ""
     assert out.err.startswith("error: --lambda must be finite and positive, got ")
     assert out.err.count("\n") == 1 and "Traceback" not in out.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["density", "--lambda", "1e308", "--x", "10", "--m-max", "1"],
+        ["slide", "--lambda", "1e308", "--x-lo", "10", "--x-hi", "100", "--m", "1"],
+    ),
+)
+def test_huge_lambda_exits_1_with_one_line(capsys, argv):
+    # finite, but the table limit x + lam*log x is not
+    assert main(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: the table limit for x=")
+    assert "overflows the float range" in out.err
+    assert out.err.count("\n") == 1 and "Traceback" not in out.err

@@ -8,7 +8,7 @@ import pytest
 
 from shortint import clusters as clusters_mod
 from shortint import density
-from shortint.bounds import BoundParams, tuple_size
+from shortint.bounds import BoundParams, spacing_divisor, tuple_size
 from shortint.clusters import (
     Cluster,
     SlideTrace,
@@ -28,49 +28,69 @@ from exact_edges import exact_edge, exact_length
 SMALL_K = BoundParams(scale=2.0)  # k(0) = 2, spacing divisor 16
 
 
+def positions(table, lam, x_hi, base, filt=ALL):
+    """Offsets p - base of the filtered primes in the cluster window
+    [base, base + 5*lam*log(x_hi)] of a scan to x_hi."""
+    window = 5 * lam * math.log(x_hi)
+    return (primes_between(table, base, base + window, filt) - base).tolist()
+
+
+def spacing_ok(offsets, lam, x_hi, threshold):
+    """Every offset inside the first portion lam*log(x_hi), and consecutive
+    ones more than threshold apart."""
+    gaps = [b - a for a, b in zip(offsets, offsets[1:])]
+    return max(offsets) < lam * math.log(x_hi) and all(g > threshold for g in gaps)
+
+
 def test_find_clusters_near_twin_primes(table_1e6):
     clusters = list(find_clusters(table_1e6, 2.0, 90, 120, 1))
     assert clusters
+    found = [positions(table_1e6, 2.0, 120, c.base) for c in clusters]
     twin = [
-        c
-        for c in clusters
-        if 101 - c.base in c.prime_positions and 103 - c.base in c.prime_positions
+        offsets
+        for c, offsets in zip(clusters, found)
+        if 101 - c.base in offsets and 103 - c.base in offsets
     ]
     assert twin
-    assert all(len(c.prime_positions) >= 2 for c in clusters)
+    assert all(len(offsets) >= 2 for offsets in found)
 
 
 def test_find_clusters_matches_per_base_brute_force(table_1e6, monkeypatch):
-    # every base point, via count_in and explicit positions; tiny chunks so
-    # several chunk boundaries fall inside the scanned range
+    # every base point, via explicit positions, unfiltered and through a
+    # residue and a Kronecker filter; tiny chunks so several chunk boundaries
+    # fall inside the scanned range
     monkeypatch.setattr(density, "SCAN_CHUNK", 97)
-    lam, x_lo, x_hi, m = 1.3, 5000, 6000, 2
+    lam, x_lo, x_hi = 1.3, 5000, 6000
     params = SMALL_K
-    got = {
-        c.base: c
-        for c in find_clusters(table_1e6, lam, x_lo, x_hi, m, params=params)
-    }
-    window = 5 * lam * math.log(x_hi)
-    portion = lam * math.log(x_hi)
-    threshold = portion / 16.0  # spacing_divisor(k=2)
-    for base in range(x_lo, x_hi + 1):
-        positions = (primes_between(table_1e6, base, base + window) - base).tolist()
-        if len(positions) < m + 1:
-            assert base not in got
-            continue
-        cluster = got[base]
-        assert list(cluster.prime_positions) == positions
-        gaps = [b - a for a, b in zip(positions, positions[1:])]
-        expected_ok = max(positions) < portion and all(g > threshold for g in gaps)
-        assert cluster.spacing_ok == expected_ok, base
-    spaced = {
-        c.base
-        for c in find_clusters(
-            table_1e6, lam, x_lo, x_hi, m,
-            require_spacing=True, params=params,
-        )
-    }
-    assert spaced == {b for b, c in got.items() if c.spacing_ok}
+    cases = (
+        (ALL, 2),
+        (PrimeFilter.residue_class(1, 4), 1),
+        (PrimeFilter.kronecker(5, -1), 1),
+    )
+    for filt, m in cases:
+        got = {
+            c.base: c.spacing_ok
+            for c in find_clusters(table_1e6, lam, x_lo, x_hi, m, filt, params=params)
+        }
+        threshold = lam * math.log(x_hi) / spacing_divisor(tuple_size(m, params))
+        flags = {}
+        for base in range(x_lo, x_hi + 1):
+            offsets = positions(table_1e6, lam, x_hi, base, filt)
+            if len(offsets) >= m + 1:
+                flags[base] = spacing_ok(offsets, lam, x_hi, threshold)
+        assert got == flags, filt.tag
+        assert flags and not all(flags.values())
+        assert list(got) == sorted(got)
+        spaced = [
+            c.base
+            for c in find_clusters(
+                table_1e6, lam, x_lo, x_hi, m, filt,
+                require_spacing=True, params=params,
+            )
+        ]
+        assert spaced == [b for b, ok in got.items() if ok]
+        # the filters thin the primes enough for some spacing_ok clusters
+        assert filt is ALL or spaced
 
 
 def test_find_clusters_empty_when_m_unreachable(table_1e6):
@@ -87,21 +107,17 @@ def test_spacing_requirement_excludes_pairs_in_tiny_portions(table_1e6):
 
 
 def test_cluster_fields_are_consistent(table_1e6):
+    # at m = 1 the tuple size of SMALL_K is about 3.8e21: a threshold of
+    # log(2e4)/1.35e24, so spacing_ok only asks for the first portion
+    threshold = 1.5 * math.log(20000) / spacing_divisor(tuple_size(1, SMALL_K))
+    assert 0 < threshold < 1e-20
+    assert Cluster._fields == ("base", "spacing_ok")
     for c in itertools.islice(
         find_clusters(table_1e6, 1.5, 5000, 20000, 1, params=SMALL_K), 200
     ):
-        expected = (
-            primes_between(table_1e6, c.base, c.base + c.window) - c.base
-        ).tolist()
-        assert list(c.prime_positions) == expected
-        gaps = [
-            b - a for a, b in zip(c.prime_positions, c.prime_positions[1:])
-        ]
-        recomputed = (
-            max(c.prime_positions) < c.first_portion
-            and all(g > c.spacing_threshold for g in gaps)
-        )
-        assert c.spacing_ok == recomputed
+        offsets = positions(table_1e6, 1.5, 20000, c.base)
+        assert len(offsets) >= 2
+        assert c.spacing_ok == spacing_ok(offsets, 1.5, 20000, threshold)
 
 
 def test_scan_past_last_filtered_prime(table_1e6):
@@ -110,39 +126,41 @@ def test_scan_past_last_filtered_prime(table_1e6):
     filt = PrimeFilter.residue_class(3, 5000)
     assert list(find_clusters(table_1e6, 1.0, 6000, 7000, 0, filt=filt)) == []
     tail = list(find_clusters(table_1e6, 1.0, 4950, 5003, 0, filt=filt))
-    assert tail and all(5003 - c.base in c.prime_positions for c in tail)
+    assert tail and all(
+        positions(table_1e6, 1.0, 5003, c.base, filt) == [5003 - c.base] for c in tail
+    )
 
 
 def test_filtered_cluster_scan(table_1e6):
     filt = PrimeFilter.residue_class(1, 4)
-    for c in itertools.islice(
-        find_clusters(table_1e6, 2.0, 10**4, 10**5, 1, filt=filt), 50
-    ):
-        positions = primes_between(
-            table_1e6, c.base, c.base + c.window, filt
-        ) - c.base
-        assert list(c.prime_positions) == positions.tolist()
-        assert len(c.prime_positions) >= 2
+    clusters = list(
+        itertools.islice(find_clusters(table_1e6, 2.0, 10**4, 10**5, 1, filt=filt), 50)
+    )
+    assert len(clusters) == 50
+    for c in clusters:
+        offsets = positions(table_1e6, 2.0, 10**5, c.base, filt)
+        assert len(offsets) >= 2
+        assert all((c.base + h) % 4 == 1 for h in offsets)
 
 
 def test_slide_counts_match_independent_recount(table_1e6):
     # c(n) over the whole range, counted by prefix sums in scan chunks; each
     # short slide trace is counted by binary search and must equal its slice
     c_all = window_counts(table_1e6, 1.0, 10**4, 10**5 + 20)
-    clusters = list(itertools.islice(find_clusters(table_1e6, 1.0, 10**4, 10**5, 1), 100))
-    for c, trace in zip(clusters, slide(table_1e6, clusters, 1)):
-        assert len(trace.counts) == exact_length(1.0, c.base) + 1
+    bases = _bases(find_clusters(table_1e6, 1.0, 10**4, 10**5, 1), 100)
+    for base, trace in zip(bases, slide(table_1e6, 1.0, bases, 1)):
+        assert len(trace.counts) == exact_length(1.0, base) + 1
         for j, count in enumerate(trace.counts):
-            n_j = c.base + j
+            n_j = base + j
             assert count == count_in(table_1e6, n_j, exact_edge(1.0, n_j))
-        start = c.base - 10**4
+        start = base - 10**4
         assert trace.counts == tuple(c_all[start : start + len(trace.counts)].tolist())
 
 
 def test_slide_drop_index_properties(table_1e6):
     seen_drop = 0
-    clusters = list(itertools.islice(find_clusters(table_1e6, 1.0, 10**4, 10**5, 1), 300))
-    for c, trace in zip(clusters, slide(table_1e6, clusters, 1)):
+    bases = _bases(find_clusters(table_1e6, 1.0, 10**4, 10**5, 1), 300)
+    for base, trace in zip(bases, slide(table_1e6, 1.0, bases, 1)):
         assert not trace.falsifications
         if trace.j_drop is None:
             assert all(count < 2 for count in trace.counts)
@@ -151,7 +169,7 @@ def test_slide_drop_index_properties(table_1e6):
         assert trace.counts[trace.j_drop] >= 2
         assert all(count <= 1 for count in trace.counts[trace.j_drop + 1 :])
         if trace.j_drop < len(trace.counts) - 1:
-            assert table_1e6.membership(c.base + trace.j_drop)
+            assert table_1e6.membership(base + trace.j_drop)
         assert trace.m_run == tuple(
             j for j, count in enumerate(trace.counts) if count == 1
         )
@@ -162,13 +180,13 @@ def test_slide_first_window_covers_confined_cluster(table_1e6):
     # every cluster prime confined to the first portion and reachable from j=0:
     # the j=0 window already sees them all
     checked = 0
-    clusters = list(itertools.islice(
+    bases = _bases(
         find_clusters(table_1e6, 1.0, 10**4, 10**5, 1, require_spacing=True), 50
-    ))
-    for c, trace in zip(clusters, slide(table_1e6, clusters, 1)):
-        span = max(c.prime_positions)
-        if span <= c.lam * math.log(c.base):
-            assert trace.counts[0] == len(c.prime_positions)
+    )
+    for base, trace in zip(bases, slide(table_1e6, 1.0, bases, 1)):
+        offsets = positions(table_1e6, 1.0, 10**5, base)
+        if max(offsets) <= math.log(base):
+            assert trace.counts[0] == len(offsets)
             checked += 1
     assert checked > 0
 
@@ -176,12 +194,14 @@ def test_slide_first_window_covers_confined_cluster(table_1e6):
 def test_slide_last_window_sees_no_confined_prime(table_1e6):
     # once the slide leaves the first portion, confined cluster primes are behind it
     checked = 0
+    portion = math.log(10**5)
     for c in itertools.islice(
         find_clusters(table_1e6, 1.0, 10**4, 10**5, 0, require_spacing=True), 200
     ):
-        j_max = math.floor(c.lam * math.log(c.base))
-        if max(c.prime_positions) < j_max:
-            confined = [p for p in c.prime_positions if p < c.first_portion]
+        j_max = exact_length(1.0, c.base)
+        offsets = positions(table_1e6, 1.0, 10**5, c.base)
+        if max(offsets) < j_max:
+            confined = [p for p in offsets if p < portion]
             in_last = [p for p in confined if p >= j_max]
             assert not in_last
             checked += 1
@@ -204,15 +224,15 @@ def test_extract_m_runs_examples():
 
 def test_post_drop_run_meets_guarantee_on_spacing_ok_clusters(table_1e7):
     verified = 0
-    clusters = list(itertools.islice(
+    bases = _bases(
         find_clusters(
             table_1e7, 1.0, 9 * 10**6, 10**7, 0, require_spacing=True, params=SMALL_K
         ),
         2000,
-    ))
-    for c, trace in zip(clusters, slide(table_1e7, clusters, 0)):
-        floor_len = guaranteed_run_floor(c)
-        assert floor_len >= 1  # log(1e7)/16 > 1: the guarantee is non-trivial here
+    )
+    floor_len = guaranteed_run_floor(1.0, 10**7, 0, SMALL_K)
+    assert floor_len == math.floor(math.log(10**7) / 16) == 1  # non-trivial here
+    for base, trace in zip(bases, slide(table_1e7, 1.0, bases, 0)):
         assert not trace.falsifications
         if trace.j_drop is None or trace.j_drop + floor_len > len(trace.counts) - 1:
             continue
@@ -220,7 +240,7 @@ def test_post_drop_run_meets_guarantee_on_spacing_ok_clusters(table_1e7):
         run = next(
             (r for r in runs if r[0] <= trace.j_drop + 1 < r[0] + r[1]), None
         )
-        assert run is not None and run[1] >= floor_len, (c.base, trace.counts)
+        assert run is not None and run[1] >= floor_len, (base, trace.counts)
         verified += 1
     assert verified > 500
 
@@ -230,17 +250,19 @@ def test_windows_stay_inside_cluster_for_small_lambda(table_1e6):
     # [N0, N0 + 5*lam*log(x_hi)]
     x_hi = 10**5
     lam = 0.19
+    window = 5 * lam * math.log(x_hi)
     for c in itertools.islice(find_clusters(table_1e6, lam, 10**4, x_hi, 0), 300):
         j_max = math.floor(lam * math.log(c.base))
         for j in (0, j_max // 2, j_max):
             n_j = c.base + j
             assert n_j >= c.base
-            assert n_j + lam * math.log(n_j) <= c.base + c.window
+            assert n_j + lam * math.log(n_j) <= c.base + window
 
 
 def test_slide_with_unreachable_m_has_no_drop(table_1e6):
     c = next(iter(find_clusters(table_1e6, 1.0, 10**4, 10**4 + 100, 0)))
-    trace = slide(table_1e6, [c], max(slide(table_1e6, [c], 0)[0].counts) + 5)[0]
+    top = max(slide(table_1e6, 1.0, [c.base], 0)[0].counts)
+    trace = slide(table_1e6, 1.0, [c.base], top + 5)[0]
     assert trace.j_drop is None
     assert trace.m_run == ()
     assert not trace.falsifications
@@ -251,6 +273,7 @@ def test_grid_spaced_clusters_are_disjoint(table_1e6):
     # apart give pairwise disjoint windows
     x_hi = 10**5
     lam = 0.19
+    window = 5 * lam * math.log(x_hi)
     g = math.floor(math.log(x_hi)) + 1
     picked = []
     last_base = None
@@ -260,16 +283,16 @@ def test_grid_spaced_clusters_are_disjoint(table_1e6):
             last_base = c.base
         if len(picked) == 50:
             break
-    assert c.window < math.log(x_hi) <= g
+    assert window < math.log(x_hi) <= g
     for a, b in zip(picked, picked[1:]):
-        assert a.base + a.window < b.base
+        assert a.base + window < b.base
 
 
 def test_pathological_scan_produces_count_jump_records(table_1e6):
     # window growth 1 + lam/N exceeds 2 at tiny N with huge lam: two primes can
     # enter one step, and the detector must say so rather than hide it
     cluster = next(iter(find_clusters(table_1e6, 30.0, 3, 3, 0)))
-    slides = slide(table_1e6, [cluster], 0)
+    slides = slide(table_1e6, 30.0, [cluster.base], 0)
     trace = slides[0]
     kinds = {f.kind for f in trace.falsifications}
     assert kinds == {"count-jump"}
@@ -282,7 +305,7 @@ def test_pathological_scan_produces_count_jump_records(table_1e6):
 
 def test_trace_csv_layout(table_1e6):
     c = next(iter(find_clusters(table_1e6, 1.0, 10**4, 10**4 + 50, 0)))
-    lines = trace_csv(slide(table_1e6, [c], 0)).strip().splitlines()
+    lines = trace_csv(slide(table_1e6, 1.0, [c.base], 0)).strip().splitlines()
     assert lines[0] == "j,N_j,count"
     first = lines[1].split(",")
     assert first[0] == "0" and int(first[1]) == c.base
@@ -298,6 +321,21 @@ def test_find_clusters_range_validation(table_1e6):
     for lam in (math.inf, math.nan):
         with pytest.raises(ParameterRangeError, match="lambda must be finite"):
             list(find_clusters(table_1e6, lam, 10, 100, 0))
+    with pytest.raises(ParameterRangeError, match="table limit .* overflows"):
+        list(find_clusters(table_1e6, 1e308, 10, 100, 0))
+
+
+@pytest.mark.parametrize(
+    "lam, error",
+    ((0.0, ValueError), (-1.0, ValueError), (math.nan, ParameterRangeError)),
+)
+def test_slide_rejects_bad_lambda(table_1e6, lam, error):
+    # the same errors as find_clusters, for an empty batch too
+    with pytest.raises(error, match="lambda must be"):
+        list(find_clusters(table_1e6, lam, 10, 100, 0))
+    for bases in ([100], []):
+        with pytest.raises(error, match="lambda must be"):
+            slide(table_1e6, lam, bases, 0)
 
 
 def test_tuple_size_overflow_degrades_to_zero_threshold(table_1e6):
@@ -309,26 +347,31 @@ def test_tuple_size_overflow_degrades_to_zero_threshold(table_1e6):
 # -- the batched slide against per-window recounts ------------------------------
 
 
-def _check_slides(table, clusters, m, filt=ALL):
+def _bases(clusters, count):
+    """The bases of the first count clusters."""
+    return [c.base for c in itertools.islice(clusters, count)]
+
+
+def _check_slides(table, lam, bases, m, filt=ALL):
     """slide() on the batch against count_in per window, the definitions of
     j_drop and m_run, a per-row CSV and a per-trace run scan."""
-    slides = slide(table, clusters, m, filt)
-    assert len(slides) == len(clusters)
+    slides = slide(table, lam, bases, m, filt)
+    assert len(slides) == len(bases) and slides.lam == lam
     assert slides.starts[0] == 0 and slides.starts[-1] == len(slides.counts)
     rows, runs = ["j,N_j,count\n"], []
-    for c, trace in zip(clusters, slides):
-        j_max = exact_length(c.lam, c.base)
+    for base, trace in zip(map(int, bases), slides):
+        j_max = exact_length(lam, base)
         expected = [
-            count_in(table, c.base + j, exact_edge(c.lam, c.base + j), filt)
+            count_in(table, base + j, exact_edge(lam, base + j), filt)
             for j in range(j_max + 1)
         ]
-        assert trace.base == c.base and trace.m == m
-        assert list(trace.counts) == expected, c.base
+        assert trace.base == base and trace.m == m
+        assert list(trace.counts) == expected, base
         rich = [j for j, count in enumerate(expected) if count >= m + 1]
         assert trace.j_drop == (rich[-1] if rich else None)
         assert trace.m_run == tuple(j for j, count in enumerate(expected) if count == m)
         assert not trace.falsifications
-        rows += [f"{j},{c.base + j},{count}\n" for j, count in enumerate(expected)]
+        rows += [f"{j},{base + j},{count}\n" for j, count in enumerate(expected)]
         j = 0
         for hit, group in itertools.groupby(expected, key=lambda count: count == m):
             size = len(list(group))
@@ -346,37 +389,29 @@ def _check_slides(table, clusters, m, filt=ALL):
 
 def test_slides_dense_overlapping_clusters(table_1e6):
     # lam=1 near 1e6: consecutive bases, every trace overlaps the next
-    clusters = list(
-        itertools.islice(find_clusters(table_1e6, 1.0, 998_000, 999_000, 1), 300)
-    )
-    assert all(b.base <= a.base + 13 for a, b in zip(clusters, clusters[1:]))
-    _check_slides(table_1e6, clusters, 1)
+    bases = _bases(find_clusters(table_1e6, 1.0, 998_000, 999_000, 1), 300)
+    assert all(b <= a + 13 for a, b in zip(bases, bases[1:]))
+    _check_slides(table_1e6, 1.0, bases, 1)
 
 
 def test_slides_sparse_spaced_clusters_form_several_runs(table_1e6):
-    clusters = list(
-        itertools.islice(
-            find_clusters(table_1e6, 1.0, 10**5, 4 * 10**5, 0, require_spacing=True),
-            200,
-        )
+    bases = _bases(
+        find_clusters(table_1e6, 1.0, 10**5, 4 * 10**5, 0, require_spacing=True),
+        200,
     )
-    gaps = sum(
-        b.base > a.base + math.floor(math.log(a.base)) + 1
-        for a, b in zip(clusters, clusters[1:])
-    )
+    gaps = sum(b > a + math.floor(math.log(a)) + 1 for a, b in zip(bases, bases[1:]))
     assert gaps >= 10  # disjoint traces: several covering runs
-    _check_slides(table_1e6, clusters, 0)
+    # an int64 array is as good as a list
+    _check_slides(table_1e6, 1.0, np.array(bases, dtype=np.int64), 0)
 
 
 def test_slides_keep_input_order_and_repeats(table_1e6):
-    clusters = list(
-        itertools.islice(find_clusters(table_1e6, 1.0, 10**4, 10**5, 1), 150)
-    )
-    shuffled = clusters[:]
+    bases = _bases(find_clusters(table_1e6, 1.0, 10**4, 10**5, 1), 150)
+    shuffled = bases[:]
     random.Random(0).shuffle(shuffled)
     shuffled.append(shuffled[7])
-    slides = _check_slides(table_1e6, shuffled, 1)
-    assert slides.bases.tolist() == [c.base for c in shuffled]
+    slides = _check_slides(table_1e6, 1.0, shuffled, 1)
+    assert slides.bases.tolist() == shuffled
     assert slides[-1] == slides[7]
 
 
@@ -384,15 +419,13 @@ def test_slides_keep_input_order_and_repeats(table_1e6):
     "filt", (PrimeFilter.residue_class(1, 4), PrimeFilter.kronecker(5, -1))
 )
 def test_slides_with_filters(table_1e6, filt):
-    clusters = list(
-        itertools.islice(find_clusters(table_1e6, 2.0, 10**4, 10**5, 1, filt=filt), 150)
-    )
-    assert clusters
-    _check_slides(table_1e6, clusters, 1, filt)
+    bases = _bases(find_clusters(table_1e6, 2.0, 10**4, 10**5, 1, filt=filt), 150)
+    assert bases
+    _check_slides(table_1e6, 2.0, bases, 1, filt)
 
 
 def test_slides_of_no_clusters(table_1e6):
-    slides = _check_slides(table_1e6, [], 1)
+    slides = _check_slides(table_1e6, 1.0, [], 1)
     assert len(slides) == 0 and list(slides) == []
     assert trace_csv(slides) == "j,N_j,count\n"
 
@@ -400,20 +433,8 @@ def test_slides_of_no_clusters(table_1e6):
 def test_slide_lengths_step_at_a_breakpoint(table_1e7):
     # e**16 = 8886110.52: the trace of 8886110 has j = 0..15, that of 8886111
     # j = 0..16
-    made = [
-        Cluster(base=b, window=0.0, lam=1.0, prime_positions=(), spacing_ok=False,
-                first_portion=0.0, spacing_threshold=0.0)
-        for b in (8886110, 8886111)
-    ]
-    slides = _check_slides(table_1e7, made, 0)
+    slides = _check_slides(table_1e7, 1.0, [8886110, 8886111], 0)
     assert [len(t.counts) for t in slides] == [16, 17]
-
-
-def test_slide_rejects_mixed_lambdas(table_1e6):
-    a = next(iter(find_clusters(table_1e6, 1.0, 10**4, 10**4 + 50, 0)))
-    b = next(iter(find_clusters(table_1e6, 2.0, 10**4, 10**4 + 50, 0)))
-    with pytest.raises(ValueError, match="share lambda"):
-        slide(table_1e6, [a, b], 0)
 
 
 # the records the per-cluster slide wrote for lam=30 over bases 3..40: every
@@ -432,14 +453,14 @@ LAM30_RECORDS = [
 
 
 def test_falsification_records_come_trace_by_trace(table_1e6):
-    clusters = list(find_clusters(table_1e6, 30.0, 3, 40, 0))
-    assert len(clusters) == 38
-    slides = slide(table_1e6, clusters, 0)
+    bases = [c.base for c in find_clusters(table_1e6, 30.0, 3, 40, 0)]
+    assert bases == list(range(3, 41))
+    slides = slide(table_1e6, 30.0, bases, 0)
     records = [json.loads(line) for line in falsifications_jsonl(slides).splitlines()]
     assert [tuple(r.values()) for r in records] == LAM30_RECORDS
     assert [len(t.falsifications) for t in slides][:7] == [3, 2, 1, 1, 1, 1, 0]
     # in reverse input order the traces, and so the records, come reversed
-    backwards = slide(table_1e6, clusters[::-1], 0)
+    backwards = slide(table_1e6, 30.0, bases[::-1], 0)
     assert [f.base for f in backwards.falsifications] == [8, 7, 6, 5, 4, 4, 3, 3, 3]
     assert [f.j for f in backwards.falsifications][-3:] == [0, 1, 5]
 
@@ -451,11 +472,6 @@ def _fake_kernel(counts):
     return kernel
 
 
-def _bare_cluster(base):
-    return Cluster(base=base, window=30.0, lam=1.0, prime_positions=(),
-                   spacing_ok=False, first_portion=6.0, spacing_threshold=0.0)
-
-
 def test_drop_point_record_follows_the_count_jumps(table_1e6, monkeypatch):
     # traces over N = 1002..1008 and 1000..1006 under a kernel with jumps at
     # N = 1000, 1001 and 1006, and drops right after the composites 1003 =
@@ -465,7 +481,7 @@ def test_drop_point_record_follows_the_count_jumps(table_1e6, monkeypatch):
         "window_counts",
         _fake_kernel({1000: 0, 1001: 3, 1002: 5, 1003: 3, 1007: 2}),
     )
-    slides = slide(table_1e6, [_bare_cluster(1002), _bare_cluster(1000)], 1)
+    slides = slide(table_1e6, 1.0, [1002, 1000], 1)
     assert [t.counts for t in slides] == [(5, 3, 0, 0, 0, 2, 0), (0, 3, 5, 3, 0, 0, 0)]
     assert [t.j_drop for t in slides] == [5, 3]
     got = [(f.base, f.kind, f.j, f.expected, f.observed) for f in slides.falsifications]
@@ -482,9 +498,10 @@ def test_drop_point_record_follows_the_count_jumps(table_1e6, monkeypatch):
 def test_drop_point_must_pass_the_filter(table_1e6, monkeypatch):
     # the count drops right after the prime 1009 = 1 (mod 4)
     monkeypatch.setattr(clusters_mod, "window_counts", _fake_kernel({1009: 2}))
-    cluster = _bare_cluster(1009)
-    assert not slide(table_1e6, [cluster], 1, PrimeFilter.residue_class(1, 4)).falsifications
+    assert not slide(
+        table_1e6, 1.0, [1009], 1, PrimeFilter.residue_class(1, 4)
+    ).falsifications
     (record,) = slide(
-        table_1e6, [cluster], 1, PrimeFilter.residue_class(3, 4)
+        table_1e6, 1.0, [1009], 1, PrimeFilter.residue_class(3, 4)
     ).falsifications
     assert (record.kind, record.j) == ("drop-point-not-prime", 0)

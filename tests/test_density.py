@@ -162,6 +162,20 @@ def test_edge_steps_settle_from_a_wrong_seed(monkeypatch, shift):
         edge_steps.cache_clear()
 
 
+@pytest.mark.parametrize("n, step", ((123456789, 123456790), (1000, 1000)))
+def test_edge_steps_where_the_float_product_lies(n, step):
+    # float64 lam*log n is exactly 7.0 at lam = 7/log n, while the exact value
+    # lies below 7 at 123456789 (the breakpoint is the next integer) and above
+    # it at 1000 (the breakpoint is 1000 itself)
+    lam = 7 / math.log(n)
+    assert lam * math.log(n) == 7.0
+    assert exact_length(lam, step - 1) == 6 and exact_length(lam, step) == 7
+    steps = edge_steps(lam, n + 10).tolist()
+    assert len(steps) == 7 and steps[-1] == step
+    for k, at in enumerate(steps, start=1):
+        assert exact_length(lam, at) >= k > exact_length(lam, at - 1)
+
+
 def test_edge_steps_edge_cases():
     assert len(edge_steps(1e-3, 10**10)) == 0  # no breakpoint below e**1000
     assert right_edge(np.array([1, 10**10]), 1e-3).tolist() == [1, 10**10]
@@ -178,6 +192,16 @@ def test_non_finite_lambda_is_rejected(table_1e5):
             growth_check(table_1e5, lam, 2, 100)
         with pytest.raises(ParameterRangeError, match="lambda must be finite"):
             window_counts(table_1e5, lam, 1, 100)
+
+
+def test_overflowing_table_limit_is_rejected(table_1e5):
+    # lam*log x is finite, x + lam*log x is not
+    with pytest.raises(ParameterRangeError, match="table limit .* overflows"):
+        required_limit(1e308, 10)
+    with pytest.raises(ParameterRangeError, match="table limit .* overflows"):
+        measure_density(table_1e5, 1e308, 10, 1)
+    with pytest.raises(ParameterRangeError, match="table limit .* overflows"):
+        growth_check(table_1e5, 1e308, 1, 10)
 
 
 @pytest.mark.parametrize("lam", (0.25, 1.0, 5.0, 30.0))

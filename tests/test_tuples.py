@@ -16,7 +16,6 @@ from shortint.tuples import (
     greedy_sieve,
     is_admissible,
     parse_offsets,
-    progression_tuple,
     select_spaced,
     singular_series,
 )
@@ -262,17 +261,6 @@ def test_admissible_tuple_validation():
         AdmissibleTuple((0, 30), span=20.0)  # outside the window
     boundary = AdmissibleTuple((0, 20), span=20.0)  # floor(window) is reachable
     assert boundary.offsets == (0, 20)
-
-
-def test_progression_tuple_lands_in_the_progression():
-    t = progression_tuple(1000, 3, 1, 4, 40)
-    assert t is not None
-    assert all(h % 4 == 1 for h in t.offsets)
-    assert t.min_gap > 40
-    assert is_admissible(t.offsets)
-    assert progression_tuple(6, 2, 1, 4, 1) is None  # no room
-    with pytest.raises(ValueError):
-        progression_tuple(1000, 2, 2, 4, 10)  # a, q not coprime
 
 
 def test_offsets_line_roundtrip():
