@@ -20,7 +20,7 @@ from . import clusters as clusters_mod
 from . import density as density_mod
 from . import tuples as tuples_mod
 from .errors import ParameterRangeError, ShortIntervalError
-from .primes import ALL, PrimeFilter, build_table
+from .primes import ALL, PrimeFilter, build_table, prime_count
 
 
 def _open_output(path: str, std: TextIO | None = None):
@@ -75,8 +75,7 @@ def _check_lambda(lam: float) -> None:
 
 
 def _cmd_sieve(args) -> int:
-    table = build_table(args.limit)
-    print(table.count)
+    print(prime_count(args.limit))
     return 0
 
 
@@ -85,6 +84,8 @@ def _cmd_density(args) -> int:
     _check_lambda(args.lam)
     if args.x < 1:
         raise ValueError(f"--x must be >= 1, got {args.x}")
+    if args.m_max < 0:
+        raise ValueError(f"--m-max must be >= 0, got {args.m_max}")
     top = 2 * args.x if args.growth else args.x
     table = build_table(density_mod.required_limit(args.lam, top))
     if args.growth:
@@ -162,6 +163,8 @@ def _cmd_slide(args) -> int:
         )
     if args.max_clusters < 0:
         raise ValueError(f"--max-clusters must be >= 0, got {args.max_clusters}")
+    if args.m < 0:
+        raise ValueError(f"--m must be non-negative, got {args.m}")
     table = build_table(clusters_mod.required_limit(args.lam, args.x_hi))
     stream = itertools.islice(
         clusters_mod.find_clusters(

@@ -1,17 +1,18 @@
 """Segmented prime sieve with residue- and quadratic-class filtered views.
 
-The table keeps one flag per odd integer (bit i <-> 3 + 2i); the prime 2 is
-handled logically.  Construction walks segments of SEGMENT_SIZE odd entries so
-the working set stays cache-resident, and the finished table is immutable and
-safe to share between threads.  This is the package's only sieve: primes_upto
-runs it too, and build_table takes its sieving primes from primes_upto.
+The sieve walks segments of SEGMENT_SIZE odd integers, one flag per odd n, in a
+single reused buffer so the working set stays cache-resident; the prime 2 is
+handled logically.  It is the package's only sieve: build_table writes each
+segment's primes into the table's sorted int64 array, primes_upto takes the
+same path, and prime_count counts the segments without keeping them.  A table
+is that array alone, immutable and safe to share between threads.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -124,23 +125,12 @@ class PrimeFilter:
         raise ValueError(f"unknown filter kind {self.kind!r}")
 
     @classmethod
-    def all(cls) -> "PrimeFilter":
-        return cls()
-
-    @classmethod
     def residue_class(cls, a: int, q: int) -> "PrimeFilter":
         return cls(kind="residue", residue=a, modulus=q)
 
     @classmethod
     def kronecker(cls, d: int, sign: int) -> "PrimeFilter":
         return cls(kind="kronecker", discriminant=d, sign=sign)
-
-    def passes(self, p: int) -> bool:
-        if self.kind == "all":
-            return True
-        if self.kind == "residue":
-            return p % self.modulus == self.residue
-        return self._chi[p % abs(self.discriminant)] == self.sign
 
     def mask(self, primes: np.ndarray) -> np.ndarray:
         """Boolean mask over an array of primes."""
@@ -164,97 +154,110 @@ ALL = PrimeFilter()
 
 
 class PrimeTable:
-    """Immutable set of the primes up to `limit`, backed by an odd-only bitmap."""
+    """Immutable set of the primes up to `limit`, held as one sorted array."""
 
-    def __init__(self, limit: int, odd_bits: np.ndarray):
+    def __init__(self, limit: int, primes: np.ndarray):
         self.limit = int(limit)
-        self._bits = odd_bits
-        self.count = (1 if self.limit >= 2 else 0) + int(np.count_nonzero(odd_bits))
-        self._prime_cache: np.ndarray | None = None
-        self._prime_lock = threading.Lock()
+        primes.setflags(write=False)
+        # the name _prime_cache and primes() as a method stay because
+        # perfbench's tracer reads the attribute and patches the method
+        self._prime_cache = primes
+        self.count = len(primes)
 
     def membership(self, n: int) -> bool:
         if n > self.limit:
             raise OutOfRangeError(f"{n} exceeds the sieved limit {self.limit}")
-        if n == 2:
-            return True
-        if n < 3 or n % 2 == 0:
-            return False
-        return bool(self._bits[(n - 3) // 2])
-
-    __contains__ = membership
+        i = int(np.searchsorted(self._prime_cache, n))
+        return i < self.count and int(self._prime_cache[i]) == n
 
     def primes(self) -> np.ndarray:
-        """All primes <= limit as a sorted int64 array (cached, read-only).
-
-        The first call builds the index under a lock, so threads that race to
-        it build it once; later calls take no lock.
-        """
-        cache = self._prime_cache
-        if cache is None:
-            with self._prime_lock:
-                if self._prime_cache is None:
-                    built = _primes_of(self._bits)
-                    built.setflags(write=False)
-                    self._prime_cache = built
-                cache = self._prime_cache
-        return cache
+        """All primes <= limit as a sorted, read-only int64 array."""
+        return self._prime_cache
 
     def __repr__(self) -> str:
         return f"PrimeTable(limit={self.limit}, count={self.count})"
 
 
-def _primes_of(odd_bits: np.ndarray) -> np.ndarray:
-    odds = np.flatnonzero(odd_bits).astype(np.int64) * 2 + 3
-    return np.concatenate((np.array([2], dtype=np.int64), odds))
-
-
-def primes_upto(n: int) -> list[int]:
-    """All primes <= n, from the segmented sieve; meant for small n such as
-    the sieving primes of a table."""
-    return _primes_of(_sieve(n)).tolist() if n >= 2 else []
-
-
-def _mark_segment(bits: np.ndarray, base: list[int], i0: int, i1: int) -> None:
+def _mark_segment(flags: np.ndarray, base: list[int], i0: int) -> None:
+    """Clear the odd composites in flags, which covers 3 + 2i for i >= i0."""
     lo_val = 3 + 2 * i0
-    hi_val = 3 + 2 * (i1 - 1)
+    hi_val = lo_val + 2 * (len(flags) - 1)
     for p in base:
         p2 = p * p
         if p2 > hi_val:
             break
         q = -(-lo_val // p) | 1  # first odd cofactor with q*p >= lo_val
-        start = max(p2, q * p)
-        idx = (start - 3) // 2
-        if idx < i1:
-            bits[idx:i1:p] = False
+        flags[(max(p2, q * p) - lo_val) // 2 :: p] = False
 
 
-def _sieve(limit: int) -> np.ndarray:
-    """Odd-only flags for 3, 5, ..., <= limit, marked segment by segment."""
+def _segments(limit: int) -> Iterator[tuple[int, np.ndarray]]:
+    """The odd-only sieve of 3, 5, ..., <= limit, one marked segment at a time.
+
+    Yields (i0, flags) with flags[i] true iff 3 + 2*(i0 + i) is prime.  Every
+    segment is marked in one reused buffer of SEGMENT_SIZE entries, so flags is
+    valid only until the next item is requested.
+    """
     n_odds = (limit - 1) // 2
-    bits = np.ones(n_odds, dtype=bool)
-    if n_odds:
-        base = primes_upto(math.isqrt(limit))[1:]  # the bitmap holds odd n only
-        for i0 in range(0, n_odds, SEGMENT_SIZE):
-            _mark_segment(bits, base, i0, min(i0 + SEGMENT_SIZE, n_odds))
-    return bits
+    base = primes_upto(math.isqrt(limit))[1:]  # the segments hold odd n only
+    buf = np.empty(min(SEGMENT_SIZE, n_odds), dtype=bool)
+    for i0 in range(0, n_odds, SEGMENT_SIZE):
+        flags = buf[: min(SEGMENT_SIZE, n_odds - i0)]
+        flags[:] = True
+        _mark_segment(flags, base, i0)
+        yield i0, flags
 
 
-def build_table(limit: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> PrimeTable:
-    """Sieve the primes up to `limit`, refusing tables whose bitmap and prime
-    index would exceed memory_budget bytes."""
+def _prime_bound(limit: int) -> int:
+    """pi(x) < 1.26 x / ln x for x > 1 (Rosser and Schoenfeld, 1962)."""
+    return int(1.26 * limit / math.log(limit)) + 1
+
+
+def _prime_array(limit: int) -> np.ndarray:
+    """All primes <= limit (>= 2), written segment by segment into one array
+    of _prime_bound(limit) entries and trimmed to a copy of the filled part."""
+    out = np.empty(_prime_bound(limit), dtype=np.int64)
+    out[0] = 2
+    k = 1
+    for i0, flags in _segments(limit):
+        odd = np.flatnonzero(flags)
+        dest = out[k : k + len(odd)]  # in place: temporaries fault pages in
+        np.multiply(odd, 2, out=dest)
+        dest += 3 + 2 * i0
+        k += len(odd)
+    return out[:k].copy()
+
+
+def _check_limit(limit: int) -> None:
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
-    n_odds = (limit - 1) // 2  # odd integers 3, 5, ..., <= limit
-    estimate = n_odds + 8 * (limit // max(int(math.log(limit)), 1))
-    if estimate > memory_budget:
+
+
+def primes_upto(n: int) -> list[int]:
+    """All primes <= n, from the segmented sieve; meant for small n such as
+    the sieving primes of a table."""
+    return _prime_array(n).tolist() if n >= 2 else []
+
+
+def prime_count(limit: int) -> int:
+    """pi(limit), counted segment by segment without keeping the primes, so
+    memory stays O(SEGMENT_SIZE) at any limit."""
+    _check_limit(limit)
+    odd = sum(int(np.count_nonzero(flags)) for _, flags in _segments(limit))
+    return 1 + odd  # the prime 2 is not in the odd-only segments
+
+
+def build_table(limit: int) -> PrimeTable:
+    """Sieve the primes up to `limit` into a table, refusing limits whose build
+    would exceed DEFAULT_MEMORY_BUDGET bytes."""
+    _check_limit(limit)
+    # 8 B an entry: the bound-sized array, then its trimmed copy (~x/ln x)
+    estimate = 8 * (_prime_bound(limit) + int(limit / math.log(limit)))
+    if estimate > DEFAULT_MEMORY_BUDGET:
         raise MemoryBudgetError(
-            f"limit={limit} needs about {estimate:,} bytes for the bitmap and "
-            f"prime index; budget is {memory_budget:,}"
+            f"limit={limit} needs about {estimate:,} bytes for the prime array "
+            f"and its trimmed copy; budget is {DEFAULT_MEMORY_BUDGET:,}"
         )
-    bits = _sieve(limit)
-    bits.setflags(write=False)
-    return PrimeTable(limit, bits)
+    return PrimeTable(limit, _prime_array(limit))
 
 
 def _int_bounds(lo: float, hi: float) -> tuple[int, int]:

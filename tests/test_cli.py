@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from shortint import clusters, density
+from shortint import cli, clusters, density
 from shortint.cli import main
 
 
@@ -232,6 +232,25 @@ def test_precondition_errors_exit_1(capsys, tmp_path):
                  "--m", "-1", "--out", str(out)]) == 1
     assert "m must be non-negative" in capsys.readouterr().err
     assert not out.exists()
+    assert main(["slide", "--lambda", "1", "--x-lo", "100", "--x-hi", "200",
+                 "--m", "-1", "--max-clusters", "0", "--out", str(out)]) == 1
+    assert "m must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_m_checks_run_before_the_sieve(monkeypatch, capsys):
+    def no_sieve(limit):
+        raise AssertionError(f"build_table({limit}) ran before the argument checks")
+
+    monkeypatch.setattr(cli, "build_table", no_sieve)
+    assert main(["density", "--lambda", "1", "--x", "100000000", "--m-max", "-1"]) == 1
+    assert "--m-max must be >= 0" in capsys.readouterr().err
+    assert main(["density", "--lambda", "1", "--x", "4000000000", "--m-max", "-1",
+                 "--growth"]) == 1
+    assert "--m-max must be >= 0" in capsys.readouterr().err
+    assert main(["slide", "--lambda", "1", "--x-lo", "100", "--x-hi", "200",
+                 "--m", "-1", "--max-clusters", "0"]) == 1
+    assert "m must be non-negative" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

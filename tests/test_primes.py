@@ -1,12 +1,11 @@
 import math
 import random
-import threading
-import time
 
 import numpy as np
 import pytest
 
 from shortint import primes
+from shortint.cli import main
 from shortint.errors import MemoryBudgetError, OutOfRangeError
 from shortint.primes import (
     ALL,
@@ -15,6 +14,7 @@ from shortint.primes import (
     count_in,
     is_fundamental_discriminant,
     kronecker_symbol,
+    prime_count,
     primes_between,
 )
 
@@ -30,14 +30,14 @@ def trial_division_is_prime(n: int) -> bool:
     return True
 
 
-def dense_sieve_count(limit: int) -> int:
+def dense_sieve(limit: int) -> np.ndarray:
     """Independent oracle: one-shot sieve over every integer, no odd packing."""
     flags = np.ones(limit + 1, dtype=bool)
     flags[:2] = False
     for p in range(2, math.isqrt(limit) + 1):
         if flags[p]:
             flags[p * p :: p] = False
-    return int(np.count_nonzero(flags))
+    return np.flatnonzero(flags)
 
 
 def test_membership_matches_trial_division_exhaustively(table_1e5):
@@ -50,7 +50,7 @@ def test_count_examples(monkeypatch):
     assert build_table(100).count == 25
     assert build_table(2).count == 1
     monkeypatch.setattr(primes, "SEGMENT_SIZE", 2**16)
-    assert build_table(10**6).count == dense_sieve_count(10**6) == 78498
+    assert build_table(10**6).count == len(dense_sieve(10**6)) == 78498
 
 
 def test_segment_size_does_not_change_output(monkeypatch):
@@ -59,17 +59,43 @@ def test_segment_size_does_not_change_output(monkeypatch):
         monkeypatch.setattr(primes, "SEGMENT_SIZE", segment_size)
         other = build_table(10**5)
         assert other.count == reference.count
-        assert np.array_equal(other._bits, reference._bits)
+        assert np.array_equal(other.primes(), reference.primes())
+
+
+def _segment_end_limits(segment_size: int) -> list[int]:
+    """Limits around the ends of the first and third segments: the last odd
+    entry of a segment is 3 + 2*(k*segment_size - 1)."""
+    ends = (3 + 2 * (k * segment_size - 1) for k in (1, 3))
+    return [end + d for end in ends for d in (-1, 0, 1, 2)]
+
+
+@pytest.mark.parametrize("segment_size", [64, 97])
+def test_prime_count_and_sieve_cli_match_dense_sieve(monkeypatch, capsys, segment_size):
+    monkeypatch.setattr(primes, "SEGMENT_SIZE", segment_size)
+    for limit in [2, 3, 100, 10**5 + 3, *_segment_end_limits(segment_size)]:
+        expected = dense_sieve(limit)
+        assert prime_count(limit) == len(expected), limit
+        assert main(["sieve", "--limit", str(limit)]) == 0
+        assert capsys.readouterr().out == f"{len(expected)}\n"
+        table = build_table(limit)
+        assert table.count == len(expected)
+        assert np.array_equal(table.primes(), expected), limit
+        assert table.membership(limit) == (expected[-1] == limit)
+        assert table.primes().dtype == np.int64
+        assert not table.primes().flags.writeable
 
 
 def test_build_argument_validation():
     with pytest.raises(ValueError):
         build_table(1)
+    with pytest.raises(ValueError):
+        prime_count(1)
 
 
-def test_memory_budget_error_names_required_bytes():
+def test_memory_budget_error_names_required_bytes(monkeypatch):
+    monkeypatch.setattr(primes, "DEFAULT_MEMORY_BUDGET", 10**6)
     with pytest.raises(MemoryBudgetError, match=r"bytes"):
-        build_table(10**9, memory_budget=10**6)
+        build_table(10**9)
 
 
 def test_membership_beyond_limit_raises(table_1e5):
@@ -205,31 +231,3 @@ def test_primes_between_filtered(table_1e5):
     out = primes_between(table_1e5, 1, 30, PrimeFilter.residue_class(1, 4))
     assert out.tolist() == [5, 13, 17, 29]
     assert primes_between(table_1e5, 24, 28).tolist() == []
-
-
-def test_prime_index_is_built_once_when_threads_race(monkeypatch):
-    # both threads find the index missing; the build is slow enough that the
-    # second arrives while the first is still building
-    table = build_table(20000)
-    calls = []
-    original = primes._primes_of
-
-    def slow_build(odd_bits):
-        calls.append(threading.current_thread())
-        time.sleep(0.2)
-        return original(odd_bits)
-
-    monkeypatch.setattr(primes, "_primes_of", slow_build)
-    results = []
-    threads = [
-        threading.Thread(target=lambda: results.append(table.primes()))
-        for _ in range(2)
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=30)
-    assert not any(t.is_alive() for t in threads)
-    assert len(calls) == 1
-    assert len(results) == 2 and results[0] is results[1]
-    assert len(results[0]) == table.count == 2262
