@@ -86,10 +86,8 @@ def _cmd_density(args) -> int:
         raise ValueError(f"--x must be >= 1, got {args.x}")
     if args.m_max < 0:
         raise ValueError(f"--m-max must be >= 0, got {args.m_max}")
-    top = 2 * args.x if args.growth else args.x
-    table = build_table(density_mod.required_limit(args.lam, top))
     if args.growth:
-        results = density_mod.growth_check(table, args.lam, args.m_max, args.x, filt)
+        results = density_mod.growth_check(args.lam, args.m_max, args.x, filt)
         if args.json:
             payload = [
                 {
@@ -106,7 +104,7 @@ def _cmd_density(args) -> int:
             text = density_mod.growth_csv(results)
         _write_output(text, args.out)
         return 0
-    report = density_mod.measure_density(table, args.lam, args.x, args.m_max, filt)
+    report = density_mod.measure_density(args.lam, args.x, args.m_max, filt)
     if args.json:
         payload = density_mod.density_json(report, args.compare_poisson)
         text = json.dumps(_round12(payload), indent=2) + "\n"

@@ -10,7 +10,10 @@ number of filtered primes in the window of n, for a run of n; the cluster scan
 and the slide build on them.  The density and growth scans never form c(n)
 one n at a time: where L is constant, c changes only where a filtered prime
 leaves or enters the window, so their histograms are built from those events
-in O(pi(x)) work, on the calling thread.
+in O(pi(x)) work, on the calling thread.  They need no prime table: they
+consume the sieve's segments as they are sieved, carrying only the primes
+that windows still to be scanned can reach, so their memory is O(segment)
+at any x.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import OutOfRangeError, ParameterRangeError
-from .primes import ALL, PrimeFilter, PrimeTable, primes_between
+from .errors import ParameterRangeError
+from .primes import ALL, PrimeFilter, PrimeTable, prime_segments, primes_between
 
 SCAN_CHUNK = 2**16  # starting points per kernel call; bounds the per-call arrays
 # Below this many windows, two binary searches per window beat building a
@@ -210,7 +213,7 @@ class DensityReport:
 
 
 def required_limit(lam: float, x: int) -> int:
-    """Smallest table limit that covers every window of a scan up to x."""
+    """A sieve limit that covers every window of a scan up to x."""
     return table_limit(x + lam * math.log(x) + 1, lam, x)
 
 
@@ -224,38 +227,77 @@ def table_limit(top: float, lam: float, x: int) -> int:
     return math.ceil(top)
 
 
-def _histogram(
-    table: PrimeTable,
-    lam: float,
-    a: int,
-    b: int,
-    m_max: int,
-    filt: PrimeFilter,
-) -> np.ndarray:
-    """bincount of c(n) over n in [a, b], every c(n) > m_max in the last bin.
+def _events(primes: np.ndarray, lo: int, hi: int, length: int, m_max: int) -> np.ndarray:
+    """bincount of c(n) over n in [lo, hi], every c(n) > m_max in the last
+    bin, where L(n) = length throughout and primes are the sorted filtered
+    primes in [lo, hi + length].
 
-    On a span [lo, hi] where L is constant, c(lo) takes two binary searches;
-    after it c(n) - c(n - 1) is -1 when n - 1 is a filtered prime (it leaves
-    the window) plus +1 when n + L is one (it enters).  So c is constant
-    between those events, and each of its values is counted with the length
-    of its run.
+    c(lo) takes two binary searches; after it c(n) - c(n - 1) is -1 when
+    n - 1 is a filtered prime (it leaves the window) plus +1 when n + L is one
+    (it enters).  So c is constant between those events, and each of its
+    values is counted with the length of its run.
     """
-    hist = np.zeros(m_max + 2, dtype=np.int64)
-    for lo, hi, length in _edge_spans(edge_steps(lam, table.limit), a, b):
-        primes = primes_between(table, lo, hi + length, filt)
-        first_in = int(np.searchsorted(primes, lo + length, side="right"))
-        leaves = primes[: np.searchsorted(primes, hi, side="left")] + 1
-        enters = primes[first_in:] - length
-        # both lists are sorted, so the stable sort is a merge; at one n the
-        # leave (even key) sorts first
-        keys = np.concatenate((2 * leaves, 2 * enters + 1))
-        keys.sort(kind="stable")
-        at = np.concatenate(([lo], keys >> 1))
-        c = np.cumsum(np.concatenate(([first_in], 2 * (keys & 1) - 1)))
-        runs = np.diff(at, append=hi + 1)
-        hist += np.bincount(
-            np.minimum(c, m_max + 1), weights=runs, minlength=m_max + 2
-        ).astype(np.int64)
+    first_in = int(np.searchsorted(primes, lo + length, side="right"))
+    n_leave = int(np.searchsorted(primes, hi, side="left"))
+    # key 2*(n - lo) for a leave at n, 2*(n - lo) + 1 for an enter, so at one
+    # n the leave sorts first; a span holds at most SCAN_CHUNK n, so the keys
+    # fit int32.  The first key opens the first run, the last closes the last.
+    keys = np.empty(2 + n_leave + len(primes) - first_in, dtype=np.int32)
+    keys[0] = 0
+    keys[-1] = 2 * (hi + 1 - lo)
+    events = keys[1:-1]
+    leaves, enters = events[:n_leave], events[n_leave:]
+    np.subtract(primes[:n_leave], lo - 1, out=leaves, casting="unsafe")
+    leaves *= 2
+    np.subtract(primes[first_in:], lo + length, out=enters, casting="unsafe")
+    enters *= 2
+    enters += 1
+    # both lists are sorted, so the stable sort is a merge
+    events.sort(kind="stable")
+    c = keys[:-1] & 1
+    c *= 2
+    c -= 1  # -1 for a leave, +1 for an enter
+    c[0] = first_in
+    np.cumsum(c, out=c, dtype=np.int32)
+    np.minimum(c, m_max + 1, out=c)
+    keys >>= 1
+    runs = keys[1:] - keys[:-1]
+    return np.bincount(c, weights=runs, minlength=m_max + 2).astype(np.int64)
+
+
+def _histograms(
+    lam: float, ends: tuple[int, ...], m_max: int, filt: PrimeFilter
+) -> np.ndarray:
+    """One bincount of c(n) per range [1, ends[0]], [ends[0] + 1, ends[1]],
+    ..., every c(n) > m_max in the last bin, from one pass of the sieve.
+
+    The sieve's segments are consumed as they come.  carry holds the
+    filtered primes from the next unscanned n on; once the sieve has passed
+    top, every n <= top - L(top) has its whole window sieved, so it is
+    scanned and the primes below the next n are dropped.
+    """
+    limit = required_limit(lam, ends[-1])
+    steps = edge_steps(lam, limit)
+    hist = np.zeros((len(ends), m_max + 2), dtype=np.int64)
+    carry = np.empty(0, dtype=np.int64)
+    n = 1
+    for top, primes in prime_segments(limit, filt):
+        carry = np.concatenate((carry, primes))
+        if top == limit:  # limit covers the window of every n <= ends[-1]
+            stop = ends[-1]
+        else:
+            stop = min(top - int(np.searchsorted(steps, top, side="right")), ends[-1])
+        while n <= stop:
+            r = int(np.searchsorted(ends, n))
+            end = min(stop, ends[r])
+            for lo, hi, length in _edge_spans(steps, n, end):
+                i = np.searchsorted(carry, lo, side="left")
+                j = np.searchsorted(carry, hi + length, side="right")
+                hist[r] += _events(carry[i:j], lo, hi, length, m_max)
+            n = end + 1
+        carry = carry[np.searchsorted(carry, n) :]
+        if n > ends[-1]:
+            break
     return hist
 
 
@@ -276,25 +318,16 @@ def _validate_scan(lam: float, x: int, m_max: int) -> None:
 
 
 def measure_density(
-    table: PrimeTable,
-    lam: float,
-    x: int,
-    m_max: int,
-    filt: PrimeFilter = ALL,
+    lam: float, x: int, m_max: int, filt: PrimeFilter = ALL
 ) -> DensityReport:
     """Count, for every n <= x, the filtered primes in [n, n + lam*log n].
 
     n runs from 1; the window of n = 1 is the single point {1} and lands in
-    m = 0.
+    m = 0.  The primes are sieved as the scan goes and none are kept, so
+    memory stays O(SEGMENT_SIZE) at any x.
     """
     _validate_scan(lam, x, m_max)
-    need = required_limit(lam, x)
-    if need > table.limit:
-        raise OutOfRangeError(
-            f"scan to x={x} at lambda={lam} requires a table with "
-            f"limit >= {need}, have {table.limit}"
-        )
-    hist = _histogram(table, lam, 1, x, m_max, filt)
+    [hist] = _histograms(lam, (x,), m_max, filt)
     counts = {m: int(hist[m]) for m in range(m_max + 1)}
     return DensityReport(
         lam=float(lam),
@@ -322,22 +355,13 @@ class GrowthResult:
 
 
 def growth_check(
-    table: PrimeTable,
-    lam: float,
-    m_max: int,
-    x: int,
-    filt: PrimeFilter = ALL,
+    lam: float, m_max: int, x: int, filt: PrimeFilter = ALL
 ) -> list[GrowthResult]:
     """Ratio of exact-m counts between scans to 2x and to x, for m = 0..m_max,
     from one pass over [1, 2x] split at x."""
     _validate_scan(lam, x, m_max)
-    need = required_limit(lam, 2 * x)
-    if need > table.limit:
-        raise OutOfRangeError(
-            f"growth check at x={x} needs limit >= {need}, have {table.limit}"
-        )
-    at_x = _histogram(table, lam, 1, x, m_max, filt)
-    at_2x = at_x + _histogram(table, lam, x + 1, 2 * x, m_max, filt)
+    at_x, beyond_x = _histograms(lam, (x, 2 * x), m_max, filt)
+    at_2x = at_x + beyond_x
     results = []
     for m in range(m_max + 1):
         cx, c2x = int(at_x[m]), int(at_2x[m])

@@ -2,9 +2,14 @@
 
 The sieve walks segments of SEGMENT_SIZE odd integers, one flag per odd n, in a
 single reused buffer so the working set stays cache-resident; the prime 2 is
-handled logically.  It is the package's only sieve: build_table writes each
-segment's primes into the table's sorted int64 array, primes_upto takes the
-same path, and prime_count counts the segments without keeping them.  A table
+handled logically.  Each segment is pre-sieved by a wheel: the flags of the
+odd n free of 3, 5, ..., 17 repeat with period WHEEL = 255255 in the odd-only
+index, so one tile of that pattern is copied in, and only the base primes
+above 17 are marked, from start offsets computed for all of them at once.
+It is the package's only sieve.  prime_segments turns each segment into its
+sorted, filtered primes; build_table writes them into the table's sorted
+int64 array, primes_upto takes the same path, the density scan consumes them
+directly, and prime_count counts the segments without keeping them.  A table
 is that array alone, immutable and safe to share between threads.
 """
 
@@ -18,7 +23,11 @@ import numpy as np
 
 from .errors import MemoryBudgetError, OutOfRangeError
 
-SEGMENT_SIZE = 2**18  # odd entries per segment, sized for L2 cache
+SEGMENT_SIZE = 2**20  # odd entries per segment
+# Pre-sieved by tiling: the odd n free of these primes repeat with period
+# WHEEL in the odd-only index.
+WHEEL_PRIMES = (3, 5, 7, 11, 13, 17)
+WHEEL = math.prod(WHEEL_PRIMES)
 DEFAULT_MEMORY_BUDGET = 2**31  # bytes
 
 
@@ -178,16 +187,26 @@ class PrimeTable:
         return f"PrimeTable(limit={self.limit}, count={self.count})"
 
 
-def _mark_segment(flags: np.ndarray, base: list[int], i0: int) -> None:
-    """Clear the odd composites in flags, which covers 3 + 2i for i >= i0."""
+def _wheel(length: int) -> np.ndarray:
+    """Flags over 3 + 2i for i < length, false where a WHEEL_PRIMES prime
+    divides; the pattern repeats every WHEEL entries."""
+    flags = np.ones(length, dtype=bool)
+    for p in WHEEL_PRIMES:
+        flags[(p - 3) // 2 :: p] = False
+    return flags
+
+
+def _mark_segment(flags: np.ndarray, base: np.ndarray, i0: int) -> None:
+    """Clear the odd multiples of the base primes in flags, which covers
+    3 + 2i for i >= i0; each prime starts at its first odd multiple that is
+    at least both its square and the segment's first value."""
     lo_val = 3 + 2 * i0
     hi_val = lo_val + 2 * (len(flags) - 1)
-    for p in base:
-        p2 = p * p
-        if p2 > hi_val:
-            break
-        q = -(-lo_val // p) | 1  # first odd cofactor with q*p >= lo_val
-        flags[(max(p2, q * p) - lo_val) // 2 :: p] = False
+    live = base[: np.searchsorted(base, math.isqrt(hi_val), side="right")]
+    first = (-(-lo_val // live)) | 1  # first odd cofactor q with q*p >= lo_val
+    starts = (np.maximum(live * live, first * live) - lo_val) // 2
+    for p, start in zip(live.tolist(), starts.tolist()):
+        flags[start::p] = False
 
 
 def _segments(limit: int) -> Iterator[tuple[int, np.ndarray]]:
@@ -197,14 +216,43 @@ def _segments(limit: int) -> Iterator[tuple[int, np.ndarray]]:
     segment is marked in one reused buffer of SEGMENT_SIZE entries, so flags is
     valid only until the next item is requested.
     """
+    size = SEGMENT_SIZE
     n_odds = (limit - 1) // 2
-    base = primes_upto(math.isqrt(limit))[1:]  # the segments hold odd n only
-    buf = np.empty(min(SEGMENT_SIZE, n_odds), dtype=bool)
-    for i0 in range(0, n_odds, SEGMENT_SIZE):
-        flags = buf[: min(SEGMENT_SIZE, n_odds - i0)]
-        flags[:] = True
+    # segment i0 copies wheel[i0 % WHEEL:], so the tile spans one period
+    # past the longest segment, or the whole range when that is shorter
+    wheel = _wheel(min(n_odds, WHEEL + size))
+    base = np.array(primes_upto(math.isqrt(limit)), dtype=np.int64)
+    base = base[base > WHEEL_PRIMES[-1]]
+    buf = np.empty(min(size, n_odds), dtype=bool)
+    for i0 in range(0, n_odds, size):
+        flags = buf[: min(size, n_odds - i0)]
+        start = i0 % WHEEL
+        flags[:] = wheel[start : start + len(flags)]
+        if i0 == 0:  # the wheel primes themselves are prime
+            flags[[(p - 3) // 2 for p in WHEEL_PRIMES if p <= limit]] = True
         _mark_segment(flags, base, i0)
         yield i0, flags
+
+
+def prime_segments(
+    limit: int, filt: PrimeFilter = ALL
+) -> Iterator[tuple[int, np.ndarray]]:
+    """The primes <= limit that pass filt, in increasing order, one sieve
+    segment at a time.
+
+    Yields (top, primes): primes is a fresh sorted int64 array of the
+    filtered primes in (previous top, top], and the last top is limit.  The
+    prime 2 comes first, alone, with top 2.
+    """
+    two = np.array([2], dtype=np.int64)
+    yield 2, two[filt.mask(two)]
+    for i0, flags in _segments(limit):
+        primes = np.flatnonzero(flags)
+        primes *= 2
+        primes += 3 + 2 * i0
+        # the even number after the segment's last odd value is composite
+        top = min(2 * (i0 + len(flags)) + 2, limit)
+        yield top, primes if filt.kind == "all" else primes[filt.mask(primes)]
 
 
 def _prime_bound(limit: int) -> int:
@@ -216,14 +264,10 @@ def _prime_array(limit: int) -> np.ndarray:
     """All primes <= limit (>= 2), written segment by segment into one array
     of _prime_bound(limit) entries and trimmed to a copy of the filled part."""
     out = np.empty(_prime_bound(limit), dtype=np.int64)
-    out[0] = 2
-    k = 1
-    for i0, flags in _segments(limit):
-        odd = np.flatnonzero(flags)
-        dest = out[k : k + len(odd)]  # in place: temporaries fault pages in
-        np.multiply(odd, 2, out=dest)
-        dest += 3 + 2 * i0
-        k += len(odd)
+    k = 0
+    for _, primes in prime_segments(limit):
+        out[k : k + len(primes)] = primes
+        k += len(primes)
     return out[:k].copy()
 
 

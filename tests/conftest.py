@@ -17,7 +17,3 @@ def table_1e6():
 def table_1e7():
     return build_table(10**7 + 200)
 
-
-@pytest.fixture(scope="session")
-def table_1e8():
-    return build_table(10**8 + 64)

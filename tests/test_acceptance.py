@@ -76,7 +76,7 @@ def test_criterion_02_density_oracle_equivalence(table_1e5):
     start = time.perf_counter()
     m_max = 12
     for lam in (0.25, 1.0, 5.0):
-        report = measure_density(table_1e5, lam, 10**5, m_max)
+        report = measure_density(lam, 10**5, m_max)
         naive = [0] * (m_max + 2)
         edges = exact_edges(lam, np.arange(1, 10**5 + 1)).tolist()
         for n, edge in enumerate(edges, start=1):
@@ -92,7 +92,7 @@ def test_criterion_02_density_oracle_equivalence(table_1e5):
 # -- criterion 3: exact partition of every report ----------------------------
 
 
-def test_criterion_03_partition_invariant(table_1e5):
+def test_criterion_03_partition_invariant():
     configs = [
         (0.25, 10**4, ALL, 2),
         (1.0, 10**5, ALL, 5),
@@ -101,7 +101,7 @@ def test_criterion_03_partition_invariant(table_1e5):
         (1.0, 1, ALL, 4),
     ]
     for lam, x, filt, m_max in configs:
-        report = measure_density(table_1e5, lam, x, m_max, filt)
+        report = measure_density(lam, x, m_max, filt)
         assert sum(report.counts.values()) + report.overflow == x
         assert sum(report.densities.values(), report.overflow_density) == Fraction(1)
     _pass(3, f"counts partition x exactly across {len(configs)} reports")
@@ -114,9 +114,9 @@ EXPECTED_1E8 = {0: 30553656, 1: 42122762, 2: 21614311, 3: 5124556,
                 4: 560270, 5: 24220, 6: 225}
 
 
-def test_criterion_04_poisson_proximity_at_1e8(table_1e8):
+def test_criterion_04_poisson_proximity_at_1e8():
     start = time.perf_counter()
-    report = measure_density(table_1e8, 1.0, 10**8, 6)
+    report = measure_density(1.0, 10**8, 6)
     elapsed = time.perf_counter() - start
     assert report.counts == EXPECTED_1E8 and report.overflow == 0
     ratios = {}
@@ -268,9 +268,8 @@ def test_criterion_09_post_drop_run_length(slide_scan, spacing_scan):
 
 def test_criterion_10_growth_ratios():
     limit = 2 * 10**6 + 64
-    table = build_table(limit)
-    # brute-force baseline, independent of build_table and the vectorised
-    # scan: a dense sieve over every integer turned into a prefix count, and
+    # brute-force baseline, independent of the segmented sieve and the
+    # streamed scan: a dense sieve over every integer turned into a prefix count, and
     # each right edge exact, from the tests' own decimal oracle
     flags = np.ones(limit + 1, dtype=bool)
     flags[:2] = False
@@ -285,7 +284,7 @@ def test_criterion_10_growth_ratios():
         hit = pi[edges] - pi[np.arange(len(starts))] == m  # pi[n - 1]
         counts = {x: int(np.count_nonzero(hit[:x])) for x in (10**6, 2 * 10**6)}
         for x, total in counts.items():
-            report = measure_density(table, lam, x, m)
+            report = measure_density(lam, x, m)
             assert report.counts[m] == total
         ratio = counts[2 * 10**6] / counts[10**6]
         assert 1.7 <= ratio <= 2.3, (m, lam, ratio)

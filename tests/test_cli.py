@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from shortint import cli, clusters, density
+from shortint import clusters, density, primes
 from shortint.cli import main
 
 
@@ -240,9 +240,9 @@ def test_precondition_errors_exit_1(capsys, tmp_path):
 
 def test_m_checks_run_before_the_sieve(monkeypatch, capsys):
     def no_sieve(limit):
-        raise AssertionError(f"build_table({limit}) ran before the argument checks")
+        raise AssertionError(f"the sieve to {limit} ran before the argument checks")
 
-    monkeypatch.setattr(cli, "build_table", no_sieve)
+    monkeypatch.setattr(primes, "_segments", no_sieve)
     assert main(["density", "--lambda", "1", "--x", "100000000", "--m-max", "-1"]) == 1
     assert "--m-max must be >= 0" in capsys.readouterr().err
     assert main(["density", "--lambda", "1", "--x", "4000000000", "--m-max", "-1",
@@ -251,6 +251,16 @@ def test_m_checks_run_before_the_sieve(monkeypatch, capsys):
     assert main(["slide", "--lambda", "1", "--x-lo", "100", "--x-hi", "200",
                  "--m", "-1", "--max-clusters", "0"]) == 1
     assert "m must be non-negative" in capsys.readouterr().err
+
+
+def test_density_has_no_memory_budget(monkeypatch, capsys):
+    # the scan keeps no prime table, so no budget can refuse it
+    argv = ["density", "--lambda", "1", "--x", "100000", "--m-max", "4"]
+    assert main(argv) == 0
+    unpatched = capsys.readouterr()
+    monkeypatch.setattr(primes, "DEFAULT_MEMORY_BUDGET", 1)
+    assert main(argv) == 0
+    assert capsys.readouterr() == unpatched
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from shortint import density
+from shortint import density, primes
 from shortint.density import (
     DensityReport,
     density_csv,
@@ -19,10 +19,11 @@ from shortint.density import (
     right_edge,
     window_counts,
 )
-from shortint.errors import OutOfRangeError, ParameterRangeError
-from shortint.primes import ALL, PrimeFilter, count_in
+from shortint.errors import ParameterRangeError
+from shortint.primes import ALL, PrimeFilter, PrimeTable, count_in
 
 from exact_edges import exact_edge, exact_edges, exact_length
+from test_primes import dense_sieve
 
 
 def naive_histogram(table, lam, x, m_max, filt=ALL):
@@ -39,27 +40,27 @@ def naive_histogram(table, lam, x, m_max, filt=ALL):
     return counts, overflow
 
 
-def test_density_example_x10(table_1e5):
-    rep = measure_density(table_1e5, 1.0, 10, 3)
+def test_density_example_x10():
+    rep = measure_density(1.0, 10, 3)
     assert float(rep.densities[0]) == 0.2  # n = 1 and n = 8 see no prime
     assert float(rep.densities[1]) == 0.8
     assert rep.overflow == 0
 
 
-def test_degenerate_window_counts_primes(table_1e5):
+def test_degenerate_window_counts_primes():
     # lam*log(x) < 1: the window holds no integer beyond n itself
-    rep = measure_density(table_1e5, 0.05, 100, 2)
+    rep = measure_density(0.05, 100, 2)
     assert rep.counts[1] == 25
     assert rep.counts[0] == 75
 
 
-def test_densities_partition_and_sum_to_one(table_1e5):
+def test_densities_partition_and_sum_to_one():
     for lam, x, filt in (
         (0.25, 4000, ALL),
         (1.0, 4000, PrimeFilter.residue_class(3, 4)),
         (5.0, 2500, PrimeFilter.kronecker(5, -1)),
     ):
-        rep = measure_density(table_1e5, lam, x, 4, filt)
+        rep = measure_density(lam, x, 4, filt)
         assert sum(rep.counts.values()) + rep.overflow == x
         assert sum(rep.densities.values(), rep.overflow_density) == Fraction(1)
 
@@ -71,24 +72,24 @@ def test_report_rejects_broken_partition():
 
 def test_sliding_scan_equals_naive_recount(table_1e5):
     for lam in (0.25, 1.0, 5.0):
-        rep = measure_density(table_1e5, lam, 3000, 8)
+        rep = measure_density(lam, 3000, 8)
         counts, overflow = naive_histogram(table_1e5, lam, 3000, 8)
         assert rep.counts == counts and rep.overflow == overflow
 
 
 def test_sliding_scan_equals_naive_recount_filtered(table_1e5):
     for filt in (PrimeFilter.residue_class(1, 4), PrimeFilter.kronecker(-4, 1)):
-        rep = measure_density(table_1e5, 5.0, 1500, 5, filt)
+        rep = measure_density(5.0, 1500, 5, filt)
         counts, overflow = naive_histogram(table_1e5, 5.0, 1500, 5, filt)
         assert rep.counts == counts and rep.overflow == overflow
 
 
-def test_chunking_does_not_change_counts(table_1e5, monkeypatch):
-    base = measure_density(table_1e5, 1.0, 30000, 6)
+def test_chunking_does_not_change_counts(monkeypatch):
+    base = measure_density(1.0, 30000, 6)
     monkeypatch.setattr(density, "SCAN_CHUNK", 1024)
-    chunked = measure_density(table_1e5, 1.0, 30000, 6)
+    chunked = measure_density(1.0, 30000, 6)
     monkeypatch.setattr(density, "SCAN_CHUNK", 4096)
-    other = measure_density(table_1e5, 1.0, 30000, 6)
+    other = measure_density(1.0, 30000, 6)
     assert base.counts == chunked.counts == other.counts
     assert base.overflow == chunked.overflow == other.overflow
 
@@ -110,10 +111,10 @@ def test_event_scan_matches_naive_recount(table_1e5, monkeypatch, chunk):
         assert at_break == ((lam, x) in BREAKPOINTS)
         for filt in filters:
             counts, overflow = naive_histogram(table_1e5, lam, x, 3, filt)
-            rep = measure_density(table_1e5, lam, x, 3, filt)
+            rep = measure_density(lam, x, 3, filt)
             assert (rep.counts, rep.overflow) == (counts, overflow), (lam, x, filt.tag)
             counts_2x, _ = naive_histogram(table_1e5, lam, 2 * x, 3, filt)
-            results = growth_check(table_1e5, lam, 3, x, filt)
+            results = growth_check(lam, 3, x, filt)
             assert [(r.count_at_x, r.count_at_2x) for r in results] == [
                 (counts[m], counts_2x[m]) for m in range(4)
             ], (lam, x, filt.tag)
@@ -187,21 +188,21 @@ def test_edge_steps_edge_cases():
 def test_non_finite_lambda_is_rejected(table_1e5):
     for lam in (math.inf, -math.inf, math.nan):
         with pytest.raises(ParameterRangeError, match="lambda must be finite"):
-            measure_density(table_1e5, lam, 100, 2)
+            measure_density(lam, 100, 2)
         with pytest.raises(ParameterRangeError, match="lambda must be finite"):
-            growth_check(table_1e5, lam, 2, 100)
+            growth_check(lam, 2, 100)
         with pytest.raises(ParameterRangeError, match="lambda must be finite"):
             window_counts(table_1e5, lam, 1, 100)
 
 
-def test_overflowing_table_limit_is_rejected(table_1e5):
+def test_overflowing_table_limit_is_rejected():
     # lam*log x is finite, x + lam*log x is not
     with pytest.raises(ParameterRangeError, match="table limit .* overflows"):
         required_limit(1e308, 10)
     with pytest.raises(ParameterRangeError, match="table limit .* overflows"):
-        measure_density(table_1e5, 1e308, 10, 1)
+        measure_density(1e308, 10, 1)
     with pytest.raises(ParameterRangeError, match="table limit .* overflows"):
-        growth_check(table_1e5, 1e308, 1, 10)
+        growth_check(1e308, 1, 10)
 
 
 @pytest.mark.parametrize("lam", (0.25, 1.0, 5.0, 30.0))
@@ -222,9 +223,9 @@ def test_window_counts_match_naive_recount(table_1e5, monkeypatch, lam):
             assert got.tolist() == want, (a, length, filt.tag)
 
 
-def test_growing_lambda_never_loses_tail_mass(table_1e5):
-    small = measure_density(table_1e5, 0.5, 20000, 6)
-    large = measure_density(table_1e5, 1.0, 20000, 6)
+def test_growing_lambda_never_loses_tail_mass():
+    small = measure_density(0.5, 20000, 6)
+    large = measure_density(1.0, 20000, 6)
 
     def tail(rep, m):
         return sum(rep.counts[j] for j in rep.counts if j >= m) + rep.overflow
@@ -260,43 +261,65 @@ def test_poisson_reference_large_m_uses_log_form():
     assert poisson_reference(500.0, 3) > 0.0 or poisson_reference(500.0, 3) == 0.0
 
 
-def test_growth_check_frozen_example(table_1e6):
+def test_growth_check_frozen_example():
     # own brute-force baseline: prime-free windows of length 5*log(n)
-    [g] = growth_check(table_1e6, 5.0, 0, 10**5)
+    [g] = growth_check(5.0, 0, 10**5)
     assert (g.m, g.count_at_x, g.count_at_2x) == (0, 55, 150)
     assert g.ratio == pytest.approx(150 / 55)
 
 
-def test_growth_check_matches_scans_to_x_and_2x(table_1e5, monkeypatch):
+def test_growth_check_matches_scans_to_x_and_2x(monkeypatch):
     monkeypatch.setattr(density, "SCAN_CHUNK", 1000)
     for filt in (ALL, PrimeFilter.residue_class(1, 4)):
-        results = growth_check(table_1e5, 1.0, 4, 2500, filt)
-        at_x = measure_density(table_1e5, 1.0, 2500, 4, filt)
-        at_2x = measure_density(table_1e5, 1.0, 5000, 4, filt)
+        results = growth_check(1.0, 4, 2500, filt)
+        at_x = measure_density(1.0, 2500, 4, filt)
+        at_2x = measure_density(1.0, 5000, 4, filt)
         assert [r.m for r in results] == list(range(5))
         for r in results:
             assert r.count_at_x == at_x.counts[r.m]
             assert r.count_at_2x == at_2x.counts[r.m]
 
 
-def test_growth_check_empty_signal(table_1e5):
-    g = growth_check(table_1e5, 0.1, 7, 1000)[7]  # no window that small holds 7 primes
+def test_growth_check_empty_signal():
+    g = growth_check(0.1, 7, 1000)[7]  # no window that small holds 7 primes
     assert g.count_at_x == 0 and g.count_at_2x == 0 and g.ratio is None
     # huge lambda: every window beyond n=1 holds far more than 1 prime
-    g = growth_check(table_1e5, 40.0, 1, 500)[1]
+    g = growth_check(40.0, 1, 500)[1]
     assert g.count_at_x == 0 and g.count_at_2x == 0 and g.ratio is None
 
 
-def test_out_of_range_errors_name_required_limit(table_1e5):
-    x = table_1e5.limit
-    with pytest.raises(OutOfRangeError, match=str(required_limit(1.0, x))):
-        measure_density(table_1e5, 1.0, x, 3)
-    with pytest.raises(OutOfRangeError):
-        growth_check(table_1e5, 1.0, 0, table_1e5.limit // 2 + 10)
+@pytest.mark.parametrize("segment_size", (64, 97))
+@pytest.mark.parametrize("lam", (0.3, 1.0, 5.0, 30.0))
+def test_stream_across_segment_ends_matches_naive_recount(monkeypatch, segment_size, lam):
+    # a segment of S odd entries covers 2S integers; at lam = 30 and S = 64 a
+    # window spans several segments, so the carried primes do too
+    monkeypatch.setattr(primes, "SEGMENT_SIZE", segment_size)
+    # the oracle's primes come from a sieve that shares no code with the
+    # segmented, wheel-pre-sieved one
+    table = PrimeTable(4000, dense_sieve(4000))
+    breakpoint_ = next(
+        n for n in range(400, 4000) if exact_length(lam, n) > exact_length(lam, n - 1)
+    )
+    k = 600 // (2 * segment_size)
+    segment_end = 3 + 2 * (k * segment_size - 1)  # last odd value of segment k
+    inside = segment_end + segment_size  # the middle of segment k + 1
+    filters = (ALL, PrimeFilter.residue_class(2, 3), PrimeFilter.kronecker(-3, -1))
+    m_max = 40
+    for filt in filters:
+        for x in (breakpoint_, breakpoint_ - 1, segment_end):
+            counts, overflow = naive_histogram(table, lam, x, m_max, filt)
+            rep = measure_density(lam, x, m_max, filt)
+            assert (rep.counts, rep.overflow) == (counts, overflow), (x, filt.tag)
+        counts, _ = naive_histogram(table, lam, inside, m_max, filt)
+        counts_2x, _ = naive_histogram(table, lam, 2 * inside, m_max, filt)
+        results = growth_check(lam, m_max, inside, filt)
+        assert [(r.count_at_x, r.count_at_2x) for r in results] == [
+            (counts[m], counts_2x[m]) for m in range(m_max + 1)
+        ], filt.tag
 
 
-def test_csv_layout(table_1e5):
-    rep = measure_density(table_1e5, 1.0, 10, 2)
+def test_csv_layout():
+    rep = measure_density(1.0, 10, 2)
     text = density_csv(rep)
     lines = text.strip().splitlines()
     assert lines[0] == "m,count,density,poisson,ratio"
@@ -306,8 +329,8 @@ def test_csv_layout(table_1e5):
     assert bare.strip().splitlines()[1] == "0,2,0.2,,"
 
 
-def test_json_mirror(table_1e5):
-    rep = measure_density(table_1e5, 1.0, 10, 2)
+def test_json_mirror():
+    rep = measure_density(1.0, 10, 2)
     payload = density_json(rep)
     assert json.loads(json.dumps(payload)) == payload
     assert payload["counts"]["0"] == 2

@@ -69,12 +69,17 @@ def _segment_end_limits(segment_size: int) -> list[int]:
     return [end + d for end in ends for d in (-1, 0, 1, 2)]
 
 
-@pytest.mark.parametrize("segment_size", [64, 97])
+@pytest.mark.parametrize("segment_size", [64, 97, primes.SEGMENT_SIZE])
 def test_prime_count_and_sieve_cli_match_dense_sieve(monkeypatch, capsys, segment_size):
     monkeypatch.setattr(primes, "SEGMENT_SIZE", segment_size)
-    for limit in [2, 3, 100, 10**5 + 3, *_segment_end_limits(segment_size)]:
+    # every wheel prime and its neighbours, and the ends of one wheel period
+    # (2*WHEEL integers)
+    wheel_ends = [2 * primes.WHEEL + 1 + d for d in (-2, 0, 2)]
+    limits = [*range(2, 41), 100, 10**5 + 3, *wheel_ends]
+    for limit in [*limits, *_segment_end_limits(segment_size)]:
         expected = dense_sieve(limit)
         assert prime_count(limit) == len(expected), limit
+        assert primes.primes_upto(limit) == expected.tolist(), limit
         assert main(["sieve", "--limit", str(limit)]) == 0
         assert capsys.readouterr().out == f"{len(expected)}\n"
         table = build_table(limit)
