@@ -43,7 +43,6 @@ from .primes import (
     PrimeFilter,
     PrimeTable,
     build_table,
-    count_in,
     is_fundamental_discriminant,
     kronecker_symbol,
     primes_between,

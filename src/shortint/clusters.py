@@ -23,11 +23,11 @@ import numpy as np
 from .bounds import BoundParams, DEFAULT_PARAMS, spacing_divisor, tuple_size
 from .density import (
     check_lambda,
-    count_windows,
     right_edge,
     spans,
     table_limit,
     window_counts,
+    window_runs,
 )
 from .errors import OutOfRangeError, ParameterRangeError
 from .primes import ALL, PrimeFilter, PrimeTable, primes_between
@@ -169,7 +169,10 @@ def find_clusters(
     lam*log(x_hi) / spacing_divisor(k(m)) are one float each per scan, with
     x_hi as the scale representative: they size the clusters and are not the
     edges of any slid window, which slide() takes from density.right_edge.
-    With require_spacing, only spacing_ok clusters are yielded.
+    Every count comes from density.window_runs at those fixed lengths: the
+    primes in the window, those in its first portion, and the pairs of
+    consecutive primes at most the threshold apart that lie inside it.  With
+    require_spacing, only spacing_ok clusters are yielded.
     """
     check_lambda(lam)
     if not 1 <= x_lo <= x_hi:
@@ -189,18 +192,21 @@ def find_clusters(
 
     for a, b in spans(x_lo, x_hi):
         primes = primes_between(table, a, b + win_i, filt)
-        n = np.arange(a, b + 1, dtype=np.int64)
-        in_window = count_windows(primes, a, n, n + win_i)
+        early = primes[: np.searchsorted(primes, b + portion_i, side="right")]
+        # a bad pair: consecutive primes at most the threshold apart; one
+        # wider than the window never lies inside it
+        bad = np.flatnonzero(np.diff(primes) <= min(threshold, win_i))
+        in_window, in_portion, n_bad = (
+            np.repeat(*window_runs(starts, ends, a, b, length))
+            for starts, ends, length in (
+                (primes, primes, win_i),
+                (early, early, portion_i),
+                (primes[bad], primes[bad + 1], win_i),
+            )
+        )
         rich = np.flatnonzero(in_window >= m + 1)
-        n, in_window = n[rich], in_window[rich]
-        first = np.searchsorted(primes, n, side="left")  # first prime >= N0
-        last_prime = primes[first + in_window - 1]
-        in_portion = count_windows(primes, a, n, n + portion_i)
-        # a gap at or below the threshold between consecutive window primes
-        # starts at a prime in [N0, last_prime - 1]
-        bad_starts = primes[:-1][np.diff(primes) <= threshold]
-        n_bad = count_windows(bad_starts, a, n, last_prime - 1)
-        spaced = (in_window == in_portion) & (n_bad == 0)
+        spaced = (in_window[rich] == in_portion[rich]) & (n_bad[rich] == 0)
+        n = rich + a
         if require_spacing:
             n, spaced = n[spaced], spaced[spaced]
         yield from map(Cluster, n.tolist(), spaced.tolist())

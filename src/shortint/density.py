@@ -4,16 +4,15 @@ contains exactly m filtered primes, with Poisson reference values.
 Window edges are exact for the float64 value of lam.  For integer n the last
 integer of the window is n + L(n) with L(n) = floor(lam*log n), a step
 function whose breakpoints edge_steps settles in decimal arithmetic;
-right_edge is the one place that turns them into edges.  count_windows counts
-sorted primes in many windows at once, and window_counts yields c(n), the
-number of filtered primes in the window of n, for a run of n; the cluster scan
-and the slide build on them.  The density and growth scans never form c(n)
-one n at a time: where L is constant, c changes only where a filtered prime
-leaves or enters the window, so their histograms are built from those events
-in O(pi(x)) work, on the calling thread.  They need no prime table: they
-consume the sieve's segments as they are sieved, carrying only the primes
-that windows still to be scanned can reach, so their memory is O(segment)
-at any x.
+right_edge is the one place that turns them into edges.  Every window count
+comes from one kernel, window_runs: where L is constant, c(n) changes only
+where a prime leaves or enters the window, so it returns c as run values and
+run lengths in O(pi(x)) work.  The density and growth histograms weight the
+run values by their lengths, window_counts repeats them to give c(n) one n
+at a time, and the cluster scan runs the kernel at its fixed window lengths.
+The density and growth scans need no prime table: they consume the sieve's
+segments as they are sieved, carrying only the primes that windows still to
+be scanned can reach, so their memory is O(segment) at any x.
 """
 
 from __future__ import annotations
@@ -31,10 +30,6 @@ from .errors import ParameterRangeError
 from .primes import ALL, PrimeFilter, PrimeTable, prime_segments, primes_between
 
 SCAN_CHUNK = 2**16  # starting points per kernel call; bounds the per-call arrays
-# Below this many windows, two binary searches per window beat building a
-# prefix count over the whole span (a slide's covering run over sparse
-# clusters is ~20 windows, scan chunks are SCAN_CHUNK windows).
-SEARCH_SPAN = 256
 
 
 @functools.lru_cache
@@ -98,26 +93,6 @@ def right_edge(n: np.ndarray, lam: float) -> np.ndarray:
     return n + np.searchsorted(steps, n, side="right")
 
 
-def count_windows(
-    primes: np.ndarray, lo: int, lefts: np.ndarray, rights: np.ndarray
-) -> np.ndarray:
-    """For each i, the number of primes p with lefts[i] <= p <= rights[i].
-
-    primes is sorted with every entry >= lo; lefts >= lo, rights >= lefts - 1
-    (an empty window), and rights is non-decreasing.
-    """
-    if len(lefts) < SEARCH_SPAN:
-        return np.searchsorted(primes, rights, side="right") - np.searchsorted(
-            primes, lefts, side="left"
-        )
-    hi = int(rights[-1])
-    inside = primes[: np.searchsorted(primes, hi, side="right")]
-    ind = np.zeros(hi - lo + 2, dtype=np.int32)
-    ind[inside - lo + 1] = 1
-    cum = np.cumsum(ind, out=ind)  # cum[t] = #primes in [lo, lo + t - 1]
-    return cum[rights - lo + 1] - cum[lefts - lo]
-
-
 def spans(a: int, b: int) -> Iterator[tuple[int, int]]:
     """[a, b] cut into consecutive closed runs of at most SCAN_CHUNK integers."""
     for lo in range(a, b + 1, SCAN_CHUNK):
@@ -135,6 +110,48 @@ def _edge_spans(steps: np.ndarray, a: int, b: int) -> Iterator[tuple[int, int, i
                 yield start, stop - 1, length
 
 
+def window_runs(
+    starts: np.ndarray, ends: np.ndarray, lo: int, hi: int, length: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """c(n), the number of items i with n <= starts[i] and ends[i] <= n +
+    length, for n = lo..hi, as int32 run values and run lengths:
+    np.repeat(values, lengths) is c(lo), ..., c(hi).
+
+    A prime p is the item (p, p); a pair of consecutive primes (p, q) is the
+    item (p, q).  starts and ends are sorted, every start is >= lo, every end
+    is <= hi + length and every item satisfies end - start <= length + 1.
+    c(lo) takes one binary search; after it c(n) - c(n - 1) is -1 for each
+    item with start n - 1 (it leaves the window) and +1 for each with end
+    n + length (it enters).  So c is constant between those events.  Where
+    an item leaves and another enters at one n, the leave comes first and
+    the run between them has length 0.
+    """
+    first_in = int(np.searchsorted(ends, lo + length, side="right"))
+    n_leave = int(np.searchsorted(starts, hi, side="left"))
+    # key 2*(n - lo) for a leave at n, 2*(n - lo) + 1 for an enter, so at one
+    # n the leave sorts first; a span holds at most SCAN_CHUNK n, so the keys
+    # fit int32.  The first key opens the first run, the last closes the last.
+    keys = np.empty(2 + n_leave + len(ends) - first_in, dtype=np.int32)
+    keys[0] = 0
+    keys[-1] = 2 * (hi + 1 - lo)
+    events = keys[1:-1]
+    leaves, enters = events[:n_leave], events[n_leave:]
+    np.subtract(starts[:n_leave], lo - 1, out=leaves, casting="unsafe")
+    leaves *= 2
+    np.subtract(ends[first_in:], lo + length, out=enters, casting="unsafe")
+    enters *= 2
+    enters += 1
+    # both lists are sorted, so the stable sort is a merge
+    events.sort(kind="stable")
+    c = keys[:-1] & 1
+    c *= 2
+    c -= 1  # -1 for a leave, +1 for an enter
+    c[0] = first_in
+    np.cumsum(c, out=c, dtype=np.int32)
+    keys >>= 1
+    return c, keys[1:] - keys[:-1]
+
+
 def window_counts(
     table: PrimeTable, lam: float, a: int, b: int, filt: PrimeFilter = ALL
 ) -> np.ndarray:
@@ -142,15 +159,13 @@ def window_counts(
 
     Raises OutOfRangeError when a window reaches beyond the table.
     """
-    if not math.isfinite(lam):
-        raise ParameterRangeError(f"lambda must be finite and non-negative, got {lam}")
-    if lam < 0 or not 1 <= a <= b:
-        raise ValueError(f"need lam >= 0 and 1 <= a <= b, got {lam}, {a}, {b}")
+    check_lambda(lam)
+    if not 1 <= a <= b:
+        raise ValueError(f"need 1 <= a <= b, got {a}, {b}")
     parts = []
     for lo, hi, length in _edge_spans(edge_steps(lam, table.limit), a, b):
-        n = np.arange(lo, hi + 1, dtype=np.int64)
         primes = primes_between(table, lo, hi + length, filt)
-        parts.append(count_windows(primes, lo, n, n + length))
+        parts.append(np.repeat(*window_runs(primes, primes, lo, hi, length)))
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
@@ -227,49 +242,12 @@ def table_limit(top: float, lam: float, x: int) -> int:
     return math.ceil(top)
 
 
-def _events(primes: np.ndarray, lo: int, hi: int, length: int, m_max: int) -> np.ndarray:
-    """bincount of c(n) over n in [lo, hi], every c(n) > m_max in the last
-    bin, where L(n) = length throughout and primes are the sorted filtered
-    primes in [lo, hi + length].
-
-    c(lo) takes two binary searches; after it c(n) - c(n - 1) is -1 when
-    n - 1 is a filtered prime (it leaves the window) plus +1 when n + L is one
-    (it enters).  So c is constant between those events, and each of its
-    values is counted with the length of its run.
-    """
-    first_in = int(np.searchsorted(primes, lo + length, side="right"))
-    n_leave = int(np.searchsorted(primes, hi, side="left"))
-    # key 2*(n - lo) for a leave at n, 2*(n - lo) + 1 for an enter, so at one
-    # n the leave sorts first; a span holds at most SCAN_CHUNK n, so the keys
-    # fit int32.  The first key opens the first run, the last closes the last.
-    keys = np.empty(2 + n_leave + len(primes) - first_in, dtype=np.int32)
-    keys[0] = 0
-    keys[-1] = 2 * (hi + 1 - lo)
-    events = keys[1:-1]
-    leaves, enters = events[:n_leave], events[n_leave:]
-    np.subtract(primes[:n_leave], lo - 1, out=leaves, casting="unsafe")
-    leaves *= 2
-    np.subtract(primes[first_in:], lo + length, out=enters, casting="unsafe")
-    enters *= 2
-    enters += 1
-    # both lists are sorted, so the stable sort is a merge
-    events.sort(kind="stable")
-    c = keys[:-1] & 1
-    c *= 2
-    c -= 1  # -1 for a leave, +1 for an enter
-    c[0] = first_in
-    np.cumsum(c, out=c, dtype=np.int32)
-    np.minimum(c, m_max + 1, out=c)
-    keys >>= 1
-    runs = keys[1:] - keys[:-1]
-    return np.bincount(c, weights=runs, minlength=m_max + 2).astype(np.int64)
-
-
 def _histograms(
     lam: float, ends: tuple[int, ...], m_max: int, filt: PrimeFilter
 ) -> np.ndarray:
     """One bincount of c(n) per range [1, ends[0]], [ends[0] + 1, ends[1]],
-    ..., every c(n) > m_max in the last bin, from one pass of the sieve.
+    ..., every c(n) > m_max in the last bin, from one pass of the sieve: each
+    run of window_runs is counted with its length.
 
     The sieve's segments are consumed as they come.  carry holds the
     filtered primes from the next unscanned n on; once the sieve has passed
@@ -293,7 +271,10 @@ def _histograms(
             for lo, hi, length in _edge_spans(steps, n, end):
                 i = np.searchsorted(carry, lo, side="left")
                 j = np.searchsorted(carry, hi + length, side="right")
-                hist[r] += _events(carry[i:j], lo, hi, length, m_max)
+                c, runs = window_runs(carry[i:j], carry[i:j], lo, hi, length)
+                np.minimum(c, m_max + 1, out=c)
+                counts = np.bincount(c, weights=runs, minlength=m_max + 2)
+                hist[r] += counts.astype(np.int64)
             n = end + 1
         carry = carry[np.searchsorted(carry, n) :]
         if n > ends[-1]:

@@ -173,12 +173,6 @@ class PrimeTable:
         self._prime_cache = primes
         self.count = len(primes)
 
-    def membership(self, n: int) -> bool:
-        if n > self.limit:
-            raise OutOfRangeError(f"{n} exceeds the sieved limit {self.limit}")
-        i = int(np.searchsorted(self._prime_cache, n))
-        return i < self.count and int(self._prime_cache[i]) == n
-
     def primes(self) -> np.ndarray:
         """All primes <= limit as a sorted, read-only int64 array."""
         return self._prime_cache
@@ -304,48 +298,23 @@ def build_table(limit: int) -> PrimeTable:
     return PrimeTable(limit, _prime_array(limit))
 
 
-def _int_bounds(lo: float, hi: float) -> tuple[int, int]:
-    return math.ceil(lo), math.floor(hi)
-
-
-def count_in(table: PrimeTable, lo: float, hi: float, filt: PrimeFilter = ALL) -> int:
-    """Number of primes p with lo <= p <= hi passing the filter.
-
-    Both endpoints are closed; real endpoints are compared exactly against
-    integer primes, so p <= hi is decided by p <= floor(hi).
-    """
-    if not 0 <= lo <= hi:
-        raise ValueError(f"need 0 <= lo <= hi, got lo={lo}, hi={hi}")
-    if hi > table.limit:
-        raise OutOfRangeError(
-            f"hi={hi} exceeds the sieved limit {table.limit}; "
-            f"rebuild with limit >= {math.ceil(hi)}"
-        )
-    ilo, ihi = _int_bounds(lo, hi)
-    if ihi < 2 or ilo > ihi:
-        return 0
-    primes = table.primes()
-    left = np.searchsorted(primes, ilo, side="left")
-    right = np.searchsorted(primes, ihi, side="right")
-    if filt.kind == "all":
-        return int(right - left)
-    return int(np.count_nonzero(filt.mask(primes[left:right])))
-
-
 def primes_between(
     table: PrimeTable, lo: float, hi: float, filt: PrimeFilter = ALL
 ) -> np.ndarray:
-    """Sorted array of the filtered primes in the closed interval [lo, hi]."""
+    """Sorted array of the filtered primes in the closed interval [lo, hi].
+
+    Real endpoints are compared exactly against integer primes: lo <= p is
+    decided by ceil(lo) <= p and p <= hi by p <= floor(hi).
+    """
     if not 0 <= lo <= hi:
         raise ValueError(f"need 0 <= lo <= hi, got lo={lo}, hi={hi}")
     if hi > table.limit:
         raise OutOfRangeError(
             f"hi={hi} exceeds the sieved limit {table.limit}"
         )
-    ilo, ihi = _int_bounds(lo, hi)
     primes = table.primes()
-    left = np.searchsorted(primes, ilo, side="left")
-    right = np.searchsorted(primes, ihi, side="right")
+    left = np.searchsorted(primes, math.ceil(lo), side="left")
+    right = np.searchsorted(primes, math.floor(hi), side="right")
     chunk = primes[left:right]
     if filt.kind == "all":
         return chunk.copy()

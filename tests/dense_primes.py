@@ -1,0 +1,57 @@
+"""Prime oracles for the tests.
+
+A one-shot sieve over every integer (no odd packing, no wheel, no segments)
+and a filter test written from the definitions.  Neither shares code with
+shortint.primes.
+"""
+
+import math
+
+import numpy as np
+
+
+def dense_flags(limit: int) -> np.ndarray:
+    """Flags over 0..limit, true exactly at the primes."""
+    flags = np.ones(limit + 1, dtype=bool)
+    flags[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if flags[p]:
+            flags[p * p :: p] = False
+    return flags
+
+
+def dense_sieve(limit: int) -> np.ndarray:
+    """The primes <= limit, in increasing order."""
+    return np.flatnonzero(dense_flags(limit))
+
+
+def _kept(filt, p: int) -> bool:
+    """Whether the prime p passes filt: p = residue (mod modulus), or the
+    Legendre symbol (d/p) by Euler's criterion (by d mod 8 at p = 2) equals
+    sign."""
+    if filt.kind == "all":
+        return True
+    if filt.kind == "residue":
+        return p % filt.modulus == filt.residue
+    d = filt.discriminant
+    if d % p == 0:
+        return False
+    if p == 2:
+        symbol = 1 if d % 8 in (1, 7) else -1
+    else:
+        symbol = 1 if pow(d % p, (p - 1) // 2, p) == 1 else -1
+    return symbol == filt.sign
+
+
+def dense_primes(limit: int, filt) -> np.ndarray:
+    """The primes <= limit that pass filt, in increasing order."""
+    primes = dense_sieve(limit)
+    return primes[np.array([_kept(filt, p) for p in primes.tolist()], dtype=bool)]
+
+
+def count_between(primes: np.ndarray, lo, hi):
+    """How many of the sorted primes lie in [lo, hi], for integers or
+    integer arrays lo and hi."""
+    return np.searchsorted(primes, hi, side="right") - np.searchsorted(
+        primes, lo, side="left"
+    )

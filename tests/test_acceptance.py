@@ -20,9 +20,10 @@ from shortint.bounds import (
 )
 from shortint.clusters import extract_m_runs, find_clusters, guaranteed_run_floor, slide
 from shortint.density import measure_density, poisson_reference
-from shortint.primes import ALL, PrimeFilter, build_table, count_in
+from shortint.primes import ALL, PrimeFilter, build_table
 from shortint.tuples import count_spaced_selections, greedy_sieve, singular_series
 
+from dense_primes import count_between, dense_flags, dense_sieve
 from exact_edges import exact_edges
 
 SMALL_K = BoundParams(scale=2.0)
@@ -48,23 +49,14 @@ def trial_division_count(limit: int) -> int:
     return count
 
 
-def dense_sieve_count(limit: int) -> int:
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return int(np.count_nonzero(flags))
-
-
 def test_criterion_01_sieve_counts_and_speed():
     assert build_table(10**4).count == trial_division_count(10**4) == 1229
-    assert build_table(10**6).count == dense_sieve_count(10**6) == 78498
+    assert build_table(10**6).count == len(dense_sieve(10**6)) == 78498
     start = time.perf_counter()
     table = build_table(10**8)
     elapsed = time.perf_counter() - start
     assert table.count == 5761455
-    assert dense_sieve_count(10**8) == 5761455
+    assert np.count_nonzero(dense_flags(10**8)) == 5761455
     assert elapsed <= 5.0, f"segmented sieve took {elapsed:.2f}s at 1e8"
     _pass(1, f"counts 1229/78498/5761455 exact; 1e8 sieve in {elapsed:.2f}s <= 5s")
 
@@ -72,16 +64,15 @@ def test_criterion_01_sieve_counts_and_speed():
 # -- criterion 2: sliding scan equals naive recount to 1e5 -------------------
 
 
-def test_criterion_02_density_oracle_equivalence(table_1e5):
+def test_criterion_02_density_oracle_equivalence():
     start = time.perf_counter()
     m_max = 12
+    primes = dense_sieve(10**5 + 100)
     for lam in (0.25, 1.0, 5.0):
         report = measure_density(lam, 10**5, m_max)
-        naive = [0] * (m_max + 2)
-        edges = exact_edges(lam, np.arange(1, 10**5 + 1)).tolist()
-        for n, edge in enumerate(edges, start=1):
-            c = count_in(table_1e5, n, edge)
-            naive[min(c, m_max + 1)] += 1
+        n = np.arange(1, 10**5 + 1)
+        c = count_between(primes, n, exact_edges(lam, n))
+        naive = np.bincount(np.minimum(c, m_max + 1), minlength=m_max + 2).tolist()
         assert report.counts == {m: naive[m] for m in range(m_max + 1)}
         assert report.overflow == naive[m_max + 1]
     elapsed = time.perf_counter() - start
@@ -232,12 +223,13 @@ def test_criterion_07_count_increases_by_exactly_one(slide_scan):
 
 def test_criterion_08_drop_point_is_prime(slide_scan, table_1e7):
     drops = 0
+    is_prime = dense_flags(table_1e7.limit)
     for trace in slide_scan:
         assert not any(
             f.kind == "drop-point-not-prime" for f in trace.falsifications
         )
         if trace.j_drop is not None and trace.j_drop < len(trace.counts) - 1:
-            assert table_1e7.membership(trace.base + trace.j_drop)
+            assert is_prime[trace.base + trace.j_drop]
             drops += 1
     assert drops > 0
     _pass(8, f"N at the drop index is prime on all {drops} observed drops")
@@ -271,12 +263,7 @@ def test_criterion_10_growth_ratios():
     # brute-force baseline, independent of the segmented sieve and the
     # streamed scan: a dense sieve over every integer turned into a prefix count, and
     # each right edge exact, from the tests' own decimal oracle
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    pi = np.cumsum(flags)  # pi[t] = number of primes <= t
+    pi = np.cumsum(dense_flags(limit))  # pi[t] = number of primes <= t
     starts = range(1, 2 * 10**6 + 1)
     results = {}
     for m, lam in ((0, 0.5), (1, 1.0)):
@@ -298,14 +285,9 @@ def test_criterion_10_growth_ratios():
 
 def independent_series(offsets, cutoff):
     """Plain running product over an independently sieved prime list."""
-    flags = np.ones(cutoff + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(cutoff) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
     k = len(offsets)
     value = 1.0
-    for p in np.flatnonzero(flags).tolist():
+    for p in dense_sieve(cutoff).tolist():
         nu = len({h % p for h in offsets})
         value *= (1 - nu / p) / (1 - 1 / p) ** k
     return value

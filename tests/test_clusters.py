@@ -21,8 +21,9 @@ from shortint.clusters import (
 )
 from shortint.density import window_counts
 from shortint.errors import OutOfRangeError, ParameterRangeError
-from shortint.primes import ALL, PrimeFilter, count_in, primes_between
+from shortint.primes import ALL, PrimeFilter, PrimeTable, primes_between
 
+from dense_primes import count_between, dense_flags, dense_primes
 from exact_edges import exact_edge, exact_length
 
 SMALL_K = BoundParams(scale=2.0)  # k(0) = 2, spacing divisor 16
@@ -93,6 +94,34 @@ def test_find_clusters_matches_per_base_brute_force(table_1e6, monkeypatch):
         assert filt is ALL or spaced
 
 
+def test_spacing_rejects_close_pairs_inside_the_window(monkeypatch):
+    # a table of chosen points, so that pairs at most the threshold apart sit
+    # in the first portion of otherwise empty windows, which no prime table
+    # below 1e7 offers; the portion is 32 and the threshold exactly 2
+    monkeypatch.setattr(density, "SCAN_CHUNK", 97)
+    x_hi = 6000
+    lam = 32 / math.log(x_hi)
+    assert lam * math.log(x_hi) / spacing_divisor(tuple_size(0, SMALL_K)) == 2.0
+    groups = (
+        (0,), (0, 1), (0, 2), (0, 3), (0, 5, 7), (0, 2, 10), (0, 2, 40), (0, 30),
+        (0, 8, 16, 24),
+    )
+    points = [300 * i + h for i, group in enumerate(groups, start=1) for h in group]
+    table = PrimeTable(6300, np.array(points, dtype=np.int64))
+    got = {
+        c.base: c.spacing_ok
+        for c in find_clusters(table, lam, 1, x_hi, 0, params=SMALL_K)
+    }
+    want = {}
+    for base in range(1, x_hi + 1):
+        offsets = positions(table, lam, x_hi, base)
+        if offsets:
+            want[base] = spacing_ok(offsets, lam, x_hi, 2.0)
+    assert got == want
+    confined = [b for b in want if max(positions(table, lam, x_hi, b)) < 32]
+    assert any(want[b] for b in confined) and not all(want[b] for b in confined)
+
+
 def test_find_clusters_empty_when_m_unreachable(table_1e6):
     assert list(find_clusters(table_1e6, 1.0, 100, 200, 50)) == []
 
@@ -144,15 +173,16 @@ def test_filtered_cluster_scan(table_1e6):
 
 
 def test_slide_counts_match_independent_recount(table_1e6):
-    # c(n) over the whole range, counted by prefix sums in scan chunks; each
-    # short slide trace is counted by binary search and must equal its slice
+    # c(n) over the whole range in one call; the slide counts its short
+    # covering runs in calls of their own, and each trace must equal its slice
     c_all = window_counts(table_1e6, 1.0, 10**4, 10**5 + 20)
     bases = _bases(find_clusters(table_1e6, 1.0, 10**4, 10**5, 1), 100)
+    primes = dense_primes(table_1e6.limit, ALL)
     for base, trace in zip(bases, slide(table_1e6, 1.0, bases, 1)):
         assert len(trace.counts) == exact_length(1.0, base) + 1
         for j, count in enumerate(trace.counts):
             n_j = base + j
-            assert count == count_in(table_1e6, n_j, exact_edge(1.0, n_j))
+            assert count == count_between(primes, n_j, exact_edge(1.0, n_j))
         start = base - 10**4
         assert trace.counts == tuple(c_all[start : start + len(trace.counts)].tolist())
 
@@ -169,7 +199,7 @@ def test_slide_drop_index_properties(table_1e6):
         assert trace.counts[trace.j_drop] >= 2
         assert all(count <= 1 for count in trace.counts[trace.j_drop + 1 :])
         if trace.j_drop < len(trace.counts) - 1:
-            assert table_1e6.membership(base + trace.j_drop)
+            assert dense_flags(table_1e6.limit)[base + trace.j_drop]
         assert trace.m_run == tuple(
             j for j, count in enumerate(trace.counts) if count == 1
         )
@@ -330,12 +360,15 @@ def test_find_clusters_range_validation(table_1e6):
     ((0.0, ValueError), (-1.0, ValueError), (math.nan, ParameterRangeError)),
 )
 def test_slide_rejects_bad_lambda(table_1e6, lam, error):
-    # the same errors as find_clusters, for an empty batch too
+    # the same errors as find_clusters, for an empty batch too, and from
+    # window_counts
     with pytest.raises(error, match="lambda must be"):
         list(find_clusters(table_1e6, lam, 10, 100, 0))
     for bases in ([100], []):
         with pytest.raises(error, match="lambda must be"):
             slide(table_1e6, lam, bases, 0)
+    with pytest.raises(error, match="lambda must be"):
+        window_counts(table_1e6, lam, 1, 100)
 
 
 def test_tuple_size_overflow_degrades_to_zero_threshold(table_1e6):
@@ -353,16 +386,17 @@ def _bases(clusters, count):
 
 
 def _check_slides(table, lam, bases, m, filt=ALL):
-    """slide() on the batch against count_in per window, the definitions of
-    j_drop and m_run, a per-row CSV and a per-trace run scan."""
+    """slide() on the batch against the dense-sieve oracle per window, the
+    definitions of j_drop and m_run, a per-row CSV and a per-trace run scan."""
     slides = slide(table, lam, bases, m, filt)
+    primes = dense_primes(table.limit, filt)
     assert len(slides) == len(bases) and slides.lam == lam
     assert slides.starts[0] == 0 and slides.starts[-1] == len(slides.counts)
     rows, runs = ["j,N_j,count\n"], []
     for base, trace in zip(map(int, bases), slides):
         j_max = exact_length(lam, base)
         expected = [
-            count_in(table, base + j, exact_edge(lam, base + j), filt)
+            int(count_between(primes, base + j, exact_edge(lam, base + j)))
             for j in range(j_max + 1)
         ]
         assert trace.base == base and trace.m == m

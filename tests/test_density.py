@@ -18,26 +18,23 @@ from shortint.density import (
     required_limit,
     right_edge,
     window_counts,
+    window_runs,
 )
 from shortint.errors import ParameterRangeError
-from shortint.primes import ALL, PrimeFilter, PrimeTable, count_in
+from shortint.primes import ALL, PrimeFilter, primes_between
 
+from dense_primes import count_between, dense_primes
 from exact_edges import exact_edge, exact_edges, exact_length
-from test_primes import dense_sieve
 
 
-def naive_histogram(table, lam, x, m_max, filt=ALL):
-    """Independent per-n recount straight from count_in, with exact edges."""
-    counts = {m: 0 for m in range(m_max + 1)}
-    overflow = 0
-    edges = exact_edges(lam, np.arange(1, x + 1)).tolist()
-    for n, edge in enumerate(edges, start=1):
-        c = count_in(table, n, edge, filt)
-        if c <= m_max:
-            counts[c] += 1
-        else:
-            overflow += 1
-    return counts, overflow
+def naive_histogram(lam, x, m_max, filt=ALL):
+    """Independent per-n recount from the dense-sieve oracle, with exact
+    edges."""
+    n = np.arange(1, x + 1)
+    edges = exact_edges(lam, n)
+    c = count_between(dense_primes(int(edges[-1]), filt), n, edges)
+    hist = np.bincount(np.minimum(c, m_max + 1), minlength=m_max + 2).tolist()
+    return dict(enumerate(hist[:-1])), hist[-1]
 
 
 def test_density_example_x10():
@@ -70,17 +67,17 @@ def test_report_rejects_broken_partition():
         DensityReport(lam=1.0, x=10, filt=ALL, m_max=1, counts={0: 5, 1: 4}, overflow=0)
 
 
-def test_sliding_scan_equals_naive_recount(table_1e5):
+def test_sliding_scan_equals_naive_recount():
     for lam in (0.25, 1.0, 5.0):
         rep = measure_density(lam, 3000, 8)
-        counts, overflow = naive_histogram(table_1e5, lam, 3000, 8)
+        counts, overflow = naive_histogram(lam, 3000, 8)
         assert rep.counts == counts and rep.overflow == overflow
 
 
-def test_sliding_scan_equals_naive_recount_filtered(table_1e5):
+def test_sliding_scan_equals_naive_recount_filtered():
     for filt in (PrimeFilter.residue_class(1, 4), PrimeFilter.kronecker(-4, 1)):
         rep = measure_density(5.0, 1500, 5, filt)
-        counts, overflow = naive_histogram(table_1e5, 5.0, 1500, 5, filt)
+        counts, overflow = naive_histogram(5.0, 1500, 5, filt)
         assert rep.counts == counts and rep.overflow == overflow
 
 
@@ -103,17 +100,17 @@ BREAKPOINTS = {(1.0, 404), (5.0, 1097), (0.3, 786), (10.0, 2)}
 
 
 @pytest.mark.parametrize("chunk", (7, 1024))
-def test_event_scan_matches_naive_recount(table_1e5, monkeypatch, chunk):
+def test_event_scan_matches_naive_recount(monkeypatch, chunk):
     monkeypatch.setattr(density, "SCAN_CHUNK", chunk)
     filters = (ALL, PrimeFilter.residue_class(1, 4), PrimeFilter.kronecker(-4, 1))
     for lam, x in EVENT_CASES:
         at_break = exact_length(lam, x) > exact_length(lam, x - 1) if x > 1 else False
         assert at_break == ((lam, x) in BREAKPOINTS)
         for filt in filters:
-            counts, overflow = naive_histogram(table_1e5, lam, x, 3, filt)
+            counts, overflow = naive_histogram(lam, x, 3, filt)
             rep = measure_density(lam, x, 3, filt)
             assert (rep.counts, rep.overflow) == (counts, overflow), (lam, x, filt.tag)
-            counts_2x, _ = naive_histogram(table_1e5, lam, 2 * x, 3, filt)
+            counts_2x, _ = naive_histogram(lam, 2 * x, 3, filt)
             results = growth_check(lam, 3, x, filt)
             assert [(r.count_at_x, r.count_at_2x) for r in results] == [
                 (counts[m], counts_2x[m]) for m in range(4)
@@ -207,20 +204,41 @@ def test_overflowing_table_limit_is_rejected():
 
 @pytest.mark.parametrize("lam", (0.25, 1.0, 5.0, 30.0))
 def test_window_counts_match_naive_recount(table_1e5, monkeypatch, lam):
-    # both counting methods (binary search below SEARCH_SPAN windows, prefix
-    # sums from it on) and a span that crosses several scan chunks
+    # the cases a run kernel can get wrong: a run starting on a breakpoint of
+    # L(n), an n where one prime leaves the window as another enters (a run
+    # of length 0), single-n runs and a run across several scan chunks
     monkeypatch.setattr(density, "SCAN_CHUNK", 300)
-    t = density.SEARCH_SPAN
-    filters = (ALL, PrimeFilter.residue_class(2, 3), PrimeFilter.kronecker(-3, -1))
-    runs = ((1, 1), (7919, 1), (2, t - 1), (4000, t), (50, t + 1), (700, 1000))
-    for a, length in runs:
-        for filt in filters:
-            got = window_counts(table_1e5, lam, a, a + length - 1, filt)
-            want = [
-                count_in(table_1e5, n, exact_edge(lam, n), filt)
-                for n in range(a, a + length)
-            ]
-            assert got.tolist() == want, (a, length, filt.tag)
+    n = np.arange(2, 20000)
+    lengths = exact_edges(lam, n) - n
+    step = int(n[1:][(np.diff(lengths) > 0) & (n[1:] >= 1000)][0])
+    filters = (ALL, PrimeFilter.residue_class(2, 3), PrimeFilter.kronecker(5, 1))
+    for filt in filters:
+        primes = dense_primes(table_1e5.limit, filt)
+        kept = np.zeros(table_1e5.limit + 1, dtype=bool)
+        kept[primes] = True
+        # n - 1 leaves and n + L enters, with L(n - 1) = L(n)
+        swaps = n[1:][
+            kept[n[1:] - 1] & kept[n[1:] + lengths[1:]] & (np.diff(lengths) == 0)
+        ]
+        runs = [(step, 40), (step - 1, 1), (step, 1), (1, 1), (7919, 1), (700, 1000)]
+        if lam == 0.25 and filt.kind == "residue":
+            # L <= 2 here, and no two primes 2 or 3 apart are both 2 mod 3
+            assert not swaps.size
+        else:
+            swap = int(swaps[0])
+            runs += [(swap - 2, 5), (swap, 1)]
+            length = exact_length(lam, swap)
+            window = primes[(primes >= swap - 1) & (primes <= swap + length)]
+            values, run_lengths = window_runs(window, window, swap - 1, swap, length)
+            assert 0 in run_lengths.tolist(), (swap, filt.tag)
+            ns = np.array([swap - 1, swap])
+            want = count_between(primes, ns, ns + length)
+            assert np.repeat(values, run_lengths).tolist() == want.tolist()
+        for a, count in runs:
+            got = window_counts(table_1e5, lam, a, a + count - 1, filt)
+            ns = np.arange(a, a + count)
+            want = count_between(primes, ns, exact_edges(lam, ns))
+            assert got.tolist() == want.tolist(), (a, count, filt.tag)
 
 
 def test_growing_lambda_never_loses_tail_mass():
@@ -240,11 +258,11 @@ def test_residue_counts_per_window_reconcile(table_1e5):
     filters = [PrimeFilter.residue_class(a, q) for a in (1, 3)]
     for n in range(2, 800):
         hi = n + 5.0 * math.log(n)
-        split = sum(count_in(table_1e5, n, hi, f) for f in filters)
+        split = sum(len(primes_between(table_1e5, n, hi, f)) for f in filters)
         ramified = sum(
             1 for p in (2,) if n <= p <= hi
         )
-        assert split + ramified == count_in(table_1e5, n, hi)
+        assert split + ramified == len(primes_between(table_1e5, n, hi))
 
 
 def test_poisson_reference_examples():
@@ -294,9 +312,6 @@ def test_stream_across_segment_ends_matches_naive_recount(monkeypatch, segment_s
     # a segment of S odd entries covers 2S integers; at lam = 30 and S = 64 a
     # window spans several segments, so the carried primes do too
     monkeypatch.setattr(primes, "SEGMENT_SIZE", segment_size)
-    # the oracle's primes come from a sieve that shares no code with the
-    # segmented, wheel-pre-sieved one
-    table = PrimeTable(4000, dense_sieve(4000))
     breakpoint_ = next(
         n for n in range(400, 4000) if exact_length(lam, n) > exact_length(lam, n - 1)
     )
@@ -307,11 +322,11 @@ def test_stream_across_segment_ends_matches_naive_recount(monkeypatch, segment_s
     m_max = 40
     for filt in filters:
         for x in (breakpoint_, breakpoint_ - 1, segment_end):
-            counts, overflow = naive_histogram(table, lam, x, m_max, filt)
+            counts, overflow = naive_histogram(lam, x, m_max, filt)
             rep = measure_density(lam, x, m_max, filt)
             assert (rep.counts, rep.overflow) == (counts, overflow), (x, filt.tag)
-        counts, _ = naive_histogram(table, lam, inside, m_max, filt)
-        counts_2x, _ = naive_histogram(table, lam, 2 * inside, m_max, filt)
+        counts, _ = naive_histogram(lam, inside, m_max, filt)
+        counts_2x, _ = naive_histogram(lam, 2 * inside, m_max, filt)
         results = growth_check(lam, m_max, inside, filt)
         assert [(r.count_at_x, r.count_at_2x) for r in results] == [
             (counts[m], counts_2x[m]) for m in range(m_max + 1)

@@ -11,12 +11,13 @@ from shortint.primes import (
     ALL,
     PrimeFilter,
     build_table,
-    count_in,
     is_fundamental_discriminant,
     kronecker_symbol,
     prime_count,
     primes_between,
 )
+
+from dense_primes import dense_sieve
 
 
 def trial_division_is_prime(n: int) -> bool:
@@ -30,19 +31,9 @@ def trial_division_is_prime(n: int) -> bool:
     return True
 
 
-def dense_sieve(limit: int) -> np.ndarray:
-    """Independent oracle: one-shot sieve over every integer, no odd packing."""
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return np.flatnonzero(flags)
-
-
-def test_membership_matches_trial_division_exhaustively(table_1e5):
-    for n in range(0, 10**5 + 1):
-        assert table_1e5.membership(n) == trial_division_is_prime(n), n
+def test_table_primes_match_trial_division_exhaustively():
+    want = [n for n in range(0, 10**5 + 1) if trial_division_is_prime(n)]
+    assert build_table(10**5).primes().tolist() == want
 
 
 def test_count_examples(monkeypatch):
@@ -85,7 +76,6 @@ def test_prime_count_and_sieve_cli_match_dense_sieve(monkeypatch, capsys, segmen
         table = build_table(limit)
         assert table.count == len(expected)
         assert np.array_equal(table.primes(), expected), limit
-        assert table.membership(limit) == (expected[-1] == limit)
         assert table.primes().dtype == np.int64
         assert not table.primes().flags.writeable
 
@@ -103,48 +93,46 @@ def test_memory_budget_error_names_required_bytes(monkeypatch):
         build_table(10**9)
 
 
-def test_membership_beyond_limit_raises(table_1e5):
-    with pytest.raises(OutOfRangeError):
-        table_1e5.membership(10**7)
+def test_primes_between_real_endpoints(table_1e5):
+    # closed ends, compared exactly: ceil(lo) <= p <= floor(hi)
+    assert primes_between(table_1e5, 8, 10.08).tolist() == []
+    assert primes_between(table_1e5, 2, 2.693).tolist() == [2]
+    assert primes_between(table_1e5, 1.5, 7).tolist() == [2, 3, 5, 7]
+    assert primes_between(table_1e5, 2.5, 6.99).tolist() == [3, 5]
 
 
-def test_count_in_examples(table_1e5):
-    assert count_in(table_1e5, 8, 10.08) == 0
-    assert count_in(table_1e5, 2, 2.693) == 1
-    assert count_in(table_1e5, 1, 30, PrimeFilter.residue_class(1, 4)) == 4
-
-
-def test_count_in_validation(table_1e5):
+def test_primes_between_validation(table_1e5):
     with pytest.raises(OutOfRangeError, match="limit"):
-        count_in(table_1e5, 0, table_1e5.limit + 1)
+        primes_between(table_1e5, 0, table_1e5.limit + 1)
+    with pytest.raises(OutOfRangeError, match="limit"):
+        primes_between(table_1e5, 10**7, 10**7)
     with pytest.raises(ValueError):
-        count_in(table_1e5, -1, 10)
+        primes_between(table_1e5, -1, 10)
     with pytest.raises(ValueError):
-        count_in(table_1e5, 10, 5)
+        primes_between(table_1e5, 10, 5)
 
 
-def test_count_in_additive_over_adjacent_intervals(table_1e5):
+def test_primes_between_additive_over_adjacent_intervals(table_1e5):
     rng = random.Random(7)
     for _ in range(200):
         lo = rng.uniform(0, 90000)
         hi = lo + rng.uniform(0, 5000)
         mid = rng.uniform(lo, hi)
-        if table_1e5.membership(round(mid)) and round(mid) == mid:
-            mid += 0.5
-        total = count_in(table_1e5, lo, hi)
-        split = count_in(table_1e5, lo, mid) + count_in(
+        total = primes_between(table_1e5, lo, hi).tolist()
+        split = primes_between(table_1e5, lo, mid).tolist() + primes_between(
             table_1e5, math.nextafter(mid, math.inf), hi
-        )
+        ).tolist()
         assert split == total
 
 
 @pytest.mark.parametrize("q", [3, 4, 5, 12])
 def test_residue_filters_partition_the_primes(table_1e5, q):
     lo, hi = 1, 50000
-    total = count_in(table_1e5, lo, hi)
+    total = len(primes_between(table_1e5, lo, hi))
     coprime = [a for a in range(q) if math.gcd(a, q) == 1]
     filtered = sum(
-        count_in(table_1e5, lo, hi, PrimeFilter.residue_class(a, q)) for a in coprime
+        len(primes_between(table_1e5, lo, hi, PrimeFilter.residue_class(a, q)))
+        for a in coprime
     )
     dividing = sum(
         1
