@@ -101,11 +101,14 @@ def test_primes_between_real_endpoints(table_1e5):
     assert primes_between(table_1e5, 2.5, 6.99).tolist() == [3, 5]
 
 
+def test_primes_between_beyond_limit_raises(table_1e5):
+    with pytest.raises(OutOfRangeError, match="limit"):
+        primes_between(table_1e5, 10**7, 10**7)
+
+
 def test_primes_between_validation(table_1e5):
     with pytest.raises(OutOfRangeError, match="limit"):
         primes_between(table_1e5, 0, table_1e5.limit + 1)
-    with pytest.raises(OutOfRangeError, match="limit"):
-        primes_between(table_1e5, 10**7, 10**7)
     with pytest.raises(ValueError):
         primes_between(table_1e5, -1, 10)
     with pytest.raises(ValueError):
