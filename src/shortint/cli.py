@@ -223,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.set_defaults(func=None)
     sub = parser.add_subparsers(dest="command")
 
-    p = sub.add_parser("sieve", help="build a prime table and print its count")
+    p = sub.add_parser("sieve", help="count the primes up to --limit, segment by segment")
     p.add_argument("--limit", type=int, required=True)
     p.set_defaults(func=_cmd_sieve)
 

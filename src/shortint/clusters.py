@@ -171,8 +171,11 @@ def find_clusters(
     edges of any slid window, which slide() takes from density.right_edge.
     Every count comes from density.window_runs at those fixed lengths: the
     primes in the window, those in its first portion, and the pairs of
-    consecutive primes at most the threshold apart that lie inside it.  With
-    require_spacing, only spacing_ok clusters are yielded.
+    consecutive primes at most the threshold apart that lie inside it.  The
+    bases are counted in spans that grow with what has been scanned
+    (density.spans with ramp), so a consumer that stops early has at most
+    about twice the bases it consumed counted.  With require_spacing, only
+    spacing_ok clusters are yielded.
     """
     check_lambda(lam)
     if not 1 <= x_lo <= x_hi:
@@ -190,7 +193,7 @@ def find_clusters(
     win_i = math.floor(window)  # p <= N0 + window  <=>  p - N0 <= win_i
     portion_i = math.ceil(portion) - 1  # p - N0 < portion  <=>  p - N0 <= portion_i
 
-    for a, b in spans(x_lo, x_hi):
+    for a, b in spans(x_lo, x_hi, ramp=True):
         primes = primes_between(table, a, b + win_i, filt)
         early = primes[: np.searchsorted(primes, b + portion_i, side="right")]
         # a bad pair: consecutive primes at most the threshold apart; one

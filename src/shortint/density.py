@@ -10,15 +10,20 @@ where a prime leaves or enters the window, so it returns c as run values and
 run lengths in O(pi(x)) work.  The density and growth histograms weight the
 run values by their lengths, window_counts repeats them to give c(n) one n
 at a time, and the cluster scan runs the kernel at its fixed window lengths.
-The density and growth scans need no prime table: they consume the sieve's
-segments as they are sieved, carrying only the primes that windows still to
-be scanned can reach, so their memory is O(segment) at any x.
+The density and growth scans need no prime table.  They cut [1, x] into one
+contiguous part per CPU in the process's affinity mask (WORKERS), scan the
+parts at the same time in forked workers and sum their exact histograms.
+Each part sieves only its own range and consumes the segments as they are
+sieved, carrying only the primes that windows still to be scanned can reach,
+so a worker's memory is O(segment) at any x.  With one CPU nothing is
+forked.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -29,7 +34,13 @@ import numpy as np
 from .errors import ParameterRangeError
 from .primes import ALL, PrimeFilter, PrimeTable, prime_segments, primes_between
 
-SCAN_CHUNK = 2**16  # starting points per kernel call; bounds the per-call arrays
+SCAN_CHUNK = 2**18  # starting points per kernel call; bounds the per-call arrays
+# density and growth scan parts, one per CPU this process may run on
+WORKERS = (
+    len(os.sched_getaffinity(0))
+    if hasattr(os, "sched_getaffinity")
+    else os.cpu_count() or 1
+)
 
 
 @functools.lru_cache
@@ -93,10 +104,21 @@ def right_edge(n: np.ndarray, lam: float) -> np.ndarray:
     return n + np.searchsorted(steps, n, side="right")
 
 
-def spans(a: int, b: int) -> Iterator[tuple[int, int]]:
-    """[a, b] cut into consecutive closed runs of at most SCAN_CHUNK integers."""
-    for lo in range(a, b + 1, SCAN_CHUNK):
-        yield lo, min(lo + SCAN_CHUNK - 1, b)
+def spans(a: int, b: int, ramp: bool = False) -> Iterator[tuple[int, int]]:
+    """[a, b] cut into consecutive closed runs of at most SCAN_CHUNK integers.
+
+    With ramp, the first run holds SCAN_CHUNK // 64 integers (at least 1) and
+    each later one as many as all before it, up to SCAN_CHUNK: a consumer
+    that stops inside a run has had at most the first run, or twice what it
+    consumed, counted for it.
+    """
+    size = max(SCAN_CHUNK // 64, 1) if ramp else SCAN_CHUNK
+    lo = a
+    while lo <= b:
+        hi = min(lo + size - 1, b)
+        yield lo, hi
+        lo = hi + 1
+        size = min(max(size, lo - a), SCAN_CHUNK)
 
 
 def _edge_spans(steps: np.ndarray, a: int, b: int) -> Iterator[tuple[int, int, int]]:
@@ -246,25 +268,53 @@ def _histograms(
     lam: float, ends: tuple[int, ...], m_max: int, filt: PrimeFilter
 ) -> np.ndarray:
     """One bincount of c(n) per range [1, ends[0]], [ends[0] + 1, ends[1]],
-    ..., every c(n) > m_max in the last bin, from one pass of the sieve: each
-    run of window_runs is counted with its length.
+    ..., every c(n) > m_max in the last bin.
+
+    [1, ends[-1]] is cut into min(WORKERS, ends[-1]) contiguous parts, and
+    each part sieves only its own range.  Several parts run at the same time,
+    each in a forked child (workers.run_parts), and their rows, exact
+    integers, are summed.
+    """
+    steps = edge_steps(lam, required_limit(lam, ends[-1]))
+    k = min(WORKERS, ends[-1])
+    cuts = [1 + ends[-1] * i // k for i in range(k + 1)]
+    parts = [(lam, ends, m_max, filt, steps, a, b - 1) for a, b in zip(cuts, cuts[1:])]
+    if k == 1:
+        return _scan_part(*parts[0])
+    from .workers import run_parts  # only a scan of several parts needs it
+
+    return sum(run_parts(_scan_part, parts))
+
+
+def _scan_part(
+    lam: float,
+    ends: tuple[int, ...],
+    m_max: int,
+    filt: PrimeFilter,
+    steps: np.ndarray,
+    first: int,
+    last: int,
+) -> np.ndarray:
+    """The rows of _histograms counted over the n in [first, last] only, from
+    one pass of the sieve over [first, required_limit(lam, last)]: each run of
+    window_runs is counted with its length.  steps holds the breakpoints of L
+    at least up to that limit.
 
     The sieve's segments are consumed as they come.  carry holds the
     filtered primes from the next unscanned n on; once the sieve has passed
     top, every n <= top - L(top) has its whole window sieved, so it is
     scanned and the primes below the next n are dropped.
     """
-    limit = required_limit(lam, ends[-1])
-    steps = edge_steps(lam, limit)
+    limit = required_limit(lam, last)
     hist = np.zeros((len(ends), m_max + 2), dtype=np.int64)
     carry = np.empty(0, dtype=np.int64)
-    n = 1
-    for top, primes in prime_segments(limit, filt):
+    n = first
+    for top, primes in prime_segments(limit, filt, lo=first):
         carry = np.concatenate((carry, primes))
-        if top == limit:  # limit covers the window of every n <= ends[-1]
-            stop = ends[-1]
+        if top == limit:  # limit covers the window of every n <= last
+            stop = last
         else:
-            stop = min(top - int(np.searchsorted(steps, top, side="right")), ends[-1])
+            stop = min(top - int(np.searchsorted(steps, top, side="right")), last)
         while n <= stop:
             r = int(np.searchsorted(ends, n))
             end = min(stop, ends[r])
@@ -277,7 +327,7 @@ def _histograms(
                 hist[r] += counts.astype(np.int64)
             n = end + 1
         carry = carry[np.searchsorted(carry, n) :]
-        if n > ends[-1]:
+        if n > last:
             break
     return hist
 
@@ -305,7 +355,7 @@ def measure_density(
 
     n runs from 1; the window of n = 1 is the single point {1} and lands in
     m = 0.  The primes are sieved as the scan goes and none are kept, so
-    memory stays O(SEGMENT_SIZE) at any x.
+    memory stays O(SEGMENT_SIZE) per worker at any x.
     """
     _validate_scan(lam, x, m_max)
     [hist] = _histograms(lam, (x,), m_max, filt)

@@ -28,6 +28,7 @@ SEGMENT_SIZE = 2**20  # odd entries per segment
 # WHEEL in the odd-only index.
 WHEEL_PRIMES = (3, 5, 7, 11, 13, 17)
 WHEEL = math.prod(WHEEL_PRIMES)
+_WHEEL_INDEX = [(p - 3) // 2 for p in WHEEL_PRIMES]  # their odd-only indices
 DEFAULT_MEMORY_BUDGET = 2**31  # bytes
 
 
@@ -203,44 +204,51 @@ def _mark_segment(flags: np.ndarray, base: np.ndarray, i0: int) -> None:
         flags[start::p] = False
 
 
-def _segments(limit: int) -> Iterator[tuple[int, np.ndarray]]:
-    """The odd-only sieve of 3, 5, ..., <= limit, one marked segment at a time.
+def _segments(limit: int, lo: int = 1) -> Iterator[tuple[int, np.ndarray]]:
+    """The odd-only sieve of the odd n in [lo, limit] from 3 on, one marked
+    segment at a time.
 
-    Yields (i0, flags) with flags[i] true iff 3 + 2*(i0 + i) is prime.  Every
+    Yields (i0, flags) with flags[i] true iff 3 + 2*(i0 + i) is prime.  The
+    first segment starts at the first odd n >= max(lo, 3), so a range costs
+    only its own segments and the base primes up to isqrt(limit).  Every
     segment is marked in one reused buffer of SEGMENT_SIZE entries, so flags is
     valid only until the next item is requested.
     """
     size = SEGMENT_SIZE
     n_odds = (limit - 1) // 2
+    first = max((lo - 2) // 2, 0)  # odd-only index of the first odd n >= lo
     # segment i0 copies wheel[i0 % WHEEL:], so the tile spans one period
     # past the longest segment, or the whole range when that is shorter
     wheel = _wheel(min(n_odds, WHEEL + size))
     base = np.array(primes_upto(math.isqrt(limit)), dtype=np.int64)
     base = base[base > WHEEL_PRIMES[-1]]
-    buf = np.empty(min(size, n_odds), dtype=bool)
-    for i0 in range(0, n_odds, size):
+    buf = np.empty(max(min(size, n_odds - first), 0), dtype=bool)
+    for i0 in range(first, n_odds, size):
         flags = buf[: min(size, n_odds - i0)]
         start = i0 % WHEEL
         flags[:] = wheel[start : start + len(flags)]
-        if i0 == 0:  # the wheel primes themselves are prime
-            flags[[(p - 3) // 2 for p in WHEEL_PRIMES if p <= limit]] = True
+        # the wheel primes themselves are prime, in whichever segment they fall
+        flags[[i - i0 for i in _WHEEL_INDEX if i0 <= i < i0 + len(flags)]] = True
         _mark_segment(flags, base, i0)
         yield i0, flags
 
 
 def prime_segments(
-    limit: int, filt: PrimeFilter = ALL
+    limit: int, filt: PrimeFilter = ALL, lo: int = 1
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """The primes <= limit that pass filt, in increasing order, one sieve
-    segment at a time.
+    """The primes in [lo, limit] that pass filt, in increasing order, one
+    sieve segment at a time.
 
     Yields (top, primes): primes is a fresh sorted int64 array of the
-    filtered primes in (previous top, top], and the last top is limit.  The
-    prime 2 comes first, alone, with top 2.
+    filtered primes in (previous top, top], or in [lo, top] for the first
+    item, and the last top is limit.  The prime 2, when lo <= 2, comes first,
+    alone, with top 2.  A range that holds neither 2 nor an odd n > 2 yields
+    nothing.
     """
-    two = np.array([2], dtype=np.int64)
-    yield 2, two[filt.mask(two)]
-    for i0, flags in _segments(limit):
+    if lo <= 2:
+        two = np.array([2], dtype=np.int64)
+        yield 2, two[filt.mask(two)]
+    for i0, flags in _segments(limit, lo):
         primes = np.flatnonzero(flags)
         primes *= 2
         primes += 3 + 2 * i0

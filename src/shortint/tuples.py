@@ -247,10 +247,9 @@ def singular_series(
         return 1.0
     primes = build_table(int(cutoff)).primes()
     split = int(np.searchsorted(primes, hmax, side="right"))
-    offs = np.asarray(offsets, dtype=np.int64)
     log_total = 0.0
     for p in primes[:split].tolist():
-        nu = len(np.unique(offs % p))
+        nu = len({h % p for h in offsets})
         log_total += math.log1p(-nu / p) - k * math.log1p(-1.0 / p)
     tail = primes[split:].astype(np.float64)
     if len(tail):

@@ -122,6 +122,32 @@ def test_spacing_rejects_close_pairs_inside_the_window(monkeypatch):
     assert any(want[b] for b in confined) and not all(want[b] for b in confined)
 
 
+@pytest.mark.parametrize("chunk", (1000, 2**18))
+def test_islice_counts_what_it_consumes(table_1e6, monkeypatch, chunk):
+    # a consumer that stops early has at most the first span, or twice the
+    # bases up to its last cluster, counted; and it sees the full scan's prefix
+    monkeypatch.setattr(density, "SCAN_CHUNK", chunk)
+    first_span = max(chunk // 64, 1)
+    x_lo, x_hi = 5000, 6 * 10**5
+    full = list(find_clusters(table_1e6, 0.5, x_lo, x_hi, 4))
+    counted = set()
+    original = clusters_mod.window_runs
+
+    def recording(starts, ends, lo, hi, length):
+        counted.add((lo, hi))
+        return original(starts, ends, lo, hi, length)
+
+    monkeypatch.setattr(clusters_mod, "window_runs", recording)
+    # the last takes end far past the spans' growth to SCAN_CHUNK
+    for take in (1, 2, 7, 40, 300, 3000, 20000, 50000):
+        counted.clear()
+        got = list(itertools.islice(find_clusters(table_1e6, 0.5, x_lo, x_hi, 4), take))
+        assert got == full[:take]
+        consumed = got[-1].base - x_lo + 1
+        bases = sum(hi - lo + 1 for lo, hi in counted)
+        assert bases <= max(first_span, 2 * consumed), (take, consumed, bases)
+
+
 def test_find_clusters_empty_when_m_unreachable(table_1e6):
     assert list(find_clusters(table_1e6, 1.0, 100, 200, 50)) == []
 

@@ -1,5 +1,10 @@
 import json
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -331,6 +336,122 @@ def test_stream_across_segment_ends_matches_naive_recount(monkeypatch, segment_s
         assert [(r.count_at_x, r.count_at_2x) for r in results] == [
             (counts[m], counts_2x[m]) for m in range(m_max + 1)
         ], filt.tag
+
+
+# (lam, x, filt): x below, at and just above the part counts; a breakpoint
+# of L(n); and both filters
+PART_CASES = (
+    *((1.0, x, ALL) for x in (1, 2, 3, 4, 5, 6)),
+    (5.0, 1097, ALL),
+    (0.3, 3000, ALL),
+    (5.0, 1500, PrimeFilter.residue_class(1, 4)),
+    (1.0, 1500, PrimeFilter.kronecker(-4, 1)),
+)
+
+
+@pytest.mark.parametrize("chunk", (97, 2**18))
+@pytest.mark.parametrize("workers", (1, 2, 3, 5))
+def test_parts_match_naive_recount(monkeypatch, workers, chunk):
+    # SEGMENT_SIZE 64 puts several segments into each part and part cuts
+    # inside segments
+    monkeypatch.setattr(density, "WORKERS", workers)
+    monkeypatch.setattr(density, "SCAN_CHUNK", chunk)
+    monkeypatch.setattr(primes, "SEGMENT_SIZE", 64)
+    for lam, x, filt in PART_CASES:
+        counts, overflow = naive_histogram(lam, x, 4, filt)
+        rep = measure_density(lam, x, 4, filt)
+        assert (rep.counts, rep.overflow) == (counts, overflow), (lam, x, filt.tag)
+        counts_2x, _ = naive_histogram(lam, 2 * x, 4, filt)
+        results = growth_check(lam, 4, x, filt)
+        assert [(r.count_at_x, r.count_at_2x) for r in results] == [
+            (counts[m], counts_2x[m]) for m in range(5)
+        ], (lam, x, filt.tag)
+    assert multiprocessing.active_children() == []
+
+
+def _patch_parts(monkeypatch, first=None, rest=None):
+    """Three parts; before its sieve starts, the part from n = 1 calls first()
+    and each other part calls rest()."""
+    original = density.prime_segments
+
+    def segments(limit, filt, lo):
+        hook = rest if lo > 1 else first
+        if hook is not None:
+            hook()
+        return original(limit, filt, lo=lo)
+
+    monkeypatch.setattr(density, "prime_segments", segments)
+    monkeypatch.setattr(density, "WORKERS", 3)
+
+
+def _raise():
+    raise OverflowError("part failed")
+
+
+@pytest.mark.parametrize("side", ("first", "rest"))
+def test_failing_part_raises_and_leaves_no_process(monkeypatch, side):
+    _patch_parts(monkeypatch, **{side: _raise})
+    with pytest.raises(OverflowError, match="part failed"):
+        measure_density(1.0, 30000, 4)
+    assert multiprocessing.active_children() == []
+
+
+def test_failing_part_terminates_the_others(monkeypatch):
+    _patch_parts(monkeypatch, first=_raise, rest=lambda: time.sleep(60))
+    start = time.monotonic()
+    with pytest.raises(OverflowError, match="part failed"):
+        measure_density(1.0, 30000, 4)
+    assert time.monotonic() - start < 30
+    assert multiprocessing.active_children() == []
+
+
+def test_dead_worker_raises_and_leaves_no_process(monkeypatch):
+    _patch_parts(monkeypatch, rest=lambda: os._exit(3))
+    with pytest.raises(RuntimeError, match="exited with code 3"):
+        growth_check(1.0, 4, 30000)
+    assert multiprocessing.active_children() == []
+
+
+KILLED_PARENT = """
+import os, time
+from shortint import density
+original = density.prime_segments
+def segments(limit, filt, lo):
+    if lo > 1:
+        print(os.getpid(), flush=True)
+        time.sleep(60)
+    return original(limit, filt, lo=lo)
+density.prime_segments = segments
+density.WORKERS = 3
+density.measure_density(1.0, 30000, 4)
+"""
+
+
+def _running(pid):
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="needs /proc")
+def test_workers_end_when_the_parent_is_killed():
+    # SIGKILL leaves the parent no chance to terminate its workers
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    parent = subprocess.Popen(
+        [sys.executable, "-c", KILLED_PARENT], env=env, stdout=subprocess.PIPE, text=True
+    )
+    try:
+        workers = [int(parent.stdout.readline()) for _ in range(2)]
+    finally:
+        parent.kill()
+        parent.wait(timeout=30)
+        parent.stdout.close()
+    deadline = time.monotonic() + 30
+    while any(map(_running, workers)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not any(map(_running, workers))
 
 
 def test_csv_layout():

@@ -17,7 +17,7 @@ from shortint.primes import (
     primes_between,
 )
 
-from dense_primes import dense_sieve
+from dense_primes import dense_primes, dense_sieve
 
 
 def trial_division_is_prime(n: int) -> bool:
@@ -78,6 +78,57 @@ def test_prime_count_and_sieve_cli_match_dense_sieve(monkeypatch, capsys, segmen
         assert np.array_equal(table.primes(), expected), limit
         assert table.primes().dtype == np.int64
         assert not table.primes().flags.writeable
+
+
+RANGE_FILTERS = (ALL, PrimeFilter.residue_class(2, 3), PrimeFilter.kronecker(-3, -1))
+
+
+def _check_range(limit, filt, lo, oracle):
+    """prime_segments(limit, filt, lo) yields the oracle's primes in [lo, limit],
+    each item's primes inside (previous top, top], and ends at top = limit
+    unless the range holds neither 2 nor an odd n > 2."""
+    got, low = [], lo
+    for top, found in primes.prime_segments(limit, filt, lo=lo):
+        assert found.dtype == np.int64
+        assert found.size == 0 or low <= found[0] <= found[-1] <= top, (lo, limit)
+        got.append(found)
+        low = top + 1
+    if lo <= 2 or lo < limit or lo % 2:  # the range holds 2 or an odd n > 2
+        assert low == limit + 1, (lo, limit)
+    else:
+        assert not got
+    want = oracle[(oracle >= lo) & (oracle <= limit)]
+    assert np.array_equal(np.concatenate([want[:0], *got]), want), (lo, limit)
+
+
+@pytest.mark.parametrize("filt", RANGE_FILTERS, ids=lambda f: f.tag)
+@pytest.mark.parametrize("segment_size", [3, 8, 64, 97])
+def test_prime_segments_from_lo_match_dense_sieve(monkeypatch, filt, segment_size):
+    # lo on and around every wheel prime, and on either side of the first and
+    # third segment ends; SEGMENT_SIZE 3 puts the wheel primes in three
+    # segments
+    monkeypatch.setattr(primes, "SEGMENT_SIZE", segment_size)
+    oracle = dense_primes(2000, filt)
+    for lo in range(1, 41):
+        for limit in (lo, lo + 1, lo + 30, 200):
+            if limit >= max(lo, 2):
+                _check_range(limit, filt, lo, oracle)
+    for lo in _segment_end_limits(segment_size):
+        _check_range(lo + 300, filt, lo, oracle)
+
+
+@pytest.mark.parametrize("filt", RANGE_FILTERS, ids=lambda f: f.tag)
+@pytest.mark.parametrize("segment_size", [97, primes.SEGMENT_SIZE])
+def test_prime_segments_from_lo_around_the_wheel_period(monkeypatch, filt, segment_size):
+    # the wheel tile repeats every WHEEL odd entries, at n = 3 + 2*WHEEL; a
+    # range may also start at WHEEL itself or near the square of a base prime
+    monkeypatch.setattr(primes, "SEGMENT_SIZE", segment_size)
+    period = 3 + 2 * primes.WHEEL
+    oracle = dense_primes(period + 5000, filt)
+    for lo in [primes.WHEEL + d for d in (-2, -1, 0, 1, 2)] + [
+        period + d for d in (-3, -2, -1, 0, 1, 2)
+    ] + [19 * 19, 19 * 19 + 1, 10007]:
+        _check_range(lo + 3000, filt, lo, oracle)
 
 
 def test_build_argument_validation():
