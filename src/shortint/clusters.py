@@ -9,6 +9,8 @@ of bases in one pass and locates, on each trace, the last index whose count
 still exceeds m; immediately after it the count drops to exactly m.
 Claims the sliding process relies on are checked on every trace, and any
 violation is recorded as a falsification rather than assumed impossible.
+Neither keeps a prime table: each sieves only the range it scans and reads
+its primes through one forward PrimeReader, so memory does not grow with x.
 """
 
 from __future__ import annotations
@@ -22,25 +24,21 @@ import numpy as np
 
 from .bounds import BoundParams, DEFAULT_PARAMS, spacing_divisor, tuple_size
 from .density import (
+    SCAN_CHUNK,
     check_lambda,
-    right_edge,
+    edge_steps,
+    range_counts,
+    required_limit,
     spans,
     table_limit,
-    window_counts,
     window_runs,
 )
-from .errors import OutOfRangeError, ParameterRangeError
-from .primes import ALL, PrimeFilter, PrimeTable, primes_between
+from .errors import ParameterRangeError
+from .primes import ALL, PrimeFilter, PrimeReader, check_budget, prime_segments
 
 # clusters per slide() call in the CLI; its memory is O(block), not
 # O(--max-clusters)
 SLIDE_BLOCK = 4096
-
-
-def required_limit(lam: float, x_hi: int) -> int:
-    """Smallest table limit that covers a cluster scan to x_hi and the slides
-    across its clusters."""
-    return table_limit(x_hi + 6 * lam * math.log(x_hi) + 1, lam, x_hi)
 
 
 def _scan_scales(
@@ -153,11 +151,10 @@ class Slides:
 
 
 def find_clusters(
-    table: PrimeTable,
     lam: float,
+    m: int,
     x_lo: int,
     x_hi: int,
-    m: int,
     filt: PrimeFilter = ALL,
     require_spacing: bool = False,
     params: BoundParams = DEFAULT_PARAMS,
@@ -168,33 +165,35 @@ def find_clusters(
     The window length 5*lam*log(x_hi) and the spacing threshold
     lam*log(x_hi) / spacing_divisor(k(m)) are one float each per scan, with
     x_hi as the scale representative: they size the clusters and are not the
-    edges of any slid window, which slide() takes from density.right_edge.
+    edges of any slid window, which slide() takes from density.edge_steps.
     Every count comes from density.window_runs at those fixed lengths: the
     primes in the window, those in its first portion, and the pairs of
     consecutive primes at most the threshold apart that lie inside it.  The
     bases are counted in spans that grow with what has been scanned
     (density.spans with ramp), so a consumer that stops early has at most
-    about twice the bases it consumed counted.  With require_spacing, only
-    spacing_ok clusters are yielded.
+    about twice the bases it consumed counted.  The primes come from one
+    reader over [x_lo, x_hi + window], read span by span.  With
+    require_spacing, only spacing_ok clusters are yielded.
     """
     check_lambda(lam)
     if not 1 <= x_lo <= x_hi:
         raise ValueError(f"need 1 <= x_lo <= x_hi, got {x_lo}, {x_hi}")
     if m < 0:
         raise ValueError(f"m must be non-negative, got {m}")
-    need = required_limit(lam, x_hi)
-    if need > table.limit:
-        raise OutOfRangeError(
-            f"scan to x_hi={x_hi} at lambda={lam} needs limit >= {need}, "
-            f"have {table.limit}"
-        )
     portion, threshold = _scan_scales(lam, x_hi, m, params)
     window = 5.0 * portion
+    table_limit(x_hi + window, lam, x_hi)  # a window beyond the float range
     win_i = math.floor(window)  # p <= N0 + window  <=>  p - N0 <= win_i
     portion_i = math.ceil(portion) - 1  # p - N0 < portion  <=>  p - N0 <= portion_i
+    # a span and its window, y integers, hold under 2y/log y primes (Montgomery
+    # and Vaughan, 1973), read and then concatenated: 8 bytes each, twice
+    y = SCAN_CHUNK + win_i
+    who = f"a cluster window of {win_i} integers at lambda={lam}"
+    check_budget(int(32 * y / math.log(y)), who, "its primes")
 
+    reader = PrimeReader(prime_segments(x_hi + win_i, filt, x_lo))
     for a, b in spans(x_lo, x_hi, ramp=True):
-        primes = primes_between(table, a, b + win_i, filt)
+        primes = reader.between(a, b + win_i)
         early = primes[: np.searchsorted(primes, b + portion_i, side="right")]
         # a bad pair: consecutive primes at most the threshold apart; one
         # wider than the window never lies inside it
@@ -216,7 +215,6 @@ def find_clusters(
 
 
 def slide(
-    table: PrimeTable,
     lam: float,
     bases: Sequence[int] | np.ndarray,
     m: int,
@@ -226,20 +224,24 @@ def slide(
     j = 0..floor(lam*log N0) from every base N0, and locate the drop indices.
 
     The bases may come in any order, overlapping or repeated; the traces keep
-    their order.  The trace intervals are merged into maximal covering runs
-    and each run is counted by one window_counts call, so the work is linear
-    in the number of windows.  Two claims are verified on every trace and
-    recorded as falsifications when violated: counts never increase by more
-    than 1 between consecutive j, and whenever the count is observed to drop
-    below m+1 right after j_drop, the integer N0 + j_drop is itself a
-    filtered prime.
+    their order.  The trace intervals are merged into maximal covering runs,
+    and the runs are counted in increasing order from one reader over their
+    range, so the work is linear in the number of windows.  Two claims are
+    verified on every trace and recorded as falsifications when violated:
+    counts never increase by more than 1 between consecutive j, and whenever
+    the count is observed to drop below m+1 right after j_drop, the integer
+    N0 + j_drop is itself a filtered prime.
     """
     check_lambda(lam)
     if m < 0:
         raise ValueError(f"m must be non-negative, got {m}")
     bases = np.array(bases, dtype=np.int64)
     n = len(bases)
-    lengths = right_edge(bases, lam) - bases + 1  # j = 0..L(base)
+    # every trace ends by required_limit(lam, top base), and its windows
+    # end by the limit of that
+    limit = required_limit(lam, required_limit(lam, int(bases.max(initial=1))))
+    steps = edge_steps(lam, limit)
+    lengths = np.searchsorted(steps, bases, side="right") + 1  # j = 0..L(base)
     starts = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(lengths, out=starts[1:])
 
@@ -253,13 +255,14 @@ def slide(
     run_hi = np.append(reach[:-1][opens[1:]], reach[-1:])  # reach before each open
     run_off = np.zeros(len(run_lo) + 1, dtype=np.int64)
     np.cumsum(run_hi - run_lo + 1, out=run_off[1:])
-    cover = np.concatenate(
-        [np.zeros(0, dtype=np.int64)]
-        + [
-            window_counts(table, lam, a, b, filt)
-            for a, b in zip(run_lo.tolist(), run_hi.tolist())
-        ]
-    )
+    # the filtered primes inside each run, after a -1 that keeps every
+    # search for a drop point below in range, then the run's counts
+    reader = PrimeReader(prime_segments(limit, filt, int(run_lo[0]) if n else 1))
+    inside, cover = [np.array([-1])], [np.zeros(0, dtype=np.int64)]
+    for a, b in zip(run_lo.tolist(), run_hi.tolist()):
+        inside.append(reader.between(a, b).copy())  # a view would pin its segment
+        cover.append(range_counts(reader, steps, a, b))
+    inside, cover = np.concatenate(inside), np.concatenate(cover)
     run_of = np.empty(n, dtype=np.int64)
     run_of[order] = np.cumsum(opens) - 1
     first = run_off[run_of] + bases - run_lo[run_of]  # trace start inside cover
@@ -278,10 +281,9 @@ def slide(
     # drop points: N0 + j_drop must be a filtered prime when the trace goes on
     dropped = np.flatnonzero((j_drop >= 0) & (j_drop < lengths - 1))
     n_drop = bases[dropped] + j_drop[dropped]
-    primes = table.primes()
-    at = np.minimum(np.searchsorted(primes, n_drop), len(primes) - 1)
+    at = np.searchsorted(inside, n_drop, side="right") - 1
     bad_drop = np.zeros(n, dtype=bool)
-    bad_drop[dropped[(primes[at] != n_drop) | ~filt.mask(n_drop)]] = True
+    bad_drop[dropped[inside[at] != n_drop]] = True
 
     falsifications: list[Falsification] = []
     falsification_starts = np.zeros(n + 1, dtype=np.int64)
@@ -357,38 +359,44 @@ def guaranteed_run_floor(
 
 
 TRACE_HEADER = "j,N_j,count\n"
+CSV_ROWS = 2**14  # trace rows formatted at a time; bounds the byte matrix
 
 
 def _decimal_columns(columns: list[np.ndarray]) -> str:
     """Rows of non-negative integer columns as comma-separated decimals, one
-    line per row, built digit by digit in a byte matrix."""
-    rows = len(columns[0])
-    fields = []
-    for col in columns:
-        top = int(col.max()) if rows else 0
-        width = len(str(top))
-        digits = np.empty((width, rows), dtype=np.uint8)
+    line per row, built digit by digit in a (rows, line width) byte matrix."""
+    tops = [int(col.max()) for col in columns]
+    widths = [len(str(top)) for top in tops]
+    text = np.empty((len(columns[0]), sum(widths) + len(widths)), dtype=np.uint8)
+    at = 0
+    for col, top, width in zip(columns, tops, widths):
         v = col.astype(np.uint32 if top < 2**32 else np.uint64)
-        for k in range(width - 1, -1, -1):
+        for k in range(at + width - 1, at - 1, -1):
             q = v // 10
-            digits[k] = v - q * 10
+            text[:, k] = v - q * 10 + ord("0")
             v = q
-        digits += ord("0")
         # leading zeros become 0 bytes, dropped below; the last digit stays
-        digits[:-1][np.logical_and.accumulate(digits[:-1] == ord("0"), axis=0)] = 0
-        fields += [digits, np.full((1, rows), ord(","), dtype=np.uint8)]
-    fields[-1] = np.full((1, rows), ord("\n"), dtype=np.uint8)
-    text = np.vstack(fields).T.ravel()
-    return text[text != 0].tobytes().decode("ascii")
+        for k in range(width - 1):
+            text[:, at + k][col < 10 ** (width - 1 - k)] = 0
+        text[:, at + width] = ord(",")
+        at += width + 1
+    text[:, -1] = ord("\n")
+    flat = text.ravel()
+    return str(flat[flat != 0].data, "ascii")
 
 
 def trace_csv(slides: Slides) -> str:
     """TRACE_HEADER, then the rows j,N_j,count of every trace (j restarts at
-    0 per trace)."""
+    0 per trace), formatted CSV_ROWS rows at a time."""
     lengths = np.diff(slides.starts)
     j = np.arange(len(slides.counts)) - np.repeat(slides.starts[:-1], lengths)
     n_j = np.repeat(slides.bases, lengths) + j
-    return TRACE_HEADER + _decimal_columns([j, n_j, slides.counts])
+    columns = [j, n_j, slides.counts]
+    rows = (
+        _decimal_columns([col[i : i + CSV_ROWS] for col in columns])
+        for i in range(0, len(j), CSV_ROWS)
+    )
+    return "".join([TRACE_HEADER, *rows])
 
 
 def falsifications_jsonl(slides: Slides) -> str:

@@ -8,15 +8,15 @@ right_edge is the one place that turns them into edges.  Every window count
 comes from one kernel, window_runs: where L is constant, c(n) changes only
 where a prime leaves or enters the window, so it returns c as run values and
 run lengths in O(pi(x)) work.  The density and growth histograms weight the
-run values by their lengths, window_counts repeats them to give c(n) one n
+run values by their lengths, range_counts repeats them to give c(n) one n
 at a time, and the cluster scan runs the kernel at its fixed window lengths.
-The density and growth scans need no prime table.  They cut [1, x] into one
+No scan keeps a prime table: each reads the primes of its windows, span by
+span, through one forward PrimeReader over its own range, which holds only
+the primes that windows still to be scanned can reach, so memory is
+O(segment) at any x.  The density and growth scans cut [1, x] into one
 contiguous part per CPU in the process's affinity mask (WORKERS), scan the
 parts at the same time in forked workers and sum their exact histograms.
-Each part sieves only its own range and consumes the segments as they are
-sieved, carrying only the primes that windows still to be scanned can reach,
-so a worker's memory is O(segment) at any x.  With one CPU nothing is
-forked.
+With one CPU nothing is forked.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ParameterRangeError
-from .primes import ALL, PrimeFilter, PrimeTable, prime_segments, primes_between
+from .primes import ALL, PrimeFilter, PrimeReader, prime_segments
 
 SCAN_CHUNK = 2**18  # starting points per kernel call; bounds the per-call arrays
 # density and growth scan parts, one per CPU this process may run on
@@ -121,15 +121,19 @@ def spans(a: int, b: int, ramp: bool = False) -> Iterator[tuple[int, int]]:
         size = min(max(size, lo - a), SCAN_CHUNK)
 
 
-def _edge_spans(steps: np.ndarray, a: int, b: int) -> Iterator[tuple[int, int, int]]:
-    """The spans of [a, b] cut again at the breakpoints steps, as (lo, hi, L)
-    with L(n) = L for every n in [lo, hi]."""
+def _read_runs(
+    reader: PrimeReader, steps: np.ndarray, a: int, b: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """window_runs over n = a..b, from the primes reader gives: the spans of
+    [a, b] are cut again at the breakpoints steps (known at least up to b),
+    so that L is constant on each piece, and each piece reads its primes."""
     for lo, hi in spans(a, b):
         i, j = np.searchsorted(steps, (lo, hi), side="right").tolist()
         cuts = [lo, *steps[i:j].tolist(), hi + 1]
         for length, (start, stop) in enumerate(zip(cuts, cuts[1:]), start=i):
             if start < stop:  # coinciding breakpoints leave empty pieces
-                yield start, stop - 1, length
+                primes = reader.between(start, stop - 1 + length)
+                yield window_runs(primes, primes, start, stop - 1, length)
 
 
 def window_runs(
@@ -174,21 +178,26 @@ def window_runs(
     return c, keys[1:] - keys[:-1]
 
 
-def window_counts(
-    table: PrimeTable, lam: float, a: int, b: int, filt: PrimeFilter = ALL
+def range_counts(
+    reader: PrimeReader, steps: np.ndarray, a: int, b: int
 ) -> np.ndarray:
-    """c(n), the number of filtered primes in [n, n + lam*log n], for n = a..b.
+    """c(n) for n = a..b, from the primes reader gives; steps holds the
+    breakpoints of L at least up to b."""
+    parts = [np.repeat(c, runs) for c, runs in _read_runs(reader, steps, a, b)]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
-    Raises OutOfRangeError when a window reaches beyond the table.
-    """
+
+def window_counts(
+    lam: float, a: int, b: int, filt: PrimeFilter = ALL
+) -> np.ndarray:
+    """c(n), the number of filtered primes in [n, n + lam*log n], for n = a..b,
+    from one pass of the sieve over [a, required_limit(lam, b)]."""
     check_lambda(lam)
     if not 1 <= a <= b:
         raise ValueError(f"need 1 <= a <= b, got {a}, {b}")
-    parts = []
-    for lo, hi, length in _edge_spans(edge_steps(lam, table.limit), a, b):
-        primes = primes_between(table, lo, hi + length, filt)
-        parts.append(np.repeat(*window_runs(primes, primes, lo, hi, length)))
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    limit = required_limit(lam, b)
+    reader = PrimeReader(prime_segments(limit, filt, a))
+    return range_counts(reader, edge_steps(lam, limit), a, b)
 
 
 def poisson_reference(lam: float, m: int) -> float:
@@ -255,7 +264,7 @@ def required_limit(lam: float, x: int) -> int:
 
 
 def table_limit(top: float, lam: float, x: int) -> int:
-    """ceil(top), the table limit a scan to x at lam needs; a top beyond the
+    """ceil(top), the sieve limit a scan to x at lam needs; a top beyond the
     float range raises ParameterRangeError."""
     if not math.isfinite(top):
         raise ParameterRangeError(
@@ -296,39 +305,18 @@ def _scan_part(
     last: int,
 ) -> np.ndarray:
     """The rows of _histograms counted over the n in [first, last] only, from
-    one pass of the sieve over [first, required_limit(lam, last)]: each run of
-    window_runs is counted with its length.  steps holds the breakpoints of L
-    at least up to that limit.
-
-    The sieve's segments are consumed as they come.  carry holds the
-    filtered primes from the next unscanned n on; once the sieve has passed
-    top, every n <= top - L(top) has its whole window sieved, so it is
-    scanned and the primes below the next n are dropped.
+    one reader over [first, required_limit(lam, last)]: each run of
+    window_runs is counted with its length, in the row of its ends range.
+    steps holds the breakpoints of L at least up to that limit.
     """
-    limit = required_limit(lam, last)
+    reader = PrimeReader(prime_segments(required_limit(lam, last), filt, first))
     hist = np.zeros((len(ends), m_max + 2), dtype=np.int64)
-    carry = np.empty(0, dtype=np.int64)
-    n = first
-    for top, primes in prime_segments(limit, filt, lo=first):
-        carry = np.concatenate((carry, primes))
-        if top == limit:  # limit covers the window of every n <= last
-            stop = last
-        else:
-            stop = min(top - int(np.searchsorted(steps, top, side="right")), last)
-        while n <= stop:
-            r = int(np.searchsorted(ends, n))
-            end = min(stop, ends[r])
-            for lo, hi, length in _edge_spans(steps, n, end):
-                i = np.searchsorted(carry, lo, side="left")
-                j = np.searchsorted(carry, hi + length, side="right")
-                c, runs = window_runs(carry[i:j], carry[i:j], lo, hi, length)
-                np.minimum(c, m_max + 1, out=c)
-                counts = np.bincount(c, weights=runs, minlength=m_max + 2)
-                hist[r] += counts.astype(np.int64)
-            n = end + 1
-        carry = carry[np.searchsorted(carry, n) :]
-        if n > last:
-            break
+    a = first
+    for row, end in zip(hist, ends):
+        for c, runs in _read_runs(reader, steps, a, min(end, last)):
+            np.minimum(c, m_max + 1, out=c)
+            row += np.bincount(c, weights=runs, minlength=m_max + 2).astype(np.int64)
+        a = max(a, end + 1)
     return hist
 
 

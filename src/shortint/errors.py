@@ -5,12 +5,8 @@ class ShortIntervalError(Exception):
     """Base class for errors raised by shortint operations."""
 
 
-class OutOfRangeError(ShortIntervalError):
-    """A query reaches beyond the sieved limit of a prime table."""
-
-
 class MemoryBudgetError(ShortIntervalError):
-    """Building a table would exceed the configured memory budget."""
+    """An operation would exceed the configured memory budget."""
 
 
 class InadmissibleTupleError(ShortIntervalError):

@@ -6,11 +6,12 @@ handled logically.  Each segment is pre-sieved by a wheel: the flags of the
 odd n free of 3, 5, ..., 17 repeat with period WHEEL = 255255 in the odd-only
 index, so one tile of that pattern is copied in, and only the base primes
 above 17 are marked, from start offsets computed for all of them at once.
-It is the package's only sieve.  prime_segments turns each segment into its
-sorted, filtered primes; build_table writes them into the table's sorted
-int64 array, primes_upto takes the same path, the density scan consumes them
-directly, and prime_count counts the segments without keeping them.  A table
-is that array alone, immutable and safe to share between threads.
+It is the package's only sieve.  prime_segments turns each segment of a
+range [lo, limit] into its sorted, filtered primes; every window scan reads
+them through a forward PrimeReader, build_table writes them into the table's
+sorted int64 array, primes_upto takes the same path, and prime_count counts
+the segments without keeping them.  A table is that array alone, immutable
+and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import MemoryBudgetError, OutOfRangeError
+from .errors import MemoryBudgetError
 
 SEGMENT_SIZE = 2**20  # odd entries per segment
 # Pre-sieved by tiling: the odd n free of these primes repeat with period
@@ -217,12 +218,12 @@ def _segments(limit: int, lo: int = 1) -> Iterator[tuple[int, np.ndarray]]:
     size = SEGMENT_SIZE
     n_odds = (limit - 1) // 2
     first = max((lo - 2) // 2, 0)  # odd-only index of the first odd n >= lo
+    buf = np.empty(max(min(size, n_odds - first), 0), dtype=bool)
     # segment i0 copies wheel[i0 % WHEEL:], so the tile spans one period
     # past the longest segment, or the whole range when that is shorter
-    wheel = _wheel(min(n_odds, WHEEL + size))
+    wheel = _wheel(min(n_odds, WHEEL + len(buf)))
     base = np.array(primes_upto(math.isqrt(limit)), dtype=np.int64)
     base = base[base > WHEEL_PRIMES[-1]]
-    buf = np.empty(max(min(size, n_odds - first), 0), dtype=bool)
     for i0 in range(first, n_odds, size):
         flags = buf[: min(size, n_odds - i0)]
         start = i0 % WHEEL
@@ -298,32 +299,38 @@ def build_table(limit: int) -> PrimeTable:
     _check_limit(limit)
     # 8 B an entry: the bound-sized array, then its trimmed copy (~x/ln x)
     estimate = 8 * (_prime_bound(limit) + int(limit / math.log(limit)))
-    if estimate > DEFAULT_MEMORY_BUDGET:
-        raise MemoryBudgetError(
-            f"limit={limit} needs about {estimate:,} bytes for the prime array "
-            f"and its trimmed copy; budget is {DEFAULT_MEMORY_BUDGET:,}"
-        )
+    check_budget(estimate, f"limit={limit}", "the prime array and its trimmed copy")
     return PrimeTable(limit, _prime_array(limit))
 
 
-def primes_between(
-    table: PrimeTable, lo: float, hi: float, filt: PrimeFilter = ALL
-) -> np.ndarray:
-    """Sorted array of the filtered primes in the closed interval [lo, hi].
-
-    Real endpoints are compared exactly against integer primes: lo <= p is
-    decided by ceil(lo) <= p and p <= hi by p <= floor(hi).
-    """
-    if not 0 <= lo <= hi:
-        raise ValueError(f"need 0 <= lo <= hi, got lo={lo}, hi={hi}")
-    if hi > table.limit:
-        raise OutOfRangeError(
-            f"hi={hi} exceeds the sieved limit {table.limit}"
+def check_budget(need: int, who: str, what: str) -> None:
+    """MemoryBudgetError when who needs more than DEFAULT_MEMORY_BUDGET bytes."""
+    if need > DEFAULT_MEMORY_BUDGET:
+        raise MemoryBudgetError(
+            f"{who} needs about {need:,} bytes for {what}; "
+            f"budget is {DEFAULT_MEMORY_BUDGET:,}"
         )
-    primes = table.primes()
-    left = np.searchsorted(primes, math.ceil(lo), side="left")
-    right = np.searchsorted(primes, math.floor(hi), side="right")
-    chunk = primes[left:right]
-    if filt.kind == "all":
-        return chunk.copy()
-    return chunk[filt.mask(chunk)]
+
+
+class PrimeReader:
+    """Forward-only reader of the primes a prime_segments iterator yields.
+
+    between(lo, hi) returns the sorted primes in [lo, hi].  It sieves only
+    the segments that hi newly reaches and drops the primes below lo, so lo
+    must never move back, and hi must stay within the iterator's limit.  The
+    array returned is a view that later calls leave unchanged.
+    """
+
+    def __init__(self, segments: Iterator[tuple[int, np.ndarray]]):
+        self._segments = segments
+        self._primes = np.empty(0, dtype=np.int64)
+        self._top = -1  # every prime <= _top has been read
+
+    def between(self, lo: int, hi: int) -> np.ndarray:
+        parts = [self._primes]
+        while self._top < hi:
+            self._top, primes = next(self._segments, (hi, parts[0][:0]))
+            parts.append(primes)
+        primes = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        self._primes = primes[np.searchsorted(primes, lo) :]
+        return self._primes[: np.searchsorted(self._primes, hi, side="right")]

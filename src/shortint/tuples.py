@@ -10,8 +10,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InadmissibleTupleError, MemoryBudgetError
-from .primes import DEFAULT_MEMORY_BUDGET, build_table, primes_upto
+from .errors import InadmissibleTupleError
+from .primes import build_table, check_budget, primes_upto
 
 INT64_MAX = int(np.iinfo(np.int64).max)
 
@@ -118,12 +118,8 @@ def greedy_sieve(window: float, k: int) -> SievedSet:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     size = math.floor(window) + 1
-    estimate = 17 * size  # 8 B element + 8 B residue + 1 B mask
-    if estimate > DEFAULT_MEMORY_BUDGET:
-        raise MemoryBudgetError(
-            f"window={window} needs about {estimate:,} bytes for the sieve; "
-            f"budget is {DEFAULT_MEMORY_BUDGET:,}"
-        )
+    # 8 B element + 8 B residue + 1 B mask
+    check_budget(17 * size, f"window={window}", "the sieve")
     elements = np.arange(size, dtype=np.int64)
     removed: list[tuple[int, int]] = []
     for p in primes_upto(k):

@@ -19,8 +19,9 @@ from typing import Callable
 def run_parts(fn: Callable, parts: list[tuple]) -> list:
     """[fn(*part) for part in parts], each part in its own forked child, all
     at the same time.  A child hands back its result, or its exception to be
-    raised here, through a pipe.  The children are always reaped, and
-    terminated first when anything fails.
+    raised here, through a pipe.  The pipes are read as they become ready, so
+    the first failure is raised at once, whichever part it is.  The children
+    are always reaped, and terminated first when anything fails.
     """
     ctx = multiprocessing.get_context("fork")
     children = []
@@ -33,19 +34,22 @@ def run_parts(fn: Callable, parts: list[tuple]) -> list:
             finally:
                 send.close()  # the child's copy stays open until it exits
             children.append((child, receive))
-        results = []
-        for child, receive in children:
-            try:
-                ok, value = receive.recv()
-            except EOFError:
-                child.join()
-                raise RuntimeError(
-                    f"scan worker {child.pid} exited with code {child.exitcode} "
-                    "before it sent its part"
-                ) from None
-            if not ok:
-                raise value
-            results.append(value)
+        results = [None] * len(children)
+        pending = {receive: (i, child) for i, (child, receive) in enumerate(children)}
+        while pending:
+            for receive in multiprocessing.connection.wait(list(pending)):
+                i, child = pending.pop(receive)
+                try:
+                    ok, value = receive.recv()
+                except EOFError:
+                    child.join()
+                    raise RuntimeError(
+                        f"scan worker {child.pid} exited with code {child.exitcode} "
+                        "before it sent its part"
+                    ) from None
+                if not ok:
+                    raise value
+                results[i] = value
         return results
     except BaseException:
         for child, _ in children:

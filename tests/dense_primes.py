@@ -1,8 +1,8 @@
 """Prime oracles for the tests.
 
-A one-shot sieve over every integer (no odd packing, no wheel, no segments)
-and a filter test written from the definitions.  Neither shares code with
-shortint.primes.
+A one-shot sieve over every integer (no odd packing, no wheel, no segments),
+a Miller-Rabin test for single n far beyond it, and a filter test written
+from the definitions.  None shares code with shortint.primes.
 """
 
 import math
@@ -23,6 +23,31 @@ def dense_flags(limit: int) -> np.ndarray:
 def dense_sieve(limit: int) -> np.ndarray:
     """The primes <= limit, in increasing order."""
     return np.flatnonzero(dense_flags(limit))
+
+
+def is_prime(n: int) -> bool:
+    """Miller-Rabin with the first 12 prime bases, which is deterministic
+    for every n < 3.3e24 (Sorenson and Webster, Math. Comp. 2017)."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    for p in bases:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _kept(filt, p: int) -> bool:

@@ -253,6 +253,21 @@ def test_m_checks_run_before_the_sieve(monkeypatch, capsys):
     assert "m must be non-negative" in capsys.readouterr().err
 
 
+def test_slide_refuses_a_cluster_window_beyond_the_memory_budget(
+    monkeypatch, capsys, tmp_path
+):
+    # the window's primes are read at once: 5*1000*log(100) = 23025 integers
+    # need about 0.7 MB, so this budget refuses them before any sieving
+    monkeypatch.setattr(primes, "DEFAULT_MEMORY_BUDGET", 10**5)
+    out = tmp_path / "t.csv"
+    argv = ["slide", "--lambda", "1000", "--x-lo", "10", "--x-hi", "100", "--m", "1"]
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: a cluster window of 23025 integers at lambda=1000.0 ")
+    assert err.endswith(" bytes for its primes; budget is 100,000\n")
+    assert not out.exists()
+
+
 def test_density_has_no_memory_budget(monkeypatch, capsys):
     # the scan keeps no prime table, so no budget can refuse it
     argv = ["density", "--lambda", "1", "--x", "100000", "--m-max", "4"]

@@ -26,7 +26,7 @@ from shortint.density import (
     window_runs,
 )
 from shortint.errors import ParameterRangeError
-from shortint.primes import ALL, PrimeFilter, primes_between
+from shortint.primes import ALL, PrimeFilter, PrimeReader, prime_segments
 
 from dense_primes import count_between, dense_primes
 from exact_edges import exact_edge, exact_edges, exact_length
@@ -187,14 +187,14 @@ def test_edge_steps_edge_cases():
     assert right_edge(np.array([1, 2, 3]), 10.0).tolist() == [1, 8, 13]
 
 
-def test_non_finite_lambda_is_rejected(table_1e5):
+def test_non_finite_lambda_is_rejected():
     for lam in (math.inf, -math.inf, math.nan):
         with pytest.raises(ParameterRangeError, match="lambda must be finite"):
             measure_density(lam, 100, 2)
         with pytest.raises(ParameterRangeError, match="lambda must be finite"):
             growth_check(lam, 2, 100)
         with pytest.raises(ParameterRangeError, match="lambda must be finite"):
-            window_counts(table_1e5, lam, 1, 100)
+            window_counts(lam, 1, 100)
 
 
 def test_overflowing_table_limit_is_rejected():
@@ -205,10 +205,12 @@ def test_overflowing_table_limit_is_rejected():
         measure_density(1e308, 10, 1)
     with pytest.raises(ParameterRangeError, match="table limit .* overflows"):
         growth_check(1e308, 1, 10)
+    with pytest.raises(ParameterRangeError, match="table limit .* overflows"):
+        window_counts(1e308, 5, 10)
 
 
 @pytest.mark.parametrize("lam", (0.25, 1.0, 5.0, 30.0))
-def test_window_counts_match_naive_recount(table_1e5, monkeypatch, lam):
+def test_window_counts_match_naive_recount(monkeypatch, lam):
     # the cases a run kernel can get wrong: a run starting on a breakpoint of
     # L(n), an n where one prime leaves the window as another enters (a run
     # of length 0), single-n runs and a run across several scan chunks
@@ -218,8 +220,8 @@ def test_window_counts_match_naive_recount(table_1e5, monkeypatch, lam):
     step = int(n[1:][(np.diff(lengths) > 0) & (n[1:] >= 1000)][0])
     filters = (ALL, PrimeFilter.residue_class(2, 3), PrimeFilter.kronecker(5, 1))
     for filt in filters:
-        primes = dense_primes(table_1e5.limit, filt)
-        kept = np.zeros(table_1e5.limit + 1, dtype=bool)
+        primes = dense_primes(10**5, filt)
+        kept = np.zeros(10**5 + 1, dtype=bool)
         kept[primes] = True
         # n - 1 leaves and n + L enters, with L(n - 1) = L(n)
         swaps = n[1:][
@@ -240,7 +242,7 @@ def test_window_counts_match_naive_recount(table_1e5, monkeypatch, lam):
             want = count_between(primes, ns, ns + length)
             assert np.repeat(values, run_lengths).tolist() == want.tolist()
         for a, count in runs:
-            got = window_counts(table_1e5, lam, a, a + count - 1, filt)
+            got = window_counts(lam, a, a + count - 1, filt)
             ns = np.arange(a, a + count)
             want = count_between(primes, ns, exact_edges(lam, ns))
             assert got.tolist() == want.tolist(), (a, count, filt.tag)
@@ -257,17 +259,19 @@ def test_growing_lambda_never_loses_tail_mass():
         assert tail(large, m) >= tail(small, m)
 
 
-def test_residue_counts_per_window_reconcile(table_1e5):
-    # per n: counts over the coprime residues + primes dividing q = unfiltered count
+def test_residue_counts_per_window_reconcile():
+    # per n: counts over the coprime residues + primes dividing q = unfiltered
+    # count, each read by one reader walking the windows forward
     q = 4
-    filters = [PrimeFilter.residue_class(a, q) for a in (1, 3)]
+    readers = [
+        PrimeReader(prime_segments(1000, filt, 2))
+        for filt in (ALL, PrimeFilter.residue_class(1, q), PrimeFilter.residue_class(3, q))
+    ]
     for n in range(2, 800):
-        hi = n + 5.0 * math.log(n)
-        split = sum(len(primes_between(table_1e5, n, hi, f)) for f in filters)
-        ramified = sum(
-            1 for p in (2,) if n <= p <= hi
-        )
-        assert split + ramified == len(primes_between(table_1e5, n, hi))
+        hi = math.floor(n + 5.0 * math.log(n))
+        total, *split = (len(reader.between(n, hi)) for reader in readers)
+        ramified = sum(1 for p in (2,) if n <= p <= hi)
+        assert sum(split) + ramified == total
 
 
 def test_poisson_reference_examples():
@@ -405,6 +409,26 @@ def test_failing_part_terminates_the_others(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def test_failing_later_part_is_raised_at_once(monkeypatch):
+    # part 2 (from n = 10001) fails while part 1 sleeps; part 3 runs normally
+    original = density.prime_segments
+
+    def segments(limit, filt, lo):
+        if lo == 1:
+            time.sleep(60)
+        elif lo == 10001:
+            _raise()
+        return original(limit, filt, lo=lo)
+
+    monkeypatch.setattr(density, "prime_segments", segments)
+    monkeypatch.setattr(density, "WORKERS", 3)
+    start = time.monotonic()
+    with pytest.raises(OverflowError, match="part failed"):
+        measure_density(1.0, 30000, 4)
+    assert time.monotonic() - start < 30
+    assert multiprocessing.active_children() == []
+
+
 def test_dead_worker_raises_and_leaves_no_process(monkeypatch):
     _patch_parts(monkeypatch, rest=lambda: os._exit(3))
     with pytest.raises(RuntimeError, match="exited with code 3"):
@@ -418,7 +442,7 @@ from shortint import density
 original = density.prime_segments
 def segments(limit, filt, lo):
     if lo > 1:
-        print(os.getpid(), flush=True)
+        os.write(1, f"{os.getpid()}\\n".encode())  # one write: lines never interleave
         time.sleep(60)
     return original(limit, filt, lo=lo)
 density.prime_segments = segments

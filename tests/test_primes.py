@@ -1,3 +1,5 @@
+import functools
+import itertools
 import math
 import random
 
@@ -6,15 +8,16 @@ import pytest
 
 from shortint import primes
 from shortint.cli import main
-from shortint.errors import MemoryBudgetError, OutOfRangeError
+from shortint.errors import MemoryBudgetError
 from shortint.primes import (
     ALL,
     PrimeFilter,
+    PrimeReader,
     build_table,
     is_fundamental_discriminant,
     kronecker_symbol,
     prime_count,
-    primes_between,
+    prime_segments,
 )
 
 from dense_primes import dense_primes, dense_sieve
@@ -131,6 +134,27 @@ def test_prime_segments_from_lo_around_the_wheel_period(monkeypatch, filt, segme
         _check_range(lo + 3000, filt, lo, oracle)
 
 
+@functools.lru_cache
+def _oracle(limit, filt):
+    return dense_primes(limit, filt)
+
+
+@pytest.mark.parametrize("filt", RANGE_FILTERS, ids=lambda f: f.tag)
+@pytest.mark.parametrize("segment_size", [8, primes.SEGMENT_SIZE])
+def test_short_ranges_far_above_the_wheel_match_dense_sieve(monkeypatch, filt, segment_size):
+    # the wheel tile is sized from the range, so a range of a few thousand
+    # integers copies a tile of about WHEEL + its length; these start in the
+    # fourth wheel period, at its ends and around the tile's wrap
+    monkeypatch.setattr(primes, "SEGMENT_SIZE", segment_size)
+    period = 2 * primes.WHEEL  # integers per wheel period of the odd-only index
+    oracle = _oracle(4 * period + 6000, filt)
+    for lo in [3 * period + d for d in (-3, 0, 1, 2, 3, 4)] + [
+        4 * period + d for d in (-2000, -7, 1, 3)
+    ] + [3 * period + 123457]:
+        for length in (0, 1, 2, 50, 3000):
+            _check_range(lo + length, filt, lo, oracle)
+
+
 def test_build_argument_validation():
     with pytest.raises(ValueError):
         build_table(1)
@@ -144,66 +168,72 @@ def test_memory_budget_error_names_required_bytes(monkeypatch):
         build_table(10**9)
 
 
-def test_primes_between_real_endpoints(table_1e5):
-    # closed ends, compared exactly: ceil(lo) <= p <= floor(hi)
-    assert primes_between(table_1e5, 8, 10.08).tolist() == []
-    assert primes_between(table_1e5, 2, 2.693).tolist() == [2]
-    assert primes_between(table_1e5, 1.5, 7).tolist() == [2, 3, 5, 7]
-    assert primes_between(table_1e5, 2.5, 6.99).tolist() == [3, 5]
+def read(lo, hi, filt=ALL, start=1, limit=10**5):
+    """The reader's primes in [lo, hi], from a reader over [start, limit]."""
+    return PrimeReader(prime_segments(limit, filt, start)).between(lo, hi)
 
 
-def test_primes_between_beyond_limit_raises(table_1e5):
-    with pytest.raises(OutOfRangeError, match="limit"):
-        primes_between(table_1e5, 10**7, 10**7)
+def test_reader_between_closed_integer_ends():
+    assert read(8, 10).tolist() == []
+    assert read(2, 2).tolist() == [2]
+    assert read(1, 7).tolist() == [2, 3, 5, 7]
+    assert read(3, 6).tolist() == [3, 5]
+    assert read(3, 6, start=3, limit=6).tolist() == [3, 5]
 
 
-def test_primes_between_validation(table_1e5):
-    with pytest.raises(OutOfRangeError, match="limit"):
-        primes_between(table_1e5, 0, table_1e5.limit + 1)
-    with pytest.raises(ValueError):
-        primes_between(table_1e5, -1, 10)
-    with pytest.raises(ValueError):
-        primes_between(table_1e5, 10, 5)
+def test_reader_at_the_ends_of_its_range(monkeypatch):
+    # up to the limit exactly, past the last segment, and over a range that
+    # holds no odd n > 2 (prime_segments yields nothing for it)
+    monkeypatch.setattr(primes, "SEGMENT_SIZE", 8)
+    reader = PrimeReader(prime_segments(100, ALL, 90))
+    assert reader.between(90, 96).tolist() == []
+    assert reader.between(97, 100).tolist() == [97]
+    assert reader.between(100, 100).tolist() == []
+    assert PrimeReader(prime_segments(10, ALL, 10)).between(10, 10).tolist() == []
+    assert PrimeReader(prime_segments(2, ALL, 2)).between(2, 2).tolist() == [2]
 
 
-def test_primes_between_additive_over_adjacent_intervals(table_1e5):
+def test_reader_between_additive_over_adjacent_intervals(monkeypatch):
+    # one reader walked forward over adjacent intervals, each lo and hi at
+    # least the last, gives the oracle's primes of every interval; some
+    # intervals are empty, some repeat the last hi, some span many segments
     rng = random.Random(7)
-    for _ in range(200):
-        lo = rng.uniform(0, 90000)
-        hi = lo + rng.uniform(0, 5000)
-        mid = rng.uniform(lo, hi)
-        total = primes_between(table_1e5, lo, hi).tolist()
-        split = primes_between(table_1e5, lo, mid).tolist() + primes_between(
-            table_1e5, math.nextafter(mid, math.inf), hi
-        ).tolist()
-        assert split == total
+    limit = 3 * 10**4
+    for segment_size, filt in itertools.product((8, primes.SEGMENT_SIZE), RANGE_FILTERS):
+        monkeypatch.setattr(primes, "SEGMENT_SIZE", segment_size)
+        want_all = _oracle(limit, filt)
+        reader = PrimeReader(prime_segments(limit, filt, 5))
+        lo = 5
+        pieces = []
+        while lo <= limit:
+            hi = min(lo + rng.choice((0, 1, 7, 300, 5000)), limit)
+            got = reader.between(lo, hi)
+            want = want_all[(want_all >= lo) & (want_all <= hi)]
+            assert np.array_equal(got, want), (lo, hi, filt.tag)
+            pieces.append(got)
+            lo = hi + rng.choice((0, 1))  # a piece may share its lo with the last hi
+        merged = np.unique(np.concatenate(pieces))
+        assert np.array_equal(merged, want_all[want_all >= 5])
 
 
 @pytest.mark.parametrize("q", [3, 4, 5, 12])
-def test_residue_filters_partition_the_primes(table_1e5, q):
+def test_residue_filters_partition_the_primes(q):
     lo, hi = 1, 50000
-    total = len(primes_between(table_1e5, lo, hi))
+    total = read(lo, hi)
     coprime = [a for a in range(q) if math.gcd(a, q) == 1]
     filtered = sum(
-        len(primes_between(table_1e5, lo, hi, PrimeFilter.residue_class(a, q)))
-        for a in coprime
+        len(read(lo, hi, PrimeFilter.residue_class(a, q))) for a in coprime
     )
-    dividing = sum(
-        1
-        for p in primes_between(table_1e5, lo, hi).tolist()
-        if q % p == 0
-    )
-    assert filtered + dividing == total
+    dividing = sum(1 for p in total.tolist() if q % p == 0)
+    assert filtered + dividing == len(total) == 5133
 
 
 @pytest.mark.parametrize("d", [5, -4, 8, 12, -3])
-def test_kronecker_views_partition_unramified_primes(table_1e5, d):
+def test_kronecker_views_partition_unramified_primes(d):
     lo, hi = 1, 20000
-    plus = primes_between(table_1e5, lo, hi, PrimeFilter.kronecker(d, +1))
-    minus = primes_between(table_1e5, lo, hi, PrimeFilter.kronecker(d, -1))
-    unramified = [
-        p for p in primes_between(table_1e5, lo, hi).tolist() if d % p != 0
-    ]
+    plus = read(lo, hi, PrimeFilter.kronecker(d, +1))
+    minus = read(lo, hi, PrimeFilter.kronecker(d, -1))
+    unramified = [p for p in read(lo, hi).tolist() if d % p != 0]
     merged = sorted(plus.tolist() + minus.tolist())
     assert merged == unramified
 
@@ -274,7 +304,6 @@ def test_filter_validation():
         PrimeFilter.kronecker(5, 0)  # bad sign
 
 
-def test_primes_between_filtered(table_1e5):
-    out = primes_between(table_1e5, 1, 30, PrimeFilter.residue_class(1, 4))
-    assert out.tolist() == [5, 13, 17, 29]
-    assert primes_between(table_1e5, 24, 28).tolist() == []
+def test_reader_between_filtered():
+    assert read(1, 30, PrimeFilter.residue_class(1, 4)).tolist() == [5, 13, 17, 29]
+    assert read(24, 28).tolist() == []
