@@ -178,15 +178,20 @@ def _cmd_slide(args) -> int:
     )
     n_traces = n_drop = n_fals = n_runs = longest = 0
     header = clusters_mod.TRACE_HEADER
-    # the scan checks its arguments on the first block, before any output
-    # file is opened; each block is slid and written as it is done
-    block = list(itertools.islice(stream, clusters_mod.SLIDE_BLOCK))
+
+    def slid_blocks():
+        while block := list(itertools.islice(stream, clusters_mod.SLIDE_BLOCK)):
+            yield clusters_mod.slide(args.lam, [c.base for c in block], args.m)
+
+    # the scan and the slide check their arguments on the first block, before
+    # any output file is opened; each block is slid and written as it is done
+    blocks = slid_blocks()
+    first = list(itertools.islice(blocks, 1))
     with _open_output(args.out) as out, _open_output(
         args.falsifications, sys.stderr
     ) as records:
         out.write(header)
-        while block:
-            slides = clusters_mod.slide(args.lam, [c.base for c in block], args.m)
+        for slides in itertools.chain(first, blocks):
             out.write(clusters_mod.trace_csv(slides)[len(header) :])
             records.write(clusters_mod.falsifications_jsonl(slides))
             runs = clusters_mod.extract_m_runs(slides, args.m)
@@ -195,7 +200,6 @@ def _cmd_slide(args) -> int:
             n_fals += len(slides.falsifications)
             n_runs += len(runs)
             longest = max([longest, *(length for _, length in runs)])
-            block = list(itertools.islice(stream, clusters_mod.SLIDE_BLOCK))
     stats = (
         f"traces={n_traces} with_drop={n_drop} "
         f"m_runs={n_runs} longest_run={longest} "

@@ -35,6 +35,9 @@ from .errors import ParameterRangeError
 from .primes import ALL, PrimeFilter, PrimeReader, prime_segments
 
 SCAN_CHUNK = 2**18  # starting points per kernel call; bounds the per-call arrays
+# the most breakpoints edge_steps settles, about a second of its loop; lambda
+# 10 needs 368 up to 1e16
+MAX_EDGE_STEPS = 10**5
 # density and growth scan parts, one per CPU this process may run on
 WORKERS = (
     len(os.sched_getaffinity(0))
@@ -56,8 +59,15 @@ def edge_steps(lam: float, limit: int) -> np.ndarray:
     until the sign of lam*log n - k is certain always ends.  Only an n whose
     float64 lam*log n lies within a relative 1e-9 of k goes to Decimal.
     Cached, since a scan or a slide asks for the same breakpoints once per
-    window-count call.
+    window-count call.  More than MAX_EDGE_STEPS breakpoints raise
+    ParameterRangeError before any is settled.
     """
+    count = math.floor(lam * math.log(limit))
+    if count > MAX_EDGE_STEPS:
+        raise ParameterRangeError(
+            f"lambda={lam} needs {count:,} window-edge breakpoints up to "
+            f"{limit:,}; at most {MAX_EDGE_STEPS:,} are supported"
+        )
     lam_d = Decimal(lam)
 
     def reaches(n: int, k: int) -> bool:

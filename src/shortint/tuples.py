@@ -10,7 +10,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InadmissibleTupleError
+from .errors import InadmissibleTupleError, ParameterRangeError
 from .primes import build_table, check_budget, primes_upto
 
 INT64_MAX = int(np.iinfo(np.int64).max)
@@ -123,9 +123,10 @@ def greedy_sieve(window: float, k: int) -> SievedSet:
     elements = np.arange(size, dtype=np.int64)
     removed: list[tuple[int, int]] = []
     for p in primes_upto(k):
-        counts = np.bincount(elements % p, minlength=p)
+        residues = elements % p
+        counts = np.bincount(residues, minlength=p)
         r = int(np.argmin(counts))  # argmin takes the first, i.e. smallest, class
-        elements = elements[elements % p != r]
+        elements = elements[residues != r]
         removed.append((p, r))
     return SievedSet(elements, float(window), tuple(removed))
 
@@ -187,11 +188,27 @@ def count_spaced_selections(
     consecutive chosen gaps exceeding `spacing`.  The exact count is a DP of
     k-1 array passes: ways[i] counts the selections ending at element i, and
     one pass sums the ways of every element at least `spacing + 1` below it.
-    Entries are Python ints (object arrays), so the count is exact at any
-    size.  The bound assumes each pick knocks out at most 2*spacing other
+
+    The counts are multi-limb integers on uint64: row l of ways holds bits
+    B*l to B*(l+1) - 1 of every count, with B = 64 - b and b = n.bit_length().
+    A pass takes the prefix sums of each row, carries each row's bits from B
+    up into the next row, masks them off, and gathers the prefix sums at the
+    cuts.  No limb overflows while b <= 32: a masked limb is below 2**B, so a
+    row's prefix sum is below n * 2**B, and after the carry from the row
+    below (at most n) it is below n * (2**B + 1) <= (2**b - 1) * (2**B + 1)
+    < 2**64.  The pass that forms (j+1)-selections sums j-selections, so its
+    values are at most C(n, j), which sets how many rows it touches; the two
+    buffers, allocated once, hold the most any pass needs, C(n, j) at
+    j = min(k - 1, n // 2).  The count is the Python int
+    sum_l ways[l].sum() << (B*l), exact at any size.
+
+    The bound assumes each pick knocks out at most 2*spacing other
     candidates; the exact count dominates it on sieved sets (gaps >= 2) with
     spacing >= 1, but dense sets can fall below it: range(30) with k=30 and
     spacing 0 has exactly one selection against a bound of about 7.8e11.
+
+    Raises ParameterRangeError for n >= 2**32 and MemoryBudgetError before
+    allocating when the buffers exceed DEFAULT_MEMORY_BUDGET.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -199,27 +216,73 @@ def count_spaced_selections(
         raise ValueError(f"spacing must be >= 0, got {spacing}")
     els = _elements_of(sieved)
     n = len(els)
+    exact = 0 if k > n else _count_on_limbs(els, k, spacing)
+    return exact, _product_bound(n, k, spacing)
 
-    if k > n:
-        exact = 0
+
+def _count_on_limbs(els: np.ndarray, k: int, spacing: int) -> int:
+    """The exact count of count_spaced_selections for 1 <= k <= n."""
+    n = len(els)
+    b = n.bit_length()
+    if b > 32:
+        raise ParameterRangeError(
+            f"counting selections supports at most {2**32 - 1:,} elements, got {n:,}"
+        )
+    width = 64 - b
+    # limbs[j - 1]: the rows pass j touches, from C(n, j) >= its values
+    limbs, comb = [], 1
+    for j in range(1, k):
+        comb = comb * (n - j + 1) // j
+        limbs.append(max(-(-comb.bit_length() // width), 1))
+    rows = max(limbs, default=1)
+    check_budget(
+        8 * rows * (2 * n + 1), f"{n:,} elements at k={k}", "the selection count's limbs"
+    )
+    shift, mask = np.uint64(width), np.uint64((1 << width) - 1)
+    # cut[i]: number of elements below els[i] - spacing, i.e. those that
+    # may precede els[i] in a selection
+    cut = np.searchsorted(els, els - min(spacing, INT64_MAX), side="left")
+    ways = np.zeros((rows, n), dtype=np.uint64)
+    ways[0] = 1  # selections of size 1 ending at each element
+    prefix = np.zeros((rows, n + 1), dtype=np.uint64)
+    carry = np.empty(n + 1, dtype=np.uint64)
+    used = 1
+    for used in limbs:
+        np.cumsum(ways[:used], axis=1, out=prefix[:used, 1:])
+        for l in range(used - 1):
+            np.right_shift(prefix[l], shift, out=carry)
+            prefix[l + 1] += carry
+            prefix[l] &= mask
+        np.take(prefix[:used], cut, axis=1, out=ways[:used], mode="clip")
+    return sum(int(row.sum()) << (width * l) for l, row in enumerate(ways[:used]))
+
+
+def _product_bound(n: int, k: int, spacing: int) -> float:
+    """(1/k!) * prod_i max(0, n - 2*i*spacing) for i < k, as a float.
+
+    The factors fall with i, so the bound is 0 once the last one is.  While
+    the product and k! stay in the float range (170! is the last factorial
+    that does) the bound is that quotient; beyond it the bound is summed in
+    log form and is inf only where the bound itself exceeds the float range.
+    A positive last factor leaves k <= n / (2*spacing) + 1, so with spacing
+    0 the k equal factors are summed at once and the work is O(min(k, n)).
+    """
+    if n - 2 * (k - 1) * spacing <= 0:
+        return 0.0
+    if k <= 170:
+        prod = 1.0
+        for i in range(k):
+            prod *= n - 2 * i * spacing
+        if prod < math.inf:
+            return prod / math.factorial(k)
+    if spacing == 0:
+        log_prod = k * math.log(n)
     else:
-        # cut[i]: number of elements below els[i] - spacing, i.e. those that
-        # may precede els[i] in a selection
-        cut = np.searchsorted(els, els - min(spacing, INT64_MAX), side="left")
-        ways = np.ones(n, dtype=object)  # selections of size 1 ending at each element
-        prefix = np.zeros(n + 1, dtype=object)
-        for _ in range(k - 1):
-            np.cumsum(ways, out=prefix[1:])
-            ways = prefix[cut]
-        exact = int(ways.sum())
-
-    prod = 1.0
-    for i in range(k):
-        prod *= max(0.0, n - 2 * i * spacing)
-        if prod == 0.0:
-            break
-    bound = prod / math.factorial(k)
-    return exact, bound
+        log_prod = math.fsum(math.log(n - 2 * i * spacing) for i in range(k))
+    try:
+        return math.exp(log_prod - math.lgamma(k + 1))
+    except OverflowError:
+        return math.inf
 
 
 def singular_series(

@@ -1,9 +1,15 @@
 import json
+import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
 
 import pytest
 
 from shortint import clusters, density, primes
 from shortint.cli import main
+from shortint.tuples import greedy_sieve
 
 
 def test_sieve_prints_count(capsys):
@@ -311,3 +317,50 @@ def test_huge_lambda_exits_1_with_one_line(capsys, argv):
     assert out.err.startswith("error: the table limit for x=")
     assert "overflows the float range" in out.err
     assert out.err.count("\n") == 1 and "Traceback" not in out.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["density", "--lambda", "1000000", "--x", "100", "--m-max", "1"],
+        ["slide", "--lambda", "1000000", "--x-lo", "10", "--x-hi", "100", "--m", "1",
+         "--max-clusters", "10"],
+    ),
+)
+def test_lambda_with_too_many_edge_breakpoints_exits_1_at_once(argv, tmp_path):
+    # about 1.6e7 breakpoints: their loop never returned; a child with a
+    # timeout keeps a regression from hanging the suite
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = tmp_path / "out.csv"
+    done = subprocess.run(
+        [sys.executable, "-m", "shortint.cli", *argv, "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert not out.exists()
+    assert done.stderr.startswith("error: lambda=1000000.0 needs ")
+    assert " window-edge breakpoints up to " in done.stderr
+    assert done.stderr.endswith("; at most 100,000 are supported\n")
+    assert done.stderr.count("\n") == 1
+
+
+def test_tuples_count_beyond_170_factorial(capsys):
+    # k! leaves the float range at k = 171; the bound must not
+    argv = ["tuples", "greedy", "--window", "2000", "--k", "171", "--spacing", "0",
+            "--count"]
+    assert main(argv) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert header == "exact,bound"
+    exact, bound = row.split(",")
+    n = len(greedy_sieve(2000, 171))
+    assert int(exact) == math.comb(n, 171)
+    assert float(bound) == pytest.approx(float(Fraction(n**171, math.factorial(171))),
+                                         rel=1e-11)
+    argv = ["tuples", "greedy", "--window", "100000", "--k", "200", "--spacing", "1",
+            "--count"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[1].endswith(",inf")
+    n = len(greedy_sieve(100000, 200))
+    true_bound = Fraction(math.prod(n - 2 * i for i in range(200)), math.factorial(200))
+    assert true_bound > sys.float_info.max

@@ -151,6 +151,17 @@ def test_edge_steps_are_the_first_crossings(lam):
         assert exact_length(lam, step) >= k > exact_length(lam, step - 1)
 
 
+def test_edge_steps_refuse_too_many_breakpoints():
+    # lambda 10 up to 1e16 needs 368 breakpoints and is accepted
+    assert len(edge_steps(10.0, 10**16)) == math.floor(10 * math.log(10**16))
+    with pytest.raises(ParameterRangeError) as info:
+        edge_steps(1e6, 100)
+    assert str(info.value) == (
+        "lambda=1000000.0 needs 4,605,170 window-edge breakpoints up to 100; "
+        f"at most {density.MAX_EDGE_STEPS:,} are supported"
+    )
+
+
 @pytest.mark.parametrize("shift", (-7.0, 7.0))
 def test_edge_steps_settle_from_a_wrong_seed(monkeypatch, shift):
     # the exp(k/lam) seed only starts the search: seeds 7 too high or too low

@@ -1,11 +1,14 @@
 import itertools
 import math
 import random
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from shortint.errors import InadmissibleTupleError, MemoryBudgetError
+from shortint import primes, tuples
+from shortint.errors import InadmissibleTupleError, MemoryBudgetError, ParameterRangeError
 from shortint.primes import DEFAULT_MEMORY_BUDGET, build_table
 from shortint.tuples import (
     AdmissibleTuple,
@@ -196,6 +199,81 @@ def test_count_spaced_matches_closed_form_above_int64():
     assert count_spaced_selections(range(40), 40, 1)[0] == 0
     assert count_spaced_selections(range(40), 41, 0)[0] == 0  # k > n
     assert count_spaced_selections([0, 6, 20], 2, 10**30)[0] == 0
+
+
+@pytest.mark.parametrize(
+    "n, k, spacing",
+    [
+        # limb width 64 - n.bit_length() changes between 2**b - 1 and 2**b
+        *(
+            (2**b + d, k, s)
+            for b, k, s in ((7, 40, 1), (15, 40, 3), (17, 30, 5))
+            for d in (-1, 0, 1)
+        ),
+        (30000, 60, 7),  # about 13 limbs
+        (1000, 900, 0),  # k > n/2: the widest pass is not the last
+        (1000, 1000, 0),
+        (1000, 999, 1),
+    ],
+)
+def test_count_spaced_matches_closed_form_across_limb_layouts(n, k, spacing):
+    # the k-subsets of range(n) with consecutive gaps > s are the k-subsets
+    # of range(n - (k-1)s), shifted; math.comb shares no code with the DP
+    exact, _ = count_spaced_selections(range(n), k, spacing)
+    assert type(exact) is int
+    assert exact == math.comb(n - (k - 1) * spacing, k)
+
+
+def test_count_spaced_refuses_limbs_over_the_memory_budget(monkeypatch):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("the count allocated before checking its budget")
+
+    monkeypatch.setattr(primes, "DEFAULT_MEMORY_BUDGET", 10**6)
+    monkeypatch.setattr(np, "zeros", no_allocation)
+    monkeypatch.setattr(np, "empty", no_allocation)
+    with pytest.raises(MemoryBudgetError) as info:
+        count_spaced_selections(range(100000), 30, 0)
+    message = str(info.value)
+    assert message.startswith("100,000 elements at k=30 needs about ")
+    assert message.endswith("; budget is 1,000,000")
+
+
+def test_count_spaced_refuses_sets_too_large_for_the_limbs(monkeypatch):
+    # 2**32 elements as a zero-stride view; the check reads none of them
+    huge = np.broadcast_to(np.int64(0), (2**32,))
+    monkeypatch.setattr(tuples, "_elements_of", lambda source: huge)
+    with pytest.raises(ParameterRangeError, match="at most 4,294,967,295 elements"):
+        count_spaced_selections(huge, 2, 0)
+
+
+def _fraction_bound(n, k, spacing):
+    return Fraction(math.prod(max(0, n - 2 * i * spacing) for i in range(k)),
+                    math.factorial(k))
+
+
+def test_count_spaced_bound_beyond_the_float_factorials():
+    # 171! is the first factorial beyond the float range
+    exact, bound = count_spaced_selections(range(400), 171, 0)
+    assert exact == math.comb(400, 171)
+    assert bound == pytest.approx(float(_fraction_bound(400, 171, 0)), rel=1e-12)
+    # a product past the float range over a finite bound: no spurious inf
+    _, bound = count_spaced_selections(range(2000), 100, 0)
+    assert bound == pytest.approx(float(_fraction_bound(2000, 100, 0)), rel=1e-12)
+    # a bound past the float range is inf
+    _, bound = count_spaced_selections(range(1000), 900, 0)
+    assert _fraction_bound(1000, 900, 0) > sys.float_info.max
+    assert bound == math.inf
+    # a zero factor after the product overflowed gave nan, and k > 170 raised
+    for k in (170, 200):
+        exact, bound = count_spaced_selections(range(1000), k, 3)
+        assert exact == math.comb(1000 - 3 * (k - 1), k)
+        assert bound == 0.0
+    # up to 170! a finite bound is the float product over k!, bit for bit
+    for n, k, spacing in ((2000, 30, 5), (157970, 30, 60), (64, 170, 0)):
+        prod = 1.0
+        for i in range(k):
+            prod *= max(0.0, n - 2 * i * spacing)
+        assert count_spaced_selections(range(n), k, spacing)[1] == prod / math.factorial(k)
 
 
 def test_spaced_functions_reject_non_integer_and_oversized_elements():
