@@ -16,7 +16,6 @@ from .bounds import (
 from .clusters import (
     Cluster,
     Falsification,
-    SlideTrace,
     Slides,
     extract_m_runs,
     find_clusters,

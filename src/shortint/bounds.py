@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ParameterRangeError
-from .primes import build_table
+from .primes import primes_upto
 
 EULER_GAMMA = 0.5772156649015329
 _EXACT_MERTENS_LIMIT = 10**7
@@ -80,7 +80,7 @@ def mertens_product(k: int) -> float:
     if k < 2:
         return 1.0
     if k <= _EXACT_MERTENS_LIMIT:
-        primes = build_table(int(k)).primes().astype(np.float64)
+        primes = np.array(primes_upto(int(k)), dtype=np.float64)
         return float(math.exp(np.sum(np.log1p(-1.0 / primes))))
     return math.exp(-EULER_GAMMA) / math.log(k)
 

@@ -89,65 +89,23 @@ class Falsification:
         )
 
 
-@dataclass(frozen=True)
-class SlideTrace:
-    """Window counts along one slide: the per-trace view of Slides.
-
-    counts[j] is the number of filtered primes in I_j for j = 0..floor(lam *
-    log base).  j_drop is the last j with counts[j] >= m+1 (None if none);
-    m_run lists every j with counts[j] == m.
-    """
-
-    base: int
-    lam: float
-    m: int
-    counts: tuple[int, ...]
-    j_drop: int | None
-    m_run: tuple[int, ...]
-    falsifications: tuple[Falsification, ...]
-
-
 @dataclass(frozen=True, eq=False)
 class Slides:
     """Window counts along a batch of slides, stored column-wise.
 
     Trace i starts at bases[i] and its counts are
     counts[starts[i] : starts[i + 1]]; j_drop[i] is its drop index, -1 if it
-    has none.  falsifications holds every record, trace by trace, and those
-    of trace i are falsifications[falsification_starts[i] :
-    falsification_starts[i + 1]].  Indexing and iteration give SlideTrace
-    views.
+    has none.  falsifications holds every record, trace by trace.
     """
 
-    lam: float
-    m: int
     bases: np.ndarray
     starts: np.ndarray
     counts: np.ndarray
     j_drop: np.ndarray
     falsifications: tuple[Falsification, ...]
-    falsification_starts: np.ndarray
 
     def __len__(self) -> int:
         return len(self.bases)
-
-    def __getitem__(self, i: int) -> SlideTrace:
-        i = range(len(self))[i]
-        counts = self.counts[self.starts[i] : self.starts[i + 1]]
-        j_drop = int(self.j_drop[i])
-        fals = self.falsification_starts
-        return SlideTrace(
-            base=int(self.bases[i]),
-            lam=self.lam,
-            m=self.m,
-            counts=tuple(counts.tolist()),
-            j_drop=j_drop if j_drop >= 0 else None,
-            m_run=tuple(np.flatnonzero(counts == self.m).tolist()),
-            falsifications=self.falsifications[fals[i] : fals[i + 1]],
-        )
-
-    def __iter__(self) -> Iterator[SlideTrace]:
-        return (self[i] for i in range(len(self)))
 
 
 def find_clusters(
@@ -286,7 +244,6 @@ def slide(
     bad_drop[dropped[inside[at] != n_drop]] = True
 
     falsifications: list[Falsification] = []
-    falsification_starts = np.zeros(n + 1, dtype=np.int64)
     for t in np.flatnonzero((jumps_hi > jumps_lo) | bad_drop).tolist():
         base = int(bases[t])
         for k in jumps[jumps_lo[t] : jumps_hi[t]].tolist():
@@ -310,28 +267,13 @@ def slide(
                     observed=f"{n_t} is not",
                 )
             )
-        falsification_starts[t + 1] = len(falsifications)
-    # traces without records keep the offset of the trace before them
-    return Slides(
-        lam=lam,
-        m=m,
-        bases=bases,
-        starts=starts,
-        counts=counts,
-        j_drop=j_drop,
-        falsifications=tuple(falsifications),
-        falsification_starts=np.maximum.accumulate(falsification_starts),
-    )
+    return Slides(bases, starts, counts, j_drop, tuple(falsifications))
 
 
-def extract_m_runs(traces: Slides | SlideTrace, m: int) -> list[tuple[int, int]]:
+def extract_m_runs(slides: Slides, m: int) -> list[tuple[int, int]]:
     """Maximal runs of consecutive counts[j] == m inside each trace, as
     (start_j, length), trace by trace."""
-    if isinstance(traces, SlideTrace):
-        counts = np.array(traces.counts, dtype=np.int64)
-        starts = np.array([0, len(counts)])
-    else:
-        counts, starts = traces.counts, traces.starts
+    counts, starts = slides.counts, slides.starts
     if not len(counts):
         return []
     hit = counts == m

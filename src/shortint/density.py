@@ -3,8 +3,10 @@ contains exactly m filtered primes, with Poisson reference values.
 
 Window edges are exact for the float64 value of lam.  For integer n the last
 integer of the window is n + L(n) with L(n) = floor(lam*log n), a step
-function whose breakpoints edge_steps settles in decimal arithmetic;
-right_edge is the one place that turns them into edges.  Every window count
+function whose breakpoints edge_steps settles in decimal arithmetic.  They
+are the one source of L: _read_runs cuts its ranges at them, so that L is
+constant on each piece, slide takes each trace's L(N0) from them, and
+right_edge, which no scan calls, gives n + L(n).  Every window count
 comes from one kernel, window_runs: where L is constant, c(n) changes only
 where a prime leaves or enters the window, so it returns c as run values and
 run lengths in O(pi(x)) work.  The density and growth histograms weight the
@@ -269,13 +271,15 @@ class DensityReport:
 
 
 def required_limit(lam: float, x: int) -> int:
-    """A sieve limit that covers every window of a scan up to x."""
-    return table_limit(x + lam * math.log(x) + 1, lam, x)
+    """A sieve limit that covers every window of a scan up to x: x + 1 +
+    ceil(lam*log x), summed in integers so that it stays above x + L(x)
+    where float64 can no longer hold x exactly."""
+    return x + table_limit(lam * math.log(x), lam, x) + 1
 
 
 def table_limit(top: float, lam: float, x: int) -> int:
-    """ceil(top), the sieve limit a scan to x at lam needs; a top beyond the
-    float range raises ParameterRangeError."""
+    """ceil(top) for a float top that a scan to x at lam needs; a top beyond
+    the float range raises ParameterRangeError."""
     if not math.isfinite(top):
         raise ParameterRangeError(
             f"the table limit for x={x} at lambda={lam} overflows the float range"

@@ -18,7 +18,7 @@ from shortint.bounds import (
     lower_bound,
     tuple_size,
 )
-from shortint.clusters import extract_m_runs, find_clusters, guaranteed_run_floor, slide
+from shortint.clusters import find_clusters, guaranteed_run_floor, slide
 from shortint.density import measure_density, poisson_reference
 from shortint.primes import ALL, PrimeFilter, build_table
 from shortint.tuples import count_spaced_selections, greedy_sieve, singular_series
@@ -185,17 +185,11 @@ def _bases(clusters, count):
 
 @pytest.fixture(scope="module")
 def slide_scan():
-    traces = list(slide(
-        1.0,
-        _bases(find_clusters(1.0, 1, 9 * 10**6, 10**7), 8000),
-        1,
-    ))
-    traces += slide(
-        0.5,
-        _bases(find_clusters(0.5, 0, 5 * 10**6, 6 * 10**6), 3000),
-        0,
-    )
-    return traces
+    """(m, slides) batches: lam 1 near 1e7 at m = 1, lam 0.5 near 5e6 at m = 0."""
+    return [
+        (1, slide(1.0, _bases(find_clusters(1.0, 1, 9 * 10**6, 10**7), 8000), 1)),
+        (0, slide(0.5, _bases(find_clusters(0.5, 0, 5 * 10**6, 6 * 10**6), 3000), 0)),
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -207,46 +201,54 @@ def spacing_scan():
     return slide(1.0, bases, 0)
 
 
+def _drops(slides, after=1):
+    """The flat index into slides.counts of each trace's drop, and whether
+    the trace has a drop and at least after windows past it."""
+    drop = slides.starts[:-1] + slides.j_drop
+    return drop, (slides.j_drop >= 0) & (drop + after < slides.starts[1:])
+
+
 def test_criterion_07_count_increases_by_exactly_one(slide_scan):
-    assert len(slide_scan) >= 10**4
-    for trace in slide_scan:
-        diffs = np.diff(np.array(trace.counts))
-        assert np.all(diffs <= 1), trace.base
-        assert not any(f.kind == "count-jump" for f in trace.falsifications)
-    _pass(7, f"every count increase is exactly 1 across {len(slide_scan)} traces")
+    n_traces = sum(len(slides) for _, slides in slide_scan)
+    assert n_traces >= 10**4
+    for _, slides in slide_scan:
+        # consecutive windows of one trace; the pairs across traces are out
+        diffs = np.diff(slides.counts)
+        diffs[slides.starts[1:-1] - 1] = 0
+        assert np.all(diffs <= 1)
+        assert not any(f.kind == "count-jump" for f in slides.falsifications)
+    _pass(7, f"every count increase is exactly 1 across {n_traces} traces")
 
 
 def test_criterion_08_drop_point_is_prime(slide_scan):
     drops = 0
     is_prime = dense_flags(10**7 + 200)
-    for trace in slide_scan:
+    for _, slides in slide_scan:
         assert not any(
-            f.kind == "drop-point-not-prime" for f in trace.falsifications
+            f.kind == "drop-point-not-prime" for f in slides.falsifications
         )
-        if trace.j_drop is not None and trace.j_drop < len(trace.counts) - 1:
-            assert is_prime[trace.base + trace.j_drop]
-            drops += 1
+        _, has = _drops(slides)
+        assert np.all(is_prime[slides.bases[has] + slides.j_drop[has]])
+        drops += int(has.sum())
     assert drops > 0
     _pass(8, f"N at the drop index is prime on all {drops} observed drops")
 
 
 def test_criterion_09_post_drop_run_length(slide_scan, spacing_scan):
-    # non-trivial floor (= 1) on the dedicated spacing_ok scan
-    verified = 0
+    # non-trivial floor (= 1) on the dedicated spacing_ok scan: counts[j_drop]
+    # exceeds m, so the run of m after the drop starts at j_drop + 1, and on
+    # traces with floor_len windows after the drop they must all hold m
     floor_len = guaranteed_run_floor(1.0, 10**7, 0, SMALL_K)
     assert floor_len == 1
-    for trace in spacing_scan:
-        if trace.j_drop is None or trace.j_drop + floor_len > len(trace.counts) - 1:
-            continue
-        runs = extract_m_runs(trace, 0)
-        run = next(r for r in runs if r[0] <= trace.j_drop + 1 < r[0] + r[1])
-        assert run[1] >= floor_len, (trace.base, trace.counts)
-        verified += 1
+    drop, room = _drops(spacing_scan, floor_len)
+    for k in range(1, floor_len + 1):
+        assert np.all(spacing_scan.counts[drop[room] + k] == 0)
+    verified = int(room.sum())
     assert verified > 500
     # trivially satisfied floor (= 0) on the criterion-7 scan traces
-    for trace in slide_scan:
-        if trace.j_drop is not None and trace.j_drop < len(trace.counts) - 1:
-            assert trace.counts[trace.j_drop + 1] == trace.m
+    for m, slides in slide_scan:
+        drop, has = _drops(slides)
+        assert np.all(slides.counts[drop[has] + 1] == m)
     _pass(9, f"post-drop runs >= floor(threshold) on {verified} spacing_ok clusters")
 
 

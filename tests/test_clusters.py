@@ -7,12 +7,13 @@ import random
 import numpy as np
 import pytest
 
+from shortint import cli
 from shortint import clusters as clusters_mod
 from shortint import density
 from shortint.bounds import BoundParams, spacing_divisor, tuple_size
 from shortint.clusters import (
     Cluster,
-    SlideTrace,
+    Slides,
     extract_m_runs,
     falsifications_jsonl,
     find_clusters,
@@ -186,12 +187,14 @@ def test_scan_and_slide_far_up_the_line_match_miller_rabin():
             want[base] = spacing_ok(offsets, 1.0, x_hi, threshold)
     assert got == want and len(want) > 100
     bases = list(want)[::7]
-    for base, trace in zip(bases, slide(1.0, bases, 2)):
+    slides = slide(1.0, bases, 2)
+    traces = np.split(slides.counts, slides.starts[1:-1])
+    for base, counts in zip(bases, traces, strict=True):
         edges = [exact_edge(1.0, base + j) for j in range(exact_length(1.0, base) + 1)]
-        assert trace.counts == tuple(
+        assert counts.tolist() == [
             int(count_between(points, base + j, edge)) for j, edge in enumerate(edges)
-        )
-        assert not trace.falsifications
+        ]
+    assert not slides.falsifications
     ns = np.arange(x_lo, x_lo + 1000)
     want_c = count_between(points, ns, [exact_edge(1.0, n) for n in ns.tolist()])
     assert window_counts(1.0, x_lo, x_lo + 999).tolist() == want_c.tolist()
@@ -253,31 +256,32 @@ def test_slide_counts_match_independent_recount():
     c_all = window_counts(1.0, 10**4, 10**5 + 20)
     bases = _bases(find_clusters(1.0, 1, 10**4, 10**5), 100)
     primes = oracle()
-    for base, trace in zip(bases, slide(1.0, bases, 1)):
-        assert len(trace.counts) == exact_length(1.0, base) + 1
-        for j, count in enumerate(trace.counts):
+    slides = slide(1.0, bases, 1)
+    traces = np.split(slides.counts, slides.starts[1:-1])
+    for base, counts in zip(bases, traces, strict=True):
+        assert len(counts) == exact_length(1.0, base) + 1
+        for j, count in enumerate(counts.tolist()):
             n_j = base + j
             assert count == count_between(primes, n_j, exact_edge(1.0, n_j))
         start = base - 10**4
-        assert trace.counts == tuple(c_all[start : start + len(trace.counts)].tolist())
+        assert counts.tolist() == c_all[start : start + len(counts)].tolist()
 
 
 def test_slide_drop_index_properties():
     seen_drop = 0
     bases = _bases(find_clusters(1.0, 1, 10**4, 10**5), 300)
-    for base, trace in zip(bases, slide(1.0, bases, 1)):
-        assert not trace.falsifications
-        if trace.j_drop is None:
-            assert all(count < 2 for count in trace.counts)
+    slides = slide(1.0, bases, 1)
+    assert not slides.falsifications
+    traces = np.split(slides.counts, slides.starts[1:-1])
+    for base, counts, j_drop in zip(bases, traces, slides.j_drop.tolist(), strict=True):
+        if j_drop < 0:
+            assert np.all(counts < 2)
             continue
         seen_drop += 1
-        assert trace.counts[trace.j_drop] >= 2
-        assert all(count <= 1 for count in trace.counts[trace.j_drop + 1 :])
-        if trace.j_drop < len(trace.counts) - 1:
-            assert base + trace.j_drop in oracle()
-        assert trace.m_run == tuple(
-            j for j, count in enumerate(trace.counts) if count == 1
-        )
+        assert counts[j_drop] >= 2
+        assert np.all(counts[j_drop + 1 :] <= 1)
+        if j_drop < len(counts) - 1:
+            assert base + j_drop in oracle()
     assert seen_drop > 0
 
 
@@ -288,10 +292,12 @@ def test_slide_first_window_covers_confined_cluster():
     bases = _bases(
         find_clusters(1.0, 1, 10**4, 10**5, require_spacing=True), 50
     )
-    for base, trace in zip(bases, slide(1.0, bases, 1)):
+    slides = slide(1.0, bases, 1)
+    first = slides.counts[slides.starts[:-1]]  # the count at j = 0 of each trace
+    for base, count in zip(bases, first.tolist(), strict=True):
         offsets = positions(1.0, 10**5, base)
         if max(offsets) <= math.log(base):
-            assert trace.counts[0] == len(offsets)
+            assert count == len(offsets)
             checked += 1
     assert checked > 0
 
@@ -314,37 +320,41 @@ def test_slide_last_window_sees_no_confined_prime():
 
 
 def test_extract_m_runs_examples():
-    t = SlideTrace(
-        base=0, lam=1.0, m=1, counts=(2, 2, 1, 1, 1, 0),
-        j_drop=1, m_run=(2, 3, 4), falsifications=(),
-    )
-    assert extract_m_runs(t, 1) == [(2, 3)]
-    flat = SlideTrace(
-        base=0, lam=1.0, m=2, counts=(2, 2, 2),
-        j_drop=2, m_run=(0, 1, 2), falsifications=(),
-    )
-    assert extract_m_runs(flat, 2) == [(0, 3)]
-    assert extract_m_runs(flat, 5) == []
+    # the traces (2, 2, 1, 1, 1, 0) and (2, 2, 2), in both orders: a run of
+    # 2s never crosses from one trace into the next
+    for first, second, twos in (
+        ([2, 2, 1, 1, 1, 0], [2, 2, 2], [(0, 2), (0, 3)]),
+        ([2, 2, 2], [2, 2, 1, 1, 1, 0], [(0, 3), (0, 2)]),
+    ):
+        slides = Slides(
+            bases=np.zeros(2, dtype=np.int64),
+            starts=np.array([0, len(first), len(first) + len(second)]),
+            counts=np.array(first + second),
+            j_drop=np.full(2, -1),  # extract_m_runs reads counts and starts only
+            falsifications=(),
+        )
+        assert extract_m_runs(slides, 1) == [(2, 3)]
+        assert extract_m_runs(slides, 0) == [(5, 1)]
+        assert extract_m_runs(slides, 2) == twos
+        assert extract_m_runs(slides, 5) == []
 
 
 def test_post_drop_run_meets_guarantee_on_spacing_ok_clusters():
-    verified = 0
     bases = _bases(
         find_clusters(1.0, 0, 9 * 10**6, 10**7, require_spacing=True, params=SMALL_K),
         2000,
     )
     floor_len = guaranteed_run_floor(1.0, 10**7, 0, SMALL_K)
     assert floor_len == math.floor(math.log(10**7) / 16) == 1  # non-trivial here
-    for base, trace in zip(bases, slide(1.0, bases, 0)):
-        assert not trace.falsifications
-        if trace.j_drop is None or trace.j_drop + floor_len > len(trace.counts) - 1:
-            continue
-        runs = extract_m_runs(trace, 0)
-        run = next(
-            (r for r in runs if r[0] <= trace.j_drop + 1 < r[0] + r[1]), None
-        )
-        assert run is not None and run[1] >= floor_len, (base, trace.counts)
-        verified += 1
+    slides = slide(1.0, bases, 0)
+    assert not slides.falsifications
+    # counts[j_drop] > m, so the run of m after the drop starts at j_drop + 1;
+    # on traces with floor_len windows after the drop, they must all hold m
+    drop = slides.starts[:-1] + slides.j_drop  # flat index of each drop
+    room = (slides.j_drop >= 0) & (drop + floor_len < slides.starts[1:])
+    for k in range(1, floor_len + 1):
+        assert np.all(slides.counts[drop[room] + k] == 0)
+    verified = int(room.sum())
     assert verified > 500
 
 
@@ -364,11 +374,11 @@ def test_windows_stay_inside_cluster_for_small_lambda():
 
 def test_slide_with_unreachable_m_has_no_drop():
     c = next(iter(find_clusters(1.0, 0, 10**4, 10**4 + 100)))
-    top = max(slide(1.0, [c.base], 0)[0].counts)
-    trace = slide(1.0, [c.base], top + 5)[0]
-    assert trace.j_drop is None
-    assert trace.m_run == ()
-    assert not trace.falsifications
+    top = int(slide(1.0, [c.base], 0).counts.max())
+    slides = slide(1.0, [c.base], top + 5)
+    assert slides.j_drop.tolist() == [-1]
+    assert extract_m_runs(slides, top + 5) == []
+    assert not slides.falsifications
 
 
 def test_grid_spaced_clusters_are_disjoint():
@@ -396,11 +406,10 @@ def test_pathological_scan_produces_count_jump_records():
     # enter one step, and the detector must say so rather than hide it
     cluster = next(iter(find_clusters(30.0, 0, 3, 3)))
     slides = slide(30.0, [cluster.base], 0)
-    trace = slides[0]
-    kinds = {f.kind for f in trace.falsifications}
+    kinds = {f.kind for f in slides.falsifications}
     assert kinds == {"count-jump"}
     lines = falsifications_jsonl(slides).splitlines()
-    assert len(lines) == len(trace.falsifications)
+    assert len(lines) == len(slides.falsifications)
     record = json.loads(lines[0])
     assert set(record) == {"kind", "base", "j", "expected", "observed"}
     assert record["observed"] > record["expected"]
@@ -458,24 +467,19 @@ def _bases(clusters, count):
 
 def _check_slides(lam, bases, m, filt=ALL):
     """slide() on the batch against the dense-sieve oracle per window, the
-    definitions of j_drop and m_run, a per-row CSV and a per-trace run scan."""
+    definition of j_drop, a per-row CSV and a per-trace run scan.  Returns
+    the slides and the summary line the CLI prints for them."""
     slides = slide(lam, bases, m, filt)
     primes = oracle(filt)
-    assert len(slides) == len(bases) and slides.lam == lam
-    assert slides.starts[0] == 0 and slides.starts[-1] == len(slides.counts)
-    rows, runs = ["j,N_j,count\n"], []
-    for base, trace in zip(map(int, bases), slides):
-        j_max = exact_length(lam, base)
+    rows, runs, counts, j_drops = ["j,N_j,count\n"], [], [], []
+    for base in map(int, bases):
         expected = [
             int(count_between(primes, base + j, exact_edge(lam, base + j)))
-            for j in range(j_max + 1)
+            for j in range(exact_length(lam, base) + 1)
         ]
-        assert trace.base == base and trace.m == m
-        assert list(trace.counts) == expected, base
+        counts.append(expected)
         rich = [j for j, count in enumerate(expected) if count >= m + 1]
-        assert trace.j_drop == (rich[-1] if rich else None)
-        assert trace.m_run == tuple(j for j, count in enumerate(expected) if count == m)
-        assert not trace.falsifications
+        j_drops.append(rich[-1] if rich else -1)
         rows += [f"{j},{base + j},{count}\n" for j, count in enumerate(expected)]
         j = 0
         for hit, group in itertools.groupby(expected, key=lambda count: count == m):
@@ -483,13 +487,34 @@ def _check_slides(lam, bases, m, filt=ALL):
             if hit:
                 runs.append((j, size))
             j += size
-    assert [int(j) for j in slides.j_drop] == [
-        -1 if t.j_drop is None else t.j_drop for t in slides
-    ]
+    assert len(slides) == len(bases)
+    assert slides.bases.tolist() == list(map(int, bases))
+    assert slides.starts.tolist() == [0, *itertools.accumulate(map(len, counts))]
+    assert slides.counts.tolist() == list(itertools.chain.from_iterable(counts))
+    assert slides.j_drop.tolist() == j_drops
+    assert not slides.falsifications
     assert trace_csv(slides) == "".join(rows)
     assert extract_m_runs(slides, m) == runs
     assert falsifications_jsonl(slides) == ""
-    return slides
+    summary = (
+        f"traces={len(counts)} with_drop={sum(j >= 0 for j in j_drops)} "
+        f"m_runs={len(runs)} longest_run={max([0, *(n for _, n in runs)])} "
+        "falsifications=0\n"
+    )
+    return slides, summary
+
+
+def test_cli_slide_summary_matches_the_oracle(tmp_path, capsys, monkeypatch):
+    # the summary line sums every block's traces, drops and m-runs: 500
+    # clusters in blocks of 64
+    bases = _bases(find_clusters(1.0, 1, 10**5, 11 * 10**4), 500)
+    _, summary = _check_slides(1.0, bases, 1)
+    assert "with_drop=0" not in summary and "m_runs=0" not in summary
+    monkeypatch.setattr(clusters_mod, "SLIDE_BLOCK", 64)
+    argv = ["slide", "--lambda", "1", "--x-lo", "100000", "--x-hi", "110000",
+            "--m", "1", "--max-clusters", "500", "--out", str(tmp_path / "t.csv")]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().err == summary
 
 
 def test_slides_dense_overlapping_clusters():
@@ -515,9 +540,11 @@ def test_slides_keep_input_order_and_repeats():
     shuffled = bases[:]
     random.Random(0).shuffle(shuffled)
     shuffled.append(shuffled[7])
-    slides = _check_slides(1.0, shuffled, 1)
+    slides, _ = _check_slides(1.0, shuffled, 1)
     assert slides.bases.tolist() == shuffled
-    assert slides[-1] == slides[7]
+    traces = np.split(slides.counts, slides.starts[1:-1])
+    assert traces[-1].tolist() == traces[7].tolist()
+    assert slides.j_drop[-1] == slides.j_drop[7]
 
 
 @pytest.mark.parametrize(
@@ -530,16 +557,17 @@ def test_slides_with_filters(filt):
 
 
 def test_slides_of_no_clusters():
-    slides = _check_slides(1.0, [], 1)
-    assert len(slides) == 0 and list(slides) == []
+    slides, summary = _check_slides(1.0, [], 1)
+    assert len(slides) == 0 and slides.starts.tolist() == [0]
+    assert summary == "traces=0 with_drop=0 m_runs=0 longest_run=0 falsifications=0\n"
     assert trace_csv(slides) == "j,N_j,count\n"
 
 
 def test_slide_lengths_step_at_a_breakpoint():
     # e**16 = 8886110.52: the trace of 8886110 has j = 0..15, that of 8886111
     # j = 0..16
-    slides = _check_slides(1.0, [8886110, 8886111], 0)
-    assert [len(t.counts) for t in slides] == [16, 17]
+    slides, _ = _check_slides(1.0, [8886110, 8886111], 0)
+    assert np.diff(slides.starts).tolist() == [16, 17]
 
 
 # the records the per-cluster slide wrote for lam=30 over bases 3..40: every
@@ -563,7 +591,6 @@ def test_falsification_records_come_trace_by_trace():
     slides = slide(30.0, bases, 0)
     records = [json.loads(line) for line in falsifications_jsonl(slides).splitlines()]
     assert [tuple(r.values()) for r in records] == LAM30_RECORDS
-    assert [len(t.falsifications) for t in slides][:7] == [3, 2, 1, 1, 1, 1, 0]
     # in reverse input order the traces, and so the records, come reversed
     backwards = slide(30.0, bases[::-1], 0)
     assert [f.base for f in backwards.falsifications] == [8, 7, 6, 5, 4, 4, 3, 3, 3]
@@ -587,8 +614,9 @@ def test_drop_point_record_follows_the_count_jumps(monkeypatch):
         _fake_kernel({1000: 0, 1001: 3, 1002: 5, 1003: 3, 1007: 2}),
     )
     slides = slide(1.0, [1002, 1000], 1)
-    assert [t.counts for t in slides] == [(5, 3, 0, 0, 0, 2, 0), (0, 3, 5, 3, 0, 0, 0)]
-    assert [t.j_drop for t in slides] == [5, 3]
+    traces = np.split(slides.counts, slides.starts[1:-1])
+    assert [t.tolist() for t in traces] == [[5, 3, 0, 0, 0, 2, 0], [0, 3, 5, 3, 0, 0, 0]]
+    assert slides.j_drop.tolist() == [5, 3]
     got = [(f.base, f.kind, f.j, f.expected, f.observed) for f in slides.falsifications]
     assert got == [
         (1002, "count-jump", 4, 1, 2),
@@ -597,7 +625,6 @@ def test_drop_point_record_follows_the_count_jumps(monkeypatch):
         (1000, "count-jump", 1, 4, 5),
         (1000, "drop-point-not-prime", 3, "1003 is a filtered prime", "1003 is not"),
     ]
-    assert [len(t.falsifications) for t in slides] == [2, 3]
 
 
 def test_drop_point_must_pass_the_filter(monkeypatch):

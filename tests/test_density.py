@@ -208,8 +208,20 @@ def test_non_finite_lambda_is_rejected():
             window_counts(lam, 1, 100)
 
 
+@pytest.mark.parametrize("lam", (0.3, 1.0, 5.0))
+def test_required_limit_covers_the_last_window_beyond_2_53(lam):
+    # from 2**53 on float64 skips integers, and a float sum x + lam*log x + 1
+    # can round below the last integer x + L(x) of the window of x
+    rng = np.random.default_rng(53)
+    xs = [2**53, 2**53 + 1, 2**53 + 3, 2**57 - 1, 2**60 - 1, 2**60]
+    xs += rng.integers(2**53, 2**60, 20).tolist()
+    for x in xs:
+        edge = exact_edge(lam, x)
+        assert edge <= required_limit(lam, x) <= edge + 2, x
+
+
 def test_overflowing_table_limit_is_rejected():
-    # lam*log x is finite, x + lam*log x is not
+    # lam*log x, and so x + lam*log x, lies beyond the float range
     with pytest.raises(ParameterRangeError, match="table limit .* overflows"):
         required_limit(1e308, 10)
     with pytest.raises(ParameterRangeError, match="table limit .* overflows"):
