@@ -7,6 +7,15 @@ produce byte-identical outputs.
 
 from __future__ import annotations
 
+import os
+
+# The package makes no BLAS call, and a density scan forks its workers from
+# this process, which must then be single-threaded; numpy's OpenBLAS would
+# otherwise start one idle, spinning thread per CPU at import.  Set before
+# numpy loads, and only here: a user's own setting wins, and importing the
+# library changes neither the environment nor numpy's threads.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import argparse
 import contextlib
 import itertools
@@ -15,13 +24,11 @@ import math
 import sys
 from typing import TextIO
 
-from . import bounds as bounds_mod
-from . import clusters as clusters_mod
-from . import density as density_mod
-from . import tuples as tuples_mod
 from .errors import ParameterRangeError, ShortIntervalError
 from .primes import ALL, PrimeFilter, prime_count
-# unused here; kept because the benchmark's tracer patches cli.build_table
+# unused here; kept because the benchmark's tracer patches cli.build_table.
+# These imports of primes are what load numpy at `import shortint.cli`; each
+# command imports the further modules it runs.
 from .primes import build_table  # noqa: F401
 
 
@@ -64,7 +71,9 @@ def _filter_from_args(args) -> PrimeFilter:
     return ALL
 
 
-def _params_from_args(args) -> bounds_mod.BoundParams:
+def _params_from_args(args):
+    from . import bounds as bounds_mod
+
     if getattr(args, "constants", None):
         with open(args.constants) as fh:
             return bounds_mod.params_from_dict(json.load(fh))
@@ -82,6 +91,8 @@ def _cmd_sieve(args) -> int:
 
 
 def _cmd_density(args) -> int:
+    from . import density as density_mod
+
     filt = _filter_from_args(args)
     _check_lambda(args.lam)
     if args.x < 1:
@@ -117,6 +128,8 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_tuples_greedy(args) -> int:
+    from . import tuples as tuples_mod
+
     sieved = tuples_mod.greedy_sieve(args.window, args.k)
     if args.count:
         if args.spacing is None:
@@ -138,6 +151,8 @@ def _cmd_tuples_greedy(args) -> int:
 
 
 def _cmd_tuples_check(args) -> int:
+    from . import tuples as tuples_mod
+
     offsets = tuples_mod.parse_offsets(args.offsets)
     witness = tuples_mod.first_covered_prime(offsets)
     if witness is None:
@@ -148,6 +163,8 @@ def _cmd_tuples_check(args) -> int:
 
 
 def _cmd_tuples_series(args) -> int:
+    from . import tuples as tuples_mod
+
     offsets = tuples_mod.parse_offsets(args.offsets)
     value = tuples_mod.singular_series(offsets, args.cutoff)
     print(f"{value:.12g}")
@@ -155,6 +172,8 @@ def _cmd_tuples_series(args) -> int:
 
 
 def _cmd_slide(args) -> int:
+    from . import clusters as clusters_mod
+
     params = _params_from_args(args)
     _check_lambda(args.lam)
     if not 1 <= args.x_lo <= args.x_hi:
@@ -210,6 +229,8 @@ def _cmd_slide(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    from . import bounds as bounds_mod
+
     params = _params_from_args(args)
     report = bounds_mod.bounds_report(
         args.m, lam=args.lam, x=args.x, q=args.q, params=params

@@ -201,7 +201,9 @@ def _mark_segment(flags: np.ndarray, base: np.ndarray, i0: int) -> None:
     live = base[: np.searchsorted(base, math.isqrt(hi_val), side="right")]
     first = (-(-lo_val // live)) | 1  # first odd cofactor q with q*p >= lo_val
     starts = (np.maximum(live * live, first * live) - lo_val) // 2
-    for p, start in zip(live.tolist(), starts.tolist()):
+    # far up the line most base primes have no multiple in a short segment
+    hits = starts < len(flags)
+    for p, start in zip(live[hits].tolist(), starts[hits].tolist()):
         flags[start::p] = False
 
 
@@ -222,7 +224,8 @@ def _segments(limit: int, lo: int = 1) -> Iterator[tuple[int, np.ndarray]]:
     # segment i0 copies wheel[i0 % WHEEL:], so the tile spans one period
     # past the longest segment, or the whole range when that is shorter
     wheel = _wheel(min(n_odds, WHEEL + len(buf)))
-    base = np.array(primes_upto(math.isqrt(limit)), dtype=np.int64)
+    root = math.isqrt(limit)
+    base = _prime_array(root) if root >= 2 else np.empty(0, dtype=np.int64)
     base = base[base > WHEEL_PRIMES[-1]]
     for i0 in range(first, n_odds, size):
         flags = buf[: min(size, n_odds - i0)]

@@ -28,7 +28,7 @@ from shortint.density import (
 from shortint.errors import ParameterRangeError
 from shortint.primes import ALL, PrimeFilter, PrimeReader, prime_segments
 
-from dense_primes import count_between, dense_primes
+from dense_primes import count_between, dense_primes, is_prime
 from exact_edges import exact_edge, exact_edges, exact_length
 
 
@@ -218,6 +218,16 @@ def test_required_limit_covers_the_last_window_beyond_2_53(lam):
     for x in xs:
         edge = exact_edge(lam, x)
         assert edge <= required_limit(lam, x) <= edge + 2, x
+
+
+def test_short_range_far_up_the_line_matches_miller_rabin():
+    # the segment holds a few dozen odd n, and nearly all of the 5.4M base
+    # primes up to 2**26.5 have no multiple in it; they are skipped, not marked
+    a, b = 2**53 + 5, 2**53 + 40
+    points = [n for n in range(a, exact_edge(1.0, b) + 1) if is_prime(n)]
+    want = [count_between(np.array(points), n, exact_edge(1.0, n)) for n in range(a, b + 1)]
+    got = window_counts(1.0, a, b).tolist()
+    assert got == want and got[0] == 2
 
 
 def test_overflowing_table_limit_is_rejected():
