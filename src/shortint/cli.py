@@ -172,6 +172,8 @@ def _cmd_tuples_series(args) -> int:
 
 
 def _cmd_slide(args) -> int:
+    import numpy as np
+
     from . import clusters as clusters_mod
 
     params = _params_from_args(args)
@@ -199,8 +201,13 @@ def _cmd_slide(args) -> int:
     header = clusters_mod.TRACE_HEADER
 
     def slid_blocks():
+        # the bases come in increasing order; a block is cut where they cross
+        # a multiple of SLIDE_SPAN
         while block := list(itertools.islice(stream, clusters_mod.SLIDE_BLOCK)):
-            yield clusters_mod.slide(args.lam, [c.base for c in block], args.m)
+            bases = np.array([c.base for c in block])
+            cuts = np.flatnonzero(np.diff(bases // clusters_mod.SLIDE_SPAN)) + 1
+            for part in np.split(bases, cuts):
+                yield clusters_mod.slide(args.lam, part, args.m)
 
     # the scan and the slide check their arguments on the first block, before
     # any output file is opened; each block is slid and written as it is done

@@ -25,9 +25,9 @@ import numpy as np
 from .bounds import BoundParams, DEFAULT_PARAMS, spacing_divisor, tuple_size
 from .density import (
     SCAN_CHUNK,
+    _read_runs,
     check_lambda,
     edge_steps,
-    range_counts,
     required_limit,
     spans,
     table_limit,
@@ -36,9 +36,11 @@ from .density import (
 from .errors import ParameterRangeError
 from .primes import ALL, PrimeFilter, PrimeReader, check_budget, prime_segments
 
-# clusters per slide() call in the CLI; its memory is O(block), not
-# O(--max-clusters)
+# clusters per slide() call in the CLI, their bases inside one aligned range
+# of SLIDE_SPAN integers: a slide's memory grows with its windows and with the
+# primes its bases span, so it is O(block), not O(--max-clusters)
 SLIDE_BLOCK = 4096
+SLIDE_SPAN = 2**22
 
 
 def _scan_scales(
@@ -182,9 +184,11 @@ def slide(
     j = 0..floor(lam*log N0) from every base N0, and locate the drop indices.
 
     The bases may come in any order, overlapping or repeated; the traces keep
-    their order.  The trace intervals are merged into maximal covering runs,
-    and the runs are counted in increasing order from one reader over their
-    range, so the work is linear in the number of windows.  Two claims are
+    their order.  One pass of density._read_runs counts every n in [lo, hi],
+    the least base to the last N0 + j of any trace, as runs of equal c(n), and
+    each trace reads its windows out of them, so work and memory are linear
+    in the windows plus the primes in [lo, hi]; MemoryBudgetError refuses a
+    batch whose primes and runs there would exceed the budget.  Two claims are
     verified on every trace and recorded as falsifications when violated:
     counts never increase by more than 1 between consecutive j, and whenever
     the count is observed to drop below m+1 right after j_drop, the integer
@@ -203,45 +207,46 @@ def slide(
     starts = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(lengths, out=starts[1:])
 
-    # covering runs: traces sorted by base, merged where they overlap or touch
-    order = np.argsort(bases, kind="stable")
-    sorted_bases = bases[order]
-    reach = np.maximum.accumulate(sorted_bases + lengths[order] - 1)
-    opens = np.ones(n, dtype=bool)
-    opens[1:] = sorted_bases[1:] > reach[:-1] + 1
-    run_lo = sorted_bases[opens]
-    run_hi = np.append(reach[:-1][opens[1:]], reach[-1:])  # reach before each open
-    run_off = np.zeros(len(run_lo) + 1, dtype=np.int64)
-    np.cumsum(run_hi - run_lo + 1, out=run_off[1:])
-    # the filtered primes inside each run, after a -1 that keeps every
-    # search for a drop point below in range, then the run's counts
-    reader = PrimeReader(prime_segments(limit, filt, int(run_lo[0]) if n else 1))
-    inside, cover = [np.array([-1])], [np.zeros(0, dtype=np.int64)]
-    for a, b in zip(run_lo.tolist(), run_hi.tolist()):
-        inside.append(reader.between(a, b).copy())  # a view would pin its segment
-        cover.append(range_counts(reader, steps, a, b))
-    inside, cover = np.concatenate(inside), np.concatenate(cover)
-    run_of = np.empty(n, dtype=np.int64)
-    run_of[order] = np.cumsum(opens) - 1
-    first = run_off[run_of] + bases - run_lo[run_of]  # trace start inside cover
-    counts = cover[np.repeat(first - starts[:-1], lengths) + np.arange(starts[-1])]
+    lo = int(bases.min()) if n else 1  # n = 1 alone for no bases
+    hi = int((bases + lengths - 1).max(initial=lo))
+    # about 80 bytes for each of the under 2y/log y primes of the y integers
+    # in [lo, hi] (Montgomery and Vaughan, 1973): two copies and two runs each
+    y = max(hi - lo + 1, 2)
+    who = f"a slide over [{lo:,}, {hi:,}]"
+    check_budget(int(160 * y / math.log(y)), who, "the primes and runs there")
+    # one kernel pass gives c(n) for n in [lo, hi] as runs; it moves the reader
+    # past lo, so the filtered primes there are read first, after a -1 that
+    # keeps every search for a drop point in range
+    reader = PrimeReader(prime_segments(limit, filt, lo))
+    inside = np.concatenate(([-1], reader.between(lo, hi)))
+    pieces = zip(*_read_runs(reader, steps, lo, hi))
+    values, runs = (np.concatenate([[0], *col], dtype=np.int64) for col in pieces)
+    # run k > 0 holds c(n) for n - lo in [ends[k - 1], ends[k]); trace t reads
+    # its n - lo in [head, tail) from n_runs runs on from first, each cut to it
+    ends = np.cumsum(runs)
+    head, tail = bases - lo, bases + lengths - lo
+    first = np.searchsorted(ends, head, side="right")
+    n_runs = np.searchsorted(ends, tail - 1, side="right") + 1 - first
+    run_of = np.repeat(first + n_runs - np.cumsum(n_runs), n_runs)
+    run_of += np.arange(len(run_of))
+    head, tail = np.repeat(head, n_runs), np.repeat(tail, n_runs)
+    cut = np.clip(ends[run_of], head, tail) - np.clip(ends[run_of - 1], head, tail)
+    counts = np.repeat(values[run_of], cut)
 
     rich = np.where(counts >= m + 1, np.arange(len(counts)), -1)
     last = np.maximum.reduceat(rich, starts[:-1])  # every trace has a window
     j_drop = np.where(last >= 0, last - starts[:-1], -1)
 
-    # count jumps, found once in cover: pair (k, k+1) belongs to every trace
-    # holding both k and k+1 (a pair that straddles two runs belongs to none)
-    jumps = np.flatnonzero(cover[1:] > cover[:-1] + 1)
-    jumps_lo = np.searchsorted(jumps, first)
-    jumps_hi = np.searchsorted(jumps, first + lengths - 1)
+    # count jumps: pair (k, k+1) belongs to trace t when
+    # starts[t] <= k < starts[t + 1] - 1
+    jumps = np.flatnonzero(counts[1:] > counts[:-1] + 1)
+    jumps_lo = np.searchsorted(jumps, starts[:-1])
+    jumps_hi = np.searchsorted(jumps, starts[1:] - 1)
 
     # drop points: N0 + j_drop must be a filtered prime when the trace goes on
-    dropped = np.flatnonzero((j_drop >= 0) & (j_drop < lengths - 1))
-    n_drop = bases[dropped] + j_drop[dropped]
+    n_drop = bases + j_drop
     at = np.searchsorted(inside, n_drop, side="right") - 1
-    bad_drop = np.zeros(n, dtype=bool)
-    bad_drop[dropped[inside[at] != n_drop]] = True
+    bad_drop = (j_drop >= 0) & (j_drop < lengths - 1) & (inside[at] != n_drop)
 
     falsifications: list[Falsification] = []
     for t in np.flatnonzero((jumps_hi > jumps_lo) | bad_drop).tolist():
@@ -251,9 +256,9 @@ def slide(
                 Falsification(
                     kind="count-jump",
                     base=base,
-                    j=k - int(first[t]),
-                    expected=int(cover[k]) + 1,
-                    observed=int(cover[k + 1]),
+                    j=k - int(starts[t]),
+                    expected=int(counts[k]) + 1,
+                    observed=int(counts[k + 1]),
                 )
             )
         if bad_drop[t]:

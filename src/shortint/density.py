@@ -10,8 +10,9 @@ right_edge, which no scan calls, gives n + L(n).  Every window count
 comes from one kernel, window_runs: where L is constant, c(n) changes only
 where a prime leaves or enters the window, so it returns c as run values and
 run lengths in O(pi(x)) work.  The density and growth histograms weight the
-run values by their lengths, range_counts repeats them to give c(n) one n
-at a time, and the cluster scan runs the kernel at its fixed window lengths.
+run values by their lengths, window_counts repeats them to give c(n) one n
+at a time, slide reads each trace's c(n) out of the runs of one pass over
+its batch, and the cluster scan runs the kernel at its fixed window lengths.
 No scan keeps a prime table: each reads the primes of its windows, span by
 span, through one forward PrimeReader over its own range, which holds only
 the primes that windows still to be scanned can reach, so memory is
@@ -190,15 +191,6 @@ def window_runs(
     return c, keys[1:] - keys[:-1]
 
 
-def range_counts(
-    reader: PrimeReader, steps: np.ndarray, a: int, b: int
-) -> np.ndarray:
-    """c(n) for n = a..b, from the primes reader gives; steps holds the
-    breakpoints of L at least up to b."""
-    parts = [np.repeat(c, runs) for c, runs in _read_runs(reader, steps, a, b)]
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
 def window_counts(
     lam: float, a: int, b: int, filt: PrimeFilter = ALL
 ) -> np.ndarray:
@@ -209,7 +201,8 @@ def window_counts(
         raise ValueError(f"need 1 <= a <= b, got {a}, {b}")
     limit = required_limit(lam, b)
     reader = PrimeReader(prime_segments(limit, filt, a))
-    return range_counts(reader, edge_steps(lam, limit), a, b)
+    values, runs = zip(*_read_runs(reader, edge_steps(lam, limit), a, b))
+    return np.repeat(np.concatenate(values), np.concatenate(runs))
 
 
 def poisson_reference(lam: float, m: int) -> float:

@@ -22,7 +22,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import MemoryBudgetError
+from .errors import MemoryBudgetError, ParameterRangeError
 
 SEGMENT_SIZE = 2**20  # odd entries per segment
 # Pre-sieved by tiling: the odd n free of these primes repeat with period
@@ -31,6 +31,9 @@ WHEEL_PRIMES = (3, 5, 7, 11, 13, 17)
 WHEEL = math.prod(WHEEL_PRIMES)
 _WHEEL_INDEX = [(p - 3) // 2 for p in WHEEL_PRIMES]  # their odd-only indices
 DEFAULT_MEMORY_BUDGET = 2**31  # bytes
+# the largest sieve limit whose marking products, below limit + 2*isqrt(limit),
+# fit int64
+MAX_LIMIT = 2**63 - 6_074_000_997
 
 
 def kronecker_symbol(d: int, n: int) -> int:
@@ -215,8 +218,21 @@ def _segments(limit: int, lo: int = 1) -> Iterator[tuple[int, np.ndarray]]:
     first segment starts at the first odd n >= max(lo, 3), so a range costs
     only its own segments and the base primes up to isqrt(limit).  Every
     segment is marked in one reused buffer of SEGMENT_SIZE entries, so flags is
-    valid only until the next item is requested.
+    valid only until the next item is requested.  A limit beyond MAX_LIMIT
+    raises ParameterRangeError, and one whose base primes would exceed the
+    memory budget MemoryBudgetError, before anything is sieved.
     """
+    if limit > MAX_LIMIT:
+        raise ParameterRangeError(
+            f"sieve limit {limit:,} is beyond int64 arithmetic; "
+            f"the largest supported is {MAX_LIMIT:,}"
+        )
+    root = math.isqrt(limit)
+    base = np.empty(0, dtype=np.int64)
+    if root >= 2:
+        check_budget(_array_bytes(root), f"limit={limit}", "its base primes")
+        base = _prime_array(root)
+    base = base[base > WHEEL_PRIMES[-1]]
     size = SEGMENT_SIZE
     n_odds = (limit - 1) // 2
     first = max((lo - 2) // 2, 0)  # odd-only index of the first odd n >= lo
@@ -224,9 +240,6 @@ def _segments(limit: int, lo: int = 1) -> Iterator[tuple[int, np.ndarray]]:
     # segment i0 copies wheel[i0 % WHEEL:], so the tile spans one period
     # past the longest segment, or the whole range when that is shorter
     wheel = _wheel(min(n_odds, WHEEL + len(buf)))
-    root = math.isqrt(limit)
-    base = _prime_array(root) if root >= 2 else np.empty(0, dtype=np.int64)
-    base = base[base > WHEEL_PRIMES[-1]]
     for i0 in range(first, n_odds, size):
         flags = buf[: min(size, n_odds - i0)]
         start = i0 % WHEEL
@@ -266,6 +279,12 @@ def _prime_bound(limit: int) -> int:
     return int(1.26 * limit / math.log(limit)) + 1
 
 
+def _array_bytes(limit: int) -> int:
+    """The peak bytes of _prime_array(limit), 8 an entry: the bound-sized
+    array, then its trimmed copy (~x/ln x)."""
+    return 8 * (_prime_bound(limit) + int(limit / math.log(limit)))
+
+
 def _prime_array(limit: int) -> np.ndarray:
     """All primes <= limit (>= 2), written segment by segment into one array
     of _prime_bound(limit) entries and trimmed to a copy of the filled part."""
@@ -300,9 +319,9 @@ def build_table(limit: int) -> PrimeTable:
     """Sieve the primes up to `limit` into a table, refusing limits whose build
     would exceed DEFAULT_MEMORY_BUDGET bytes."""
     _check_limit(limit)
-    # 8 B an entry: the bound-sized array, then its trimmed copy (~x/ln x)
-    estimate = 8 * (_prime_bound(limit) + int(limit / math.log(limit)))
-    check_budget(estimate, f"limit={limit}", "the prime array and its trimmed copy")
+    check_budget(
+        _array_bytes(limit), f"limit={limit}", "the prime array and its trimmed copy"
+    )
     return PrimeTable(limit, _prime_array(limit))
 
 

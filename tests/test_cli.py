@@ -9,6 +9,7 @@ import pytest
 
 from shortint import clusters, density, primes
 from shortint.cli import main
+from shortint.errors import MemoryBudgetError
 from shortint.tuples import greedy_sieve
 
 
@@ -167,16 +168,26 @@ def test_slide_stdout_matches_the_out_file(tmp_path, capsys):
     ),
 )
 def test_slide_blocks_do_not_change_output(tmp_path, capsys, monkeypatch, argv):
-    # blocks of 3 clusters put block boundaries inside the covering runs and
-    # between the count-jump records
+    # blocks of 3 clusters, or of the bases in one aligned range of 8
+    # integers, put block boundaries between overlapping traces and between
+    # the count-jump records
+    slide, spans = clusters.slide, []
+
+    def recorded(lam, bases, m):
+        spans.append(max(bases) // clusters.SLIDE_SPAN - min(bases) // clusters.SLIDE_SPAN)
+        return slide(lam, bases, m)
+
+    monkeypatch.setattr(clusters, "slide", recorded)
     outputs = []
-    for block in (clusters.SLIDE_BLOCK, 3):
+    for block, span in ((clusters.SLIDE_BLOCK, clusters.SLIDE_SPAN), (3, 2**22), (4096, 8)):
         monkeypatch.setattr(clusters, "SLIDE_BLOCK", block)
-        out, fals = tmp_path / f"t{block}.csv", tmp_path / f"f{block}.jsonl"
+        monkeypatch.setattr(clusters, "SLIDE_SPAN", span)
+        out, fals = tmp_path / f"t{block}_{span}.csv", tmp_path / f"f{block}_{span}.jsonl"
         code = main(["slide", *argv, "--out", str(out), "--falsifications", str(fals)])
         outputs.append((code, out.read_text(), fals.read_text(), capsys.readouterr()))
-    assert outputs[0] == outputs[1]
+    assert outputs[0] == outputs[1] == outputs[2]
     assert outputs[0][1].count("\n") > 40
+    assert len(spans) > 4 and set(spans) == {0}
 
 
 def test_slide_with_constants_file(tmp_path, capsys):
@@ -226,6 +237,8 @@ def test_precondition_errors_exit_1(capsys, tmp_path):
     assert "lambda" in capsys.readouterr().err
     assert main(["sieve", "--limit", "1"]) == 1
     capsys.readouterr()
+    assert main(["sieve", "--limit", str(primes.MAX_LIMIT + 1)]) == 1
+    assert capsys.readouterr().err.startswith("error: sieve limit 9,223,372,030,780,774,812 ")
     assert main(["density", "--lambda", "1", "--x", "0", "--m-max", "1"]) == 1
     assert "--x must be >= 1" in capsys.readouterr().err
     slide = ["slide", "--lambda", "1", "--x-lo", "1", "--m", "1"]
@@ -275,11 +288,15 @@ def test_slide_refuses_a_cluster_window_beyond_the_memory_budget(
 
 
 def test_density_has_no_memory_budget(monkeypatch, capsys):
-    # the scan keeps no prime table, so no budget can refuse it
+    # the scan keeps no prime table: a budget that refuses the table to x
+    # still lets it run, since the only primes it holds at once are a
+    # segment's and the base primes up to sqrt(x), about 1 kB here
     argv = ["density", "--lambda", "1", "--x", "100000", "--m-max", "4"]
     assert main(argv) == 0
     unpatched = capsys.readouterr()
-    monkeypatch.setattr(primes, "DEFAULT_MEMORY_BUDGET", 1)
+    monkeypatch.setattr(primes, "DEFAULT_MEMORY_BUDGET", 10**4)
+    with pytest.raises(MemoryBudgetError):
+        primes.build_table(100000)
     assert main(argv) == 0
     assert capsys.readouterr() == unpatched
 

@@ -22,7 +22,7 @@ from shortint.clusters import (
     trace_csv,
 )
 from shortint.density import window_counts
-from shortint.errors import ParameterRangeError
+from shortint.errors import MemoryBudgetError, ParameterRangeError
 from shortint.primes import ALL, PrimeFilter
 
 from dense_primes import count_between, dense_primes, dense_sieve, is_prime
@@ -251,8 +251,8 @@ def test_filtered_cluster_scan():
 
 
 def test_slide_counts_match_independent_recount():
-    # c(n) over the whole range in one call; the slide counts its short
-    # covering runs in calls of their own, and each trace must equal its slice
+    # c(n) over the whole range in one call; the slide counts only the range
+    # of its own batch, and each trace must equal its slice
     c_all = window_counts(1.0, 10**4, 10**5 + 20)
     bases = _bases(find_clusters(1.0, 1, 10**4, 10**5), 100)
     primes = oracle()
@@ -530,7 +530,7 @@ def test_slides_sparse_spaced_clusters_form_several_runs():
         200,
     )
     gaps = sum(b > a + math.floor(math.log(a)) + 1 for a, b in zip(bases, bases[1:]))
-    assert gaps >= 10  # disjoint traces: several covering runs
+    assert gaps >= 10  # disjoint traces, with integers between them
     # an int64 array is as good as a list
     _check_slides(1.0, np.array(bases, dtype=np.int64), 0)
 
@@ -554,6 +554,36 @@ def test_slides_with_filters(filt):
     bases = _bases(find_clusters(2.0, 1, 10**4, 10**5, filt=filt), 150)
     assert bases
     _check_slides(2.0, bases, 1, filt)
+
+
+@pytest.mark.parametrize(
+    "lam, filt, near",
+    (
+        (1.0, ALL, (300_000, 1_100_000, 1_250_000, 4_000_000)),
+        (2.0, PrimeFilter.residue_class(1, 4), (20_000, 400_000, 500_000, 990_000)),
+    ),
+)
+def test_slides_of_scattered_unsorted_repeated_bases(lam, filt, near):
+    # a few clusters near each point, the groups several SCAN_CHUNK spans
+    # apart, a breakpoint of L in a gap between two traces; shuffled, with
+    # repeats
+    bases = [
+        base for x in near for base in _bases(find_clusters(lam, 1, x, x + 2000, filt=filt), 5)
+    ]
+    assert len(bases) == 5 * len(near)
+    assert max(bases) - min(bases) > 3 * density.SCAN_CHUNK
+    ends = sorted((base, base + exact_length(lam, base)) for base in bases)
+    gaps = [(end, base) for (_, end), (base, _) in zip(ends, ends[1:]) if base > end + 1]
+    assert any(exact_length(lam, end + 1) < exact_length(lam, base - 1) for end, base in gaps)
+    shuffled = bases + bases[::3]
+    random.Random(1).shuffle(shuffled)
+    _check_slides(lam, shuffled, 1, filt)
+
+
+def test_slide_refuses_bases_spanning_beyond_the_memory_budget():
+    # its memory grows with the primes between the least and the largest base
+    with pytest.raises(MemoryBudgetError, match=r"a slide over \[1,000,000, 1,000,000,000,027\]"):
+        slide(1.0, [10**12, 10**6], 1)
 
 
 def test_slides_of_no_clusters():
@@ -598,10 +628,13 @@ def test_falsification_records_come_trace_by_trace():
 
 
 def _fake_kernel(counts):
-    def kernel(reader, steps, a, b):
-        return np.array([counts.get(n, 0) for n in range(a, b + 1)])
+    """A run stream in place of density._read_runs: c(n) = counts.get(n, 0)
+    for n = a..b, yielded as one piece of unit-length runs."""
+    def runs(reader, steps, a, b):
+        values = [counts.get(n, 0) for n in range(a, b + 1)]
+        yield np.array(values, dtype=np.int32), np.ones(len(values), dtype=np.int32)
 
-    return kernel
+    return runs
 
 
 def test_drop_point_record_follows_the_count_jumps(monkeypatch):
@@ -610,7 +643,7 @@ def test_drop_point_record_follows_the_count_jumps(monkeypatch):
     # 17*59 and 1007 = 19*53: each trace lists its own jumps, then its drop
     monkeypatch.setattr(
         clusters_mod,
-        "range_counts",
+        "_read_runs",
         _fake_kernel({1000: 0, 1001: 3, 1002: 5, 1003: 3, 1007: 2}),
     )
     slides = slide(1.0, [1002, 1000], 1)
@@ -629,7 +662,7 @@ def test_drop_point_record_follows_the_count_jumps(monkeypatch):
 
 def test_drop_point_must_pass_the_filter(monkeypatch):
     # the count drops right after the prime 1009 = 1 (mod 4)
-    monkeypatch.setattr(clusters_mod, "range_counts", _fake_kernel({1009: 2}))
+    monkeypatch.setattr(clusters_mod, "_read_runs", _fake_kernel({1009: 2}))
     assert not slide(1.0, [1009], 1, PrimeFilter.residue_class(1, 4)).falsifications
     (record,) = slide(1.0, [1009], 1, PrimeFilter.residue_class(3, 4)).falsifications
     assert (record.kind, record.j) == ("drop-point-not-prime", 0)

@@ -2,13 +2,15 @@ import functools
 import itertools
 import math
 import random
+import time
 
 import numpy as np
 import pytest
 
 from shortint import primes
 from shortint.cli import main
-from shortint.errors import MemoryBudgetError
+from shortint.density import window_counts
+from shortint.errors import MemoryBudgetError, ParameterRangeError
 from shortint.primes import (
     ALL,
     PrimeFilter,
@@ -166,6 +168,23 @@ def test_memory_budget_error_names_required_bytes(monkeypatch):
     monkeypatch.setattr(primes, "DEFAULT_MEMORY_BUDGET", 10**6)
     with pytest.raises(MemoryBudgetError, match=r"bytes"):
         build_table(10**9)
+
+
+def test_limits_beyond_int64_marking_fail_typed_at_once():
+    # marking computes q*p below limit + 2*isqrt(limit): MAX_LIMIT is the
+    # last limit where that fits int64; beyond it nothing is sieved, and at
+    # it the base primes up to sqrt(limit) are over the budget
+    top = primes.MAX_LIMIT
+    assert top + 2 * math.isqrt(top) < 2**63 <= top + 1 + 2 * math.isqrt(top + 1)
+    begin = time.perf_counter()
+    for limit in (2**63, 2**63 - 1, top + 1):
+        with pytest.raises(ParameterRangeError, match=f"{top:,}"):
+            prime_count(limit)
+    with pytest.raises(ParameterRangeError):
+        window_counts(1.0, 2**63 + 1, 2**63 + 1)
+    with pytest.raises(MemoryBudgetError, match="base primes"):
+        prime_count(top)
+    assert time.perf_counter() - begin < 1.0
 
 
 def read(lo, hi, filt=ALL, start=1, limit=10**5):

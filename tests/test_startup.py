@@ -1,9 +1,9 @@
 """What a process loads at start: `import shortint` loads no submodule and
-not numpy, the CLI runs in one thread, and each command imports only the
-modules it runs.
+not numpy, the CLI and the test process run in one thread, and each command
+imports only the modules it runs.
 
-Every check runs in a fresh interpreter whose environment sets no BLAS or
-OpenMP thread count.
+Every other check runs in a fresh interpreter whose environment sets no BLAS
+or OpenMP thread count.
 """
 
 import json
@@ -75,6 +75,14 @@ def test_cli_import_runs_in_one_thread():
     # a user's own setting wins
     setting = "import os, shortint.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
     assert child(setting, OPENBLAS_NUM_THREADS="2") == 2
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+def test_tests_fork_density_parts_from_one_thread():
+    # conftest.py pins the BLAS pool before numpy loads in this process
+    import numpy  # noqa: F401
+
+    assert len(os.listdir("/proc/self/task")) == 1
 
 
 @pytest.mark.parametrize("argv", (
