@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ParameterRangeError
+from .errors import ParameterRangeError, check_lambda
 from .primes import primes_upto
 
 EULER_GAMMA = 0.5772156649015329
@@ -118,8 +118,7 @@ def lower_bound(
     progression:  the primes value divided by q^(k+1),    same lambda range
     wide-lambda:  lam * exp(-decay k^4 log k)/(log x)^k,  needs lam < 1/(k log k)
     """
-    if lam <= 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
+    check_lambda(lam)
     k = tuple_size(m, params)
     if k < 2:
         raise ParameterRangeError(
@@ -140,8 +139,7 @@ def lower_bound(
                 raise ValueError("progression bound needs a modulus q >= 1")
             log_value -= (k + 1) * math.log(q)
     elif variant == "wide-lambda":
-        if x is None or x <= 1:
-            raise ValueError("wide-lambda bound needs x > 1")
+        _check_x(x)
         cap = 1.0 / (float(k) * log_k)
         if lam >= cap:
             raise ParameterRangeError(
@@ -172,6 +170,14 @@ class ParamCheck:
     conditions: tuple[Condition, ...]
 
 
+def _check_x(x: float | None) -> None:
+    """ParameterRangeError for a non-finite x, ValueError for no x or x <= 1."""
+    if x is not None and not math.isfinite(x):
+        raise ParameterRangeError(f"x must be finite and > 1, got {x}")
+    if x is None or x <= 1:
+        raise ValueError(f"x must exceed 1, got {x}")
+
+
 def _safe_exp(y: float) -> float:
     try:
         return math.exp(y)
@@ -185,10 +191,8 @@ def check_uniform_range(
     """Evaluate the five validity conditions for scans with growing x:
     the m cap, the lambda floor and cap, the lambda-over-k floor, and the
     lambda-m coupling ("much less than 1" operationalised as <= 1)."""
-    if lam <= 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
-    if x <= 1:
-        raise ValueError(f"x must exceed 1, got {x}")
+    check_lambda(lam)
+    _check_x(x)
     k = tuple_size(m, params)
     log_x = math.log(x)
     log_k = math.log(k)
@@ -226,7 +230,11 @@ def bounds_report(
     params: BoundParams = DEFAULT_PARAMS,
 ) -> dict:
     """JSON-ready bundle of derived constants, bound values, and the range
-    check for the supplied scan parameters."""
+    check for the supplied scan parameters; a bad lam or x raises first."""
+    if lam is not None:
+        check_lambda(lam)
+    if x is not None:
+        _check_x(x)
     k = tuple_size(m, params)
     report: dict = {"m": m, "params": asdict(params), "k": k}
     if k >= 2:

@@ -20,11 +20,10 @@ import argparse
 import contextlib
 import itertools
 import json
-import math
 import sys
 from typing import TextIO
 
-from .errors import ParameterRangeError, ShortIntervalError
+from .errors import ShortIntervalError
 from .primes import ALL, PrimeFilter, prime_count
 # unused here; kept because the benchmark's tracer patches cli.build_table.
 # These imports of primes are what load numpy at `import shortint.cli`; each
@@ -80,11 +79,6 @@ def _params_from_args(args):
     return bounds_mod.DEFAULT_PARAMS
 
 
-def _check_lambda(lam: float) -> None:
-    if not (math.isfinite(lam) and lam > 0):
-        raise ParameterRangeError(f"--lambda must be finite and positive, got {lam}")
-
-
 def _cmd_sieve(args) -> int:
     print(prime_count(args.limit))
     return 0
@@ -94,11 +88,6 @@ def _cmd_density(args) -> int:
     from . import density as density_mod
 
     filt = _filter_from_args(args)
-    _check_lambda(args.lam)
-    if args.x < 1:
-        raise ValueError(f"--x must be >= 1, got {args.x}")
-    if args.m_max < 0:
-        raise ValueError(f"--m-max must be >= 0, got {args.m_max}")
     if args.growth:
         results = density_mod.growth_check(args.lam, args.m_max, args.x, filt)
         if args.json:
@@ -177,15 +166,8 @@ def _cmd_slide(args) -> int:
     from . import clusters as clusters_mod
 
     params = _params_from_args(args)
-    _check_lambda(args.lam)
-    if not 1 <= args.x_lo <= args.x_hi:
-        raise ValueError(
-            f"need 1 <= --x-lo <= --x-hi, got --x-lo {args.x_lo}, --x-hi {args.x_hi}"
-        )
     if args.max_clusters < 0:
         raise ValueError(f"--max-clusters must be >= 0, got {args.max_clusters}")
-    if args.m < 0:
-        raise ValueError(f"--m must be non-negative, got {args.m}")
     stream = itertools.islice(
         clusters_mod.find_clusters(
             args.lam,
@@ -209,8 +191,8 @@ def _cmd_slide(args) -> int:
             for part in np.split(bases, cuts):
                 yield clusters_mod.slide(args.lam, part, args.m)
 
-    # the scan and the slide check their arguments on the first block, before
-    # any output file is opened; each block is slid and written as it is done
+    # find_clusters checked its arguments when called; the first block is slid
+    # before any output file is opened, and each block is written when done
     blocks = slid_blocks()
     first = list(itertools.islice(blocks, 1))
     with _open_output(args.out) as out, _open_output(

@@ -26,14 +26,13 @@ from .bounds import BoundParams, DEFAULT_PARAMS, spacing_divisor, tuple_size
 from .density import (
     SCAN_CHUNK,
     _read_runs,
-    check_lambda,
     edge_steps,
     required_limit,
     spans,
     table_limit,
     window_runs,
 )
-from .errors import ParameterRangeError
+from .errors import ParameterRangeError, check_lambda
 from .primes import ALL, PrimeFilter, PrimeReader, check_budget, prime_segments
 
 # clusters per slide() call in the CLI, their bases inside one aligned range
@@ -133,7 +132,8 @@ def find_clusters(
     (density.spans with ramp), so a consumer that stops early has at most
     about twice the bases it consumed counted.  The primes come from one
     reader over [x_lo, x_hi + window], read span by span.  With
-    require_spacing, only spacing_ok clusters are yielded.
+    require_spacing, only spacing_ok clusters are yielded.  Every check runs
+    when find_clusters is called, before any cluster is asked for.
     """
     check_lambda(lam)
     if not 1 <= x_lo <= x_hi:
@@ -151,27 +151,30 @@ def find_clusters(
     who = f"a cluster window of {win_i} integers at lambda={lam}"
     check_budget(int(32 * y / math.log(y)), who, "its primes")
 
-    reader = PrimeReader(prime_segments(x_hi + win_i, filt, x_lo))
-    for a, b in spans(x_lo, x_hi, ramp=True):
-        primes = reader.between(a, b + win_i)
-        early = primes[: np.searchsorted(primes, b + portion_i, side="right")]
-        # a bad pair: consecutive primes at most the threshold apart; one
-        # wider than the window never lies inside it
-        bad = np.flatnonzero(np.diff(primes) <= min(threshold, win_i))
-        in_window, in_portion, n_bad = (
-            np.repeat(*window_runs(starts, ends, a, b, length))
-            for starts, ends, length in (
-                (primes, primes, win_i),
-                (early, early, portion_i),
-                (primes[bad], primes[bad + 1], win_i),
+    def scan() -> Iterator[Cluster]:
+        reader = PrimeReader(prime_segments(x_hi + win_i, filt, x_lo))
+        for a, b in spans(x_lo, x_hi, ramp=True):
+            primes = reader.between(a, b + win_i)
+            early = primes[: np.searchsorted(primes, b + portion_i, side="right")]
+            # a bad pair: consecutive primes at most the threshold apart; one
+            # wider than the window never lies inside it
+            bad = np.flatnonzero(np.diff(primes) <= min(threshold, win_i))
+            in_window, in_portion, n_bad = (
+                np.repeat(*window_runs(starts, ends, a, b, length))
+                for starts, ends, length in (
+                    (primes, primes, win_i),
+                    (early, early, portion_i),
+                    (primes[bad], primes[bad + 1], win_i),
+                )
             )
-        )
-        rich = np.flatnonzero(in_window >= m + 1)
-        spaced = (in_window[rich] == in_portion[rich]) & (n_bad[rich] == 0)
-        n = rich + a
-        if require_spacing:
-            n, spaced = n[spaced], spaced[spaced]
-        yield from map(Cluster, n.tolist(), spaced.tolist())
+            rich = np.flatnonzero(in_window >= m + 1)
+            spaced = (in_window[rich] == in_portion[rich]) & (n_bad[rich] == 0)
+            n = rich + a
+            if require_spacing:
+                n, spaced = n[spaced], spaced[spaced]
+            yield from map(Cluster, n.tolist(), spaced.tolist())
+
+    return scan()
 
 
 def slide(
@@ -183,22 +186,26 @@ def slide(
     """Count filtered primes in each I_j = [N0+j, N0+j+lam*log(N0+j)] for
     j = 0..floor(lam*log N0) from every base N0, and locate the drop indices.
 
-    The bases may come in any order, overlapping or repeated; the traces keep
-    their order.  One pass of density._read_runs counts every n in [lo, hi],
-    the least base to the last N0 + j of any trace, as runs of equal c(n), and
-    each trace reads its windows out of them, so work and memory are linear
-    in the windows plus the primes in [lo, hi]; MemoryBudgetError refuses a
-    batch whose primes and runs there would exceed the budget.  Two claims are
-    verified on every trace and recorded as falsifications when violated:
-    counts never increase by more than 1 between consecutive j, and whenever
-    the count is observed to drop below m+1 right after j_drop, the integer
-    N0 + j_drop is itself a filtered prime.
+    The bases, each >= 1, may come in any order, overlapping or repeated;
+    the traces keep their order.  One pass of density._read_runs counts every
+    n in [lo, hi], the least base to the last N0 + j of any trace, as runs of
+    equal c(n), and each trace reads its windows out of them, so work and
+    memory are linear in the windows plus the primes in [lo, hi];
+    MemoryBudgetError refuses a batch whose primes and runs there would
+    exceed the budget.  Two claims are verified on every trace and recorded
+    as falsifications when violated: counts never increase by more than 1
+    between consecutive j, and whenever the count is observed to drop below
+    m+1 right after j_drop, the integer N0 + j_drop is itself a filtered
+    prime.
     """
     check_lambda(lam)
     if m < 0:
         raise ValueError(f"m must be non-negative, got {m}")
     bases = np.array(bases, dtype=np.int64)
     n = len(bases)
+    lo = int(bases.min()) if n else 1  # n = 1 alone for no bases
+    if lo < 1:
+        raise ValueError(f"bases must be >= 1, got least base {lo}")
     # every trace ends by required_limit(lam, top base), and its windows
     # end by the limit of that
     limit = required_limit(lam, required_limit(lam, int(bases.max(initial=1))))
@@ -206,8 +213,6 @@ def slide(
     lengths = np.searchsorted(steps, bases, side="right") + 1  # j = 0..L(base)
     starts = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(lengths, out=starts[1:])
-
-    lo = int(bases.min()) if n else 1  # n = 1 alone for no bases
     hi = int((bases + lengths - 1).max(initial=lo))
     # about 80 bytes for each of the under 2y/log y primes of the y integers
     # in [lo, hi] (Montgomery and Vaughan, 1973): two copies and two runs each

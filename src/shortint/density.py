@@ -24,7 +24,6 @@ With one CPU nothing is forked.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 from dataclasses import dataclass, field
@@ -34,7 +33,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ParameterRangeError
+from .errors import ParameterRangeError, check_lambda
 from .primes import ALL, PrimeFilter, PrimeReader, prime_segments
 
 SCAN_CHUNK = 2**18  # starting points per kernel call; bounds the per-call arrays
@@ -49,7 +48,6 @@ WORKERS = (
 )
 
 
-@functools.lru_cache
 def edge_steps(lam: float, limit: int) -> np.ndarray:
     """The breakpoints of L(n) = floor(lam*log n) up to limit, as a sorted
     read-only int64 array.
@@ -61,8 +59,7 @@ def edge_steps(lam: float, limit: int) -> np.ndarray:
     lam*log n is never an integer for n > 1, so raising the decimal precision
     until the sign of lam*log n - k is certain always ends.  Only an n whose
     float64 lam*log n lies within a relative 1e-9 of k goes to Decimal.
-    Cached, since a scan or a slide asks for the same breakpoints once per
-    window-count call.  More than MAX_EDGE_STEPS breakpoints raise
+    Nothing is cached.  More than MAX_EDGE_STEPS breakpoints raise
     ParameterRangeError before any is settled.
     """
     count = math.floor(lam * math.log(limit))
@@ -208,8 +205,7 @@ def window_counts(
 def poisson_reference(lam: float, m: int) -> float:
     """lam^m * exp(-lam) / m!, switching to exponent-log form when the direct
     product would overflow."""
-    if lam <= 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
+    check_lambda(lam)
     if m < 0:
         raise ValueError(f"m must be non-negative, got {m}")
     if m <= 170:
@@ -325,14 +321,6 @@ def _scan_part(
             row += np.bincount(c, weights=runs, minlength=m_max + 2).astype(np.int64)
         a = max(a, end + 1)
     return hist
-
-
-def check_lambda(lam: float) -> None:
-    """ParameterRangeError for a non-finite lam, ValueError for lam <= 0."""
-    if not math.isfinite(lam):
-        raise ParameterRangeError(f"lambda must be finite and positive, got {lam}")
-    if lam <= 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
 
 
 def _validate_scan(lam: float, x: int, m_max: int) -> None:

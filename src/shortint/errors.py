@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check of lambda."""
+
+import math
 
 
 class ShortIntervalError(Exception):
@@ -15,3 +17,11 @@ class InadmissibleTupleError(ShortIntervalError):
 
 class ParameterRangeError(ShortIntervalError):
     """A parameter lies outside the range an operation supports."""
+
+
+def check_lambda(lam: float) -> None:
+    """ParameterRangeError for a non-finite lam, ValueError for lam <= 0."""
+    if not math.isfinite(lam):
+        raise ParameterRangeError(f"lambda must be finite and positive, got {lam}")
+    if lam <= 0:
+        raise ValueError(f"lambda must be positive, got {lam}")

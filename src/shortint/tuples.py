@@ -292,7 +292,6 @@ def singular_series(
     nu_p counts distinct offset residues mod p.  Strictly positive exactly for
     admissible tuples; factors beyond the cutoff are dropped."""
     offsets = tpl.offsets if isinstance(tpl, AdmissibleTuple) else tuple(tpl)
-    _validate_offsets(offsets)
     witness = first_covered_prime(offsets)
     if witness is not None:
         raise InadmissibleTupleError(

@@ -201,14 +201,23 @@ def test_slide_with_constants_file(tmp_path, capsys):
     assert code == 0
 
 
+def strict_json(text):
+    """json.loads that refuses NaN, Infinity and -Infinity, which are not JSON."""
+
+    def refuse(name):
+        raise AssertionError(f"{name} in the output is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def test_bounds_json(capsys):
     assert main(["bounds", "--m", "0"]) == 0
-    payload = json.loads(capsys.readouterr().out)
+    payload = strict_json(capsys.readouterr().out)
     assert payload["k"] == 50
     assert payload["lambda_cap"] == pytest.approx(1.0454834985607873e-08, rel=1e-11)
 
     assert main(["bounds", "--m", "0", "--lambda", "1e-9", "--x", "1e30", "--q", "3"]) == 0
-    payload = json.loads(capsys.readouterr().out)
+    payload = strict_json(capsys.readouterr().out)
     assert "primes" in payload["bounds"]
     assert "range_check" in payload
 
@@ -217,7 +226,40 @@ def test_bounds_respects_constants_file(tmp_path, capsys):
     consts = tmp_path / "c.json"
     consts.write_text(json.dumps({"scale": 2.0}))
     assert main(["bounds", "--m", "0", "--constants", str(consts)]) == 0
-    assert json.loads(capsys.readouterr().out)["k"] == 2
+    assert strict_json(capsys.readouterr().out)["k"] == 2
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    (
+        *(
+            (["--lambda", lam, *x], error)
+            for lam, error in (
+                ("nan", "lambda must be finite and positive, got nan"),
+                ("inf", "lambda must be finite and positive, got inf"),
+                ("-1", "lambda must be positive, got -1.0"),
+                ("0", "lambda must be positive, got 0.0"),
+            )
+            for x in ([], ["--x", "1e6"])
+        ),
+        *(
+            ([*lam, "--x", x], error)
+            for x, error in (
+                ("nan", "x must be finite and > 1, got nan"),
+                ("inf", "x must be finite and > 1, got inf"),
+                ("1", "x must exceed 1, got 1.0"),
+            )
+            for lam in ([], ["--lambda", "1e-9"])
+        ),
+    ),
+)
+def test_bounds_refuses_bad_lambda_and_x(capsys, argv, error):
+    # NaN and Infinity once went out as invalid JSON, and a bad lambda
+    # without --x only as an error entry per bound variant, with exit 0
+    assert main(["bounds", "--m", "0", *argv]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: {error}\n"
 
 
 def test_usage_errors_exit_2(capsys):
@@ -240,10 +282,10 @@ def test_precondition_errors_exit_1(capsys, tmp_path):
     assert main(["sieve", "--limit", str(primes.MAX_LIMIT + 1)]) == 1
     assert capsys.readouterr().err.startswith("error: sieve limit 9,223,372,030,780,774,812 ")
     assert main(["density", "--lambda", "1", "--x", "0", "--m-max", "1"]) == 1
-    assert "--x must be >= 1" in capsys.readouterr().err
+    assert "error: x must be >= 1" in capsys.readouterr().err
     slide = ["slide", "--lambda", "1", "--x-lo", "1", "--m", "1"]
     assert main([*slide, "--x-hi", "0"]) == 1
-    assert "--x-hi" in capsys.readouterr().err
+    assert "need 1 <= x_lo <= x_hi" in capsys.readouterr().err
     assert main([*slide, "--x-hi", "100", "--max-clusters", "-1"]) == 1
     assert "--max-clusters must be >= 0" in capsys.readouterr().err
     out = tmp_path / "t.csv"
@@ -257,16 +299,44 @@ def test_precondition_errors_exit_1(capsys, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "override, budget, error",
+    (
+        (["--lambda", "-1"], None, "lambda must be positive, got -1.0"),
+        (["--lambda", "nan"], None, "lambda must be finite and positive, got nan"),
+        (["--x-lo", "200"], None, "need 1 <= x_lo <= x_hi, got 200, 100"),
+        (["--m", "-1"], None, "m must be non-negative, got -1"),
+        (["--lambda", "1000"], 10**5, "a cluster window of 23025 integers at "),
+    ),
+)
+def test_slide_of_no_clusters_checks_its_arguments(
+    monkeypatch, capsys, tmp_path, override, budget, error
+):
+    # with --max-clusters 0 no cluster is asked for: find_clusters checks
+    # when called, and the CLI opens no output file
+    if budget is not None:
+        monkeypatch.setattr(primes, "DEFAULT_MEMORY_BUDGET", budget)
+    out = tmp_path / "t.csv"
+    argv = ["slide", "--lambda", "1", "--x-lo", "10", "--x-hi", "100", "--m", "1",
+            "--max-clusters", "0", *override, "--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {error}")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_m_checks_run_before_the_sieve(monkeypatch, capsys):
     def no_sieve(limit):
         raise AssertionError(f"the sieve to {limit} ran before the argument checks")
 
     monkeypatch.setattr(primes, "_segments", no_sieve)
     assert main(["density", "--lambda", "1", "--x", "100000000", "--m-max", "-1"]) == 1
-    assert "--m-max must be >= 0" in capsys.readouterr().err
+    assert "error: m_max must be >= 0" in capsys.readouterr().err
     assert main(["density", "--lambda", "1", "--x", "4000000000", "--m-max", "-1",
                  "--growth"]) == 1
-    assert "--m-max must be >= 0" in capsys.readouterr().err
+    assert "error: m_max must be >= 0" in capsys.readouterr().err
     assert main(["slide", "--lambda", "1", "--x-lo", "100", "--x-hi", "200",
                  "--m", "-1", "--max-clusters", "0"]) == 1
     assert "m must be non-negative" in capsys.readouterr().err
@@ -315,7 +385,7 @@ def test_non_finite_lambda_exits_1_with_one_line(capsys, argv):
     assert main(argv) == 1
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err.startswith("error: --lambda must be finite and positive, got ")
+    assert out.err.startswith("error: lambda must be finite and positive, got ")
     assert out.err.count("\n") == 1 and "Traceback" not in out.err
 
 

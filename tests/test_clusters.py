@@ -10,6 +10,7 @@ import pytest
 from shortint import cli
 from shortint import clusters as clusters_mod
 from shortint import density
+from shortint import primes as primes_mod
 from shortint.bounds import BoundParams, spacing_divisor, tuple_size
 from shortint.clusters import (
     Cluster,
@@ -423,16 +424,22 @@ def test_trace_csv_layout():
     assert first[0] == "0" and int(first[1]) == c.base
 
 
-def test_find_clusters_range_validation():
-    with pytest.raises(ValueError):
-        list(find_clusters(-1.0, 0, 10, 100))
-    with pytest.raises(ValueError):
-        list(find_clusters(1.0, 0, 100, 10))
+def test_find_clusters_range_validation(monkeypatch):
+    # every check runs when find_clusters is called, not at the first next()
+    with pytest.raises(ValueError, match="lambda must be positive"):
+        find_clusters(-1.0, 0, 10, 100)
+    with pytest.raises(ValueError, match="need 1 <= x_lo <= x_hi"):
+        find_clusters(1.0, 0, 100, 10)
+    with pytest.raises(ValueError, match="m must be non-negative"):
+        find_clusters(1.0, -1, 10, 100)
     for lam in (math.inf, math.nan):
         with pytest.raises(ParameterRangeError, match="lambda must be finite"):
-            list(find_clusters(lam, 0, 10, 100))
+            find_clusters(lam, 0, 10, 100)
     with pytest.raises(ParameterRangeError, match="table limit .* overflows"):
-        list(find_clusters(1e308, 0, 10, 100))
+        find_clusters(1e308, 0, 10, 100)
+    monkeypatch.setattr(primes_mod, "DEFAULT_MEMORY_BUDGET", 10**5)
+    with pytest.raises(MemoryBudgetError, match="a cluster window of 23025 integers"):
+        find_clusters(1000.0, 1, 10, 100)
 
 
 @pytest.mark.parametrize(
@@ -578,6 +585,17 @@ def test_slides_of_scattered_unsorted_repeated_bases(lam, filt, near):
     shuffled = bases + bases[::3]
     random.Random(1).shuffle(shuffled)
     _check_slides(lam, shuffled, 1, filt)
+
+
+@pytest.mark.parametrize("bases", ([0], [-5], [100, -5, 0]))
+def test_slide_refuses_bases_below_1(monkeypatch, bases):
+    # no window starts below 1: refused before anything is sieved
+    def no_sieve(limit, lo=1):
+        raise AssertionError(f"the sieve to {limit} ran before the base check")
+
+    monkeypatch.setattr(primes_mod, "_segments", no_sieve)
+    with pytest.raises(ValueError, match=f"bases must be >= 1, got least base {min(bases)}$"):
+        slide(1.0, bases, 0)
 
 
 def test_slide_refuses_bases_spanning_beyond_the_memory_budget():

@@ -169,11 +169,7 @@ def test_edge_steps_settle_from_a_wrong_seed(monkeypatch, shift):
     want = edge_steps(1.0, 10**6).tolist()
     exp = math.exp
     monkeypatch.setattr(math, "exp", lambda t: exp(t) + shift)
-    edge_steps.cache_clear()
-    try:
-        assert edge_steps(1.0, 10**6).tolist() == want
-    finally:
-        edge_steps.cache_clear()
+    assert edge_steps(1.0, 10**6).tolist() == want
 
 
 @pytest.mark.parametrize("n, step", ((123456789, 123456790), (1000, 1000)))
