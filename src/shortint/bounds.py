@@ -42,6 +42,9 @@ class BoundParams:
     floor_exp: float = 0.5
 
     def __post_init__(self) -> None:
+        for name, value in asdict(self).items():
+            if not math.isfinite(value):
+                raise ParameterRangeError(f"{name} must be finite, got {value}")
         for name in ("scale", "growth", "decay", "shift", "rate", "m_fraction"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")

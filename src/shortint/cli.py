@@ -55,25 +55,23 @@ def _round12(obj):
 
 
 def _filter_from_args(args) -> PrimeFilter:
-    mod = getattr(args, "mod", None)
-    disc = getattr(args, "disc", None)
-    if mod is not None and disc is not None:
+    if args.mod is not None and args.disc is not None:
         raise ValueError("choose either --mod/--res or --disc/--class, not both")
-    if mod is not None:
+    if args.mod is not None:
         if args.res is None:
             raise ValueError("--mod requires --res")
-        return PrimeFilter.residue_class(args.res, mod)
-    if disc is not None:
+        return PrimeFilter.residue_class(args.res, args.mod)
+    if args.disc is not None:
         if args.cls is None:
             raise ValueError("--disc requires --class +1 or -1")
-        return PrimeFilter.kronecker(disc, args.cls)
+        return PrimeFilter.kronecker(args.disc, args.cls)
     return ALL
 
 
 def _params_from_args(args):
     from . import bounds as bounds_mod
 
-    if getattr(args, "constants", None):
+    if args.constants:
         with open(args.constants) as fh:
             return bounds_mod.params_from_dict(json.load(fh))
     return bounds_mod.DEFAULT_PARAMS

@@ -1,4 +1,9 @@
-"""Segmented prime sieve with residue- and quadratic-class filtered views.
+"""Segmented prime sieve with filtered views.
+
+A filter is (modulus Q, kept classes mod Q, tag): it keeps the primes whose
+class mod Q is kept, and the tag names it in outputs.  The residue filter
+keeps one class a mod q, the Kronecker filter the classes r mod |d| with
+(d/r) equal to its sign, and ALL the one class 0 mod 1.
 
 The sieve walks segments of SEGMENT_SIZE odd integers, one flag per odd n, in a
 single reused buffer so the working set stays cache-resident; the prime 2 is
@@ -17,7 +22,7 @@ and safe to share between threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -34,6 +39,15 @@ DEFAULT_MEMORY_BUDGET = 2**31  # bytes
 # the largest sieve limit whose marking products, below limit + 2*isqrt(limit),
 # fit int64
 MAX_LIMIT = 2**63 - 6_074_000_997
+
+
+def check_budget(need: int, who: str, what: str) -> None:
+    """MemoryBudgetError when who needs more than DEFAULT_MEMORY_BUDGET bytes."""
+    if need > DEFAULT_MEMORY_BUDGET:
+        raise MemoryBudgetError(
+            f"{who} needs about {need:,} bytes for {what}; "
+            f"budget is {DEFAULT_MEMORY_BUDGET:,}"
+        )
 
 
 def kronecker_symbol(d: int, n: int) -> int:
@@ -92,76 +106,49 @@ def is_fundamental_discriminant(d: int) -> bool:
 
 @dataclass(frozen=True)
 class PrimeFilter:
-    """Predicate selecting primes: all of them, a residue class, or a
-    quadratic splitting class decided by the Kronecker symbol.
+    """The primes whose class mod modulus is one of classes; tag names the
+    filter in outputs.  The classes lie in [0, modulus), each once, and the
+    modulus is at most DEFAULT_MEMORY_BUDGET, the bytes of the table that
+    mask gathers from."""
 
-    kind is one of "all", "residue", "kronecker".  Residue filters keep
-    primes p = residue (mod modulus); Kronecker filters keep primes with
-    (discriminant/p) equal to sign, which excludes primes dividing the
-    discriminant.
-    """
-
-    kind: str = "all"
-    residue: int = 0
     modulus: int = 1
-    discriminant: int = 1
-    sign: int = 1
-    _chi: tuple[int, ...] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    classes: tuple[int, ...] = (0,)
+    tag: str = "all"
 
     def __post_init__(self) -> None:
-        if self.kind == "all":
-            return
-        if self.kind == "residue":
-            a, q = self.residue, self.modulus
-            if q < 1:
-                raise ValueError(f"modulus must be >= 1, got {q}")
+        q = self.modulus
+        if q < 1:
+            raise ValueError(f"modulus must be >= 1, got {q}")
+        for a in self.classes:
             if not 0 <= a < q:
                 raise ValueError(f"residue must satisfy 0 <= a < {q}, got {a}")
-            if math.gcd(a, q) != 1:
-                raise ValueError(f"residue {a} and modulus {q} must be coprime")
-            return
-        if self.kind == "kronecker":
-            d, s = self.discriminant, self.sign
-            if s not in (-1, 1):
-                raise ValueError(f"sign must be +1 or -1, got {s}")
-            if not is_fundamental_discriminant(d):
-                raise ValueError(f"{d} is not a fundamental discriminant")
-            # (d/.) is periodic mod |d| for fundamental d; cache one period
-            period = abs(d)
-            chi = tuple(
-                kronecker_symbol(d, r) if r else (1 if period == 1 else 0)
-                for r in range(period)
-            )
-            object.__setattr__(self, "_chi", chi)
-            return
-        raise ValueError(f"unknown filter kind {self.kind!r}")
+        if len(set(self.classes)) != len(self.classes):
+            raise ValueError(f"classes must be distinct, got {self.classes}")
+        check_budget(q, f"modulus={q}", "its table of kept classes")
 
     @classmethod
     def residue_class(cls, a: int, q: int) -> "PrimeFilter":
-        return cls(kind="residue", residue=a, modulus=q)
+        filt = cls(q, (a,), f"mod{q}r{a}")  # its checks of q and a come first
+        if math.gcd(a, q) != 1:
+            raise ValueError(f"residue {a} and modulus {q} must be coprime")
+        return filt
 
     @classmethod
     def kronecker(cls, d: int, sign: int) -> "PrimeFilter":
-        return cls(kind="kronecker", discriminant=d, sign=sign)
+        if sign not in (-1, 1):
+            raise ValueError(f"sign must be +1 or -1, got {sign}")
+        if not is_fundamental_discriminant(d):
+            raise ValueError(f"{d} is not a fundamental discriminant")
+        # (d/.) has period |d| for fundamental d, so (d/0) is (d/|d|)
+        q = abs(d)
+        classes = tuple(r for r in range(q) if kronecker_symbol(d, r or q) == sign)
+        return cls(q, classes, f"disc{d}s{sign:+d}")
 
     def mask(self, primes: np.ndarray) -> np.ndarray:
         """Boolean mask over an array of primes."""
-        if self.kind == "all":
-            return np.ones(len(primes), dtype=bool)
-        if self.kind == "residue":
-            return primes % self.modulus == self.residue
-        chi = np.asarray(self._chi, dtype=np.int8)
-        return chi[primes % abs(self.discriminant)] == self.sign
-
-    @property
-    def tag(self) -> str:
-        if self.kind == "all":
-            return "all"
-        if self.kind == "residue":
-            return f"mod{self.modulus}r{self.residue}"
-        return f"disc{self.discriminant}s{self.sign:+d}"
+        keep = np.zeros(self.modulus, dtype=bool)
+        keep[list(self.classes)] = True
+        return keep[primes % self.modulus]
 
 
 ALL = PrimeFilter()
@@ -271,7 +258,7 @@ def prime_segments(
         primes += 3 + 2 * i0
         # the even number after the segment's last odd value is composite
         top = min(2 * (i0 + len(flags)) + 2, limit)
-        yield top, primes if filt.kind == "all" else primes[filt.mask(primes)]
+        yield top, primes if filt == ALL else primes[filt.mask(primes)]
 
 
 def _prime_bound(limit: int) -> int:
@@ -323,15 +310,6 @@ def build_table(limit: int) -> PrimeTable:
         _array_bytes(limit), f"limit={limit}", "the prime array and its trimmed copy"
     )
     return PrimeTable(limit, _prime_array(limit))
-
-
-def check_budget(need: int, who: str, what: str) -> None:
-    """MemoryBudgetError when who needs more than DEFAULT_MEMORY_BUDGET bytes."""
-    if need > DEFAULT_MEMORY_BUDGET:
-        raise MemoryBudgetError(
-            f"{who} needs about {need:,} bytes for {what}; "
-            f"budget is {DEFAULT_MEMORY_BUDGET:,}"
-        )
 
 
 class PrimeReader:

@@ -2,10 +2,12 @@
 
 A one-shot sieve over every integer (no odd packing, no wheel, no segments),
 a Miller-Rabin test for single n far beyond it, and a filter test written
-from the definitions.  None shares code with shortint.primes.
+from the definitions, which reads a filter's tag and nothing else of it.
+None shares code with shortint.primes.
 """
 
 import math
+import re
 
 import numpy as np
 
@@ -50,28 +52,35 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _kept(filt, p: int) -> bool:
-    """Whether the prime p passes filt: p = residue (mod modulus), or the
-    Legendre symbol (d/p) by Euler's criterion (by d mod 8 at p = 2) equals
-    sign."""
-    if filt.kind == "all":
-        return True
-    if filt.kind == "residue":
-        return p % filt.modulus == filt.residue
-    d = filt.discriminant
-    if d % p == 0:
-        return False
-    if p == 2:
-        symbol = 1 if d % 8 in (1, 7) else -1
-    else:
-        symbol = 1 if pow(d % p, (p - 1) // 2, p) == 1 else -1
-    return symbol == filt.sign
+def _kept(tag: str):
+    """Membership in the filter named tag, read back from the tag alone:
+    "all", "mod{q}r{a}" keeps p = a (mod q), and "disc{d}s{sign}" keeps the
+    p whose Legendre symbol (d/p), by Euler's criterion (by d mod 8 at
+    p = 2), equals sign."""
+    if tag == "all":
+        return lambda p: True
+    if residue := re.fullmatch(r"mod(\d+)r(\d+)", tag):
+        q, a = map(int, residue.groups())
+        return lambda p: p % q == a
+    d, sign = map(int, re.fullmatch(r"disc(-?\d+)s([+-]1)", tag).groups())
+
+    def kept(p: int) -> bool:
+        if d % p == 0:
+            return False
+        if p == 2:
+            symbol = 1 if d % 8 in (1, 7) else -1
+        else:
+            symbol = 1 if pow(d % p, (p - 1) // 2, p) == 1 else -1
+        return symbol == sign
+
+    return kept
 
 
 def dense_primes(limit: int, filt) -> np.ndarray:
     """The primes <= limit that pass filt, in increasing order."""
     primes = dense_sieve(limit)
-    return primes[np.array([_kept(filt, p) for p in primes.tolist()], dtype=bool)]
+    kept = _kept(filt.tag)
+    return primes[np.array([kept(p) for p in primes.tolist()], dtype=bool)]
 
 
 def count_between(primes: np.ndarray, lo, hi):

@@ -27,9 +27,13 @@ import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
+# shortint.cli first: it pins numpy's OpenBLAS to one thread before numpy
+# loads, so density forks its workers from a single-threaded process
+from shortint.cli import main
+from shortint.primes import MAX_LIMIT
+
 ROOT = Path(__file__).resolve().parents[1]
 MANIFEST = ROOT / "tests" / "golden" / "manifest.json"
-MAX_LIMIT_PLUS_1 = str(2**63 - 6_074_000_997 + 1)  # one past primes.MAX_LIMIT
 
 
 @dataclass(frozen=True)
@@ -112,7 +116,7 @@ CASES = [
     Case("refuse-lambda-1e308",
          ("slide", "--lambda", "1e308", "--x-lo", "10", "--x-hi", "100", "--m", "1",
           "--out", "t.csv"), writes=("t.csv",)),
-    Case("refuse-limit-past-max", ("sieve", "--limit", MAX_LIMIT_PLUS_1)),
+    Case("refuse-limit-past-max", ("sieve", "--limit", str(MAX_LIMIT + 1))),
     Case("refuse-mod4-res2",
          ("density", "--lambda", "1", "--x", "100", "--m-max", "2",
           "--mod", "4", "--res", "2")),
@@ -122,6 +126,12 @@ CASES = [
     Case("refuse-mod-without-res",
          ("density", "--lambda", "1", "--x", "100", "--m-max", "2", "--mod", "4")),
     Case("refuse-usage", ("density", "--lambda", "1", "--x", "100")),
+    Case("refuse-scale-infinity",
+         ("bounds", "--m", "0", "--constants", "c.json"),
+         inputs={"c.json": '{"scale": Infinity}'}),
+    Case("refuse-decay-infinity",
+         ("bounds", "--m", "0", "--constants", "c.json"),
+         inputs={"c.json": '{"decay": Infinity}'}),
 ]
 
 
@@ -139,8 +149,6 @@ def _run_child(argv: tuple[str, ...], cwd: Path) -> tuple[int, bytes, bytes]:
 
 
 def _run_main(argv: tuple[str, ...]) -> tuple[int, bytes, bytes]:
-    from shortint.cli import main
-
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:

@@ -174,3 +174,13 @@ def test_params_from_dict_roundtrip():
         params_from_dict({"C": 50})
     with pytest.raises(ValueError):
         params_from_dict({"scale": -1})
+
+
+@pytest.mark.parametrize("name", sorted(BoundParams.__dataclass_fields__))
+@pytest.mark.parametrize("value", (math.inf, -math.inf, math.nan))
+def test_params_refuse_non_finite_constants(name, value):
+    # NaN and infinity pass a test of <= 0, or of 0 < x < 1 for floor_exp
+    with pytest.raises(ParameterRangeError, match=f"^{name} must be finite, got "):
+        BoundParams(**{name: value})
+    with pytest.raises(ParameterRangeError, match=f"^{name} must be finite"):
+        params_from_dict({name: value})

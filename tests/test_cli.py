@@ -262,6 +262,32 @@ def test_bounds_refuses_bad_lambda_and_x(capsys, argv, error):
     assert out.err == f"error: {error}\n"
 
 
+@pytest.mark.parametrize(
+    "text, error",
+    (
+        ('{"scale": Infinity}', "scale must be finite, got inf"),
+        ('{"decay": Infinity}', "decay must be finite, got inf"),
+        ('{"growth": NaN}', "growth must be finite, got nan"),
+    ),
+)
+def test_non_finite_constants_exit_1_with_one_line(tmp_path, capsys, text, error):
+    # json.load reads these non-standard names; one ended in an OverflowError
+    # traceback, one printed "decay": Infinity, one failed converting NaN
+    consts = tmp_path / "c.json"
+    consts.write_text(text)
+    out = tmp_path / "t.csv"
+    for argv in (
+        ["bounds", "--m", "0"],
+        ["slide", "--lambda", "1", "--x-lo", "10", "--x-hi", "100", "--m", "0",
+         "--out", str(out)],
+    ):
+        assert main([*argv, "--constants", str(consts)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {error}\n"
+        assert not out.exists()
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["density", "--lambda", "1"])  # missing required flags

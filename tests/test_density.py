@@ -257,7 +257,7 @@ def test_window_counts_match_naive_recount(monkeypatch, lam):
             kept[n[1:] - 1] & kept[n[1:] + lengths[1:]] & (np.diff(lengths) == 0)
         ]
         runs = [(step, 40), (step - 1, 1), (step, 1), (1, 1), (7919, 1), (700, 1000)]
-        if lam == 0.25 and filt.kind == "residue":
+        if lam == 0.25 and filt.tag == "mod3r2":
             # L <= 2 here, and no two primes 2 or 3 apart are both 2 mod 3
             assert not swaps.size
         else:

@@ -313,14 +313,56 @@ def test_fundamental_discriminant_recognition():
 
 
 def test_filter_validation():
+    with pytest.raises(ValueError, match="^residue 2 and modulus 4 must be coprime$"):
+        PrimeFilter.residue_class(2, 4)
+    with pytest.raises(ValueError, match=r"^residue must satisfy 0 <= a < 4, got 5$"):
+        PrimeFilter.residue_class(5, 4)
+    with pytest.raises(ValueError, match="^modulus must be >= 1, got 0$"):
+        PrimeFilter.residue_class(0, 0)
+    with pytest.raises(ValueError, match="^9 is not a fundamental discriminant$"):
+        PrimeFilter.kronecker(9, 1)
+    with pytest.raises(ValueError, match="^sign must be [+]1 or -1, got 0$"):
+        PrimeFilter.kronecker(5, 0)
+
+
+@pytest.mark.parametrize(
+    "modulus, classes",
+    ((4, (4,)), (4, (-1,)), (4, (1, 3, 1)), (0, ()), (-3, (0,)), (1, (1,))),
+)
+def test_constructed_filter_refuses_bad_classes(modulus, classes):
+    # a class outside [0, modulus) would index outside mask's table
     with pytest.raises(ValueError):
-        PrimeFilter.residue_class(2, 4)  # not coprime
-    with pytest.raises(ValueError):
-        PrimeFilter.residue_class(5, 4)  # residue out of range
-    with pytest.raises(ValueError):
-        PrimeFilter.kronecker(9, 1)  # not fundamental
-    with pytest.raises(ValueError):
-        PrimeFilter.kronecker(5, 0)  # bad sign
+        PrimeFilter(modulus, classes, "bad")
+
+
+def test_filter_modulus_within_the_memory_budget():
+    with pytest.raises(MemoryBudgetError, match="^modulus=2147483649 needs about 2,147,483,649 bytes"):
+        PrimeFilter.residue_class(1, primes.DEFAULT_MEMORY_BUDGET + 1)
+
+
+def test_filter_form_of_each_constructor():
+    assert (ALL.modulus, ALL.classes, ALL.tag) == (1, (0,), "all")
+    for a, q in ((1, 4), (3, 4), (0, 1), (7, 30), (2, 3)):
+        filt = PrimeFilter.residue_class(a, q)
+        assert (filt.modulus, filt.classes, filt.tag) == (q, (a,), f"mod{q}r{a}")
+    assert PrimeFilter.kronecker(1, +1).classes == (0,)
+    assert PrimeFilter.kronecker(1, -1).classes == ()
+    assert PrimeFilter.kronecker(1, -1).modulus == 1
+    assert PrimeFilter.kronecker(5, -1).tag == "disc5s-1"
+    assert PrimeFilter.kronecker(-4, 1).tag == "disc-4s+1"
+
+
+@pytest.mark.parametrize("d", (5, -4, 8, 12, -3, -7, 13))
+@pytest.mark.parametrize("sign", (1, -1))
+def test_kronecker_keeps_half_the_coprime_classes(d, sign):
+    # (d/.) is a character of order 2 mod |d|: each sign keeps half of the
+    # phi(|d|) classes coprime to d, so the two filters split them
+    filt = PrimeFilter.kronecker(d, sign)
+    q = abs(d)
+    assert filt.modulus == q
+    assert all(math.gcd(a, q) == 1 for a in filt.classes)
+    phi = sum(1 for r in range(q) if math.gcd(r, q) == 1)
+    assert len(filt.classes) == phi // 2
 
 
 def test_reader_between_filtered():
