@@ -61,10 +61,11 @@ def tuple_size(m: int, params: BoundParams = DEFAULT_PARAMS) -> int:
     if m < 0:
         raise ValueError(f"m must be non-negative, got {m}")
     y = 49.0 * m / params.growth
-    if y > 700.0:
+    if y > 700.0 or math.isinf(params.scale * math.exp(y)):
         raise ParameterRangeError(
-            f"tuple size overflows the float range at m={m} "
-            f"(49*m/growth = {y:.1f} > 700); lower m or raise growth"
+            f"tuple size overflows the float range at m={m} (49*m/growth = "
+            f"{y:.1f}, at most 700; scale = {params.scale:g}); "
+            "lower m or scale, or raise growth"
         )
     return math.ceil(params.scale * math.exp(y))
 

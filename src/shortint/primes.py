@@ -41,15 +41,6 @@ DEFAULT_MEMORY_BUDGET = 2**31  # bytes
 MAX_LIMIT = 2**63 - 6_074_000_997
 
 
-def check_budget(need: int, who: str, what: str) -> None:
-    """MemoryBudgetError when who needs more than DEFAULT_MEMORY_BUDGET bytes."""
-    if need > DEFAULT_MEMORY_BUDGET:
-        raise MemoryBudgetError(
-            f"{who} needs about {need:,} bytes for {what}; "
-            f"budget is {DEFAULT_MEMORY_BUDGET:,}"
-        )
-
-
 def kronecker_symbol(d: int, n: int) -> int:
     """Kronecker symbol (d/n) for positive n, with the usual 2-adic rules."""
     if n < 1:
@@ -106,10 +97,7 @@ def is_fundamental_discriminant(d: int) -> bool:
 
 @dataclass(frozen=True)
 class PrimeFilter:
-    """The primes whose class mod modulus is one of classes; tag names the
-    filter in outputs.  The classes lie in [0, modulus), each once, and the
-    modulus is at most DEFAULT_MEMORY_BUDGET, the bytes of the table that
-    mask gathers from."""
+    """The primes whose class mod modulus is in classes; tag names it in outputs."""
 
     modulus: int = 1
     classes: tuple[int, ...] = (0,)
@@ -124,7 +112,6 @@ class PrimeFilter:
                 raise ValueError(f"residue must satisfy 0 <= a < {q}, got {a}")
         if len(set(self.classes)) != len(self.classes):
             raise ValueError(f"classes must be distinct, got {self.classes}")
-        check_budget(q, f"modulus={q}", "its table of kept classes")
 
     @classmethod
     def residue_class(cls, a: int, q: int) -> "PrimeFilter":
@@ -146,9 +133,15 @@ class PrimeFilter:
 
     def mask(self, primes: np.ndarray) -> np.ndarray:
         """Boolean mask over an array of primes."""
-        keep = np.zeros(self.modulus, dtype=bool)
-        keep[list(self.classes)] = True
-        return keep[primes % self.modulus]
+        r = primes % self.modulus
+        if (len(self.classes) - 1) * len(r) < self.modulus:  # compares cost less
+            keep = np.zeros(len(r), dtype=bool)
+            for a in self.classes:
+                keep |= r == a
+            return keep
+        table = np.zeros(self.modulus, dtype=bool)  # a gather costs less
+        table[list(self.classes)] = True
+        return table[r]
 
 
 ALL = PrimeFilter()
@@ -310,6 +303,15 @@ def build_table(limit: int) -> PrimeTable:
         _array_bytes(limit), f"limit={limit}", "the prime array and its trimmed copy"
     )
     return PrimeTable(limit, _prime_array(limit))
+
+
+def check_budget(need: int, who: str, what: str) -> None:
+    """MemoryBudgetError when who needs more than DEFAULT_MEMORY_BUDGET bytes."""
+    if need > DEFAULT_MEMORY_BUDGET:
+        raise MemoryBudgetError(
+            f"{who} needs about {need:,} bytes for {what}; "
+            f"budget is {DEFAULT_MEMORY_BUDGET:,}"
+        )
 
 
 class PrimeReader:

@@ -33,6 +33,10 @@ def test_tuple_size_overflow_guard():
     with pytest.raises(ParameterRangeError, match="700"):
         tuple_size(15)
     assert tuple_size(14) > 10**298
+    # a finite scale can still carry k past the float range
+    at_1e300 = r"49\*m/growth = 49\.0, at most 700; scale = 1e\+300"
+    with pytest.raises(ParameterRangeError, match=at_1e300):
+        tuple_size(1, BoundParams(scale=1e300))
 
 
 def test_lambda_cap_values():

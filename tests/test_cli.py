@@ -288,6 +288,19 @@ def test_non_finite_constants_exit_1_with_one_line(tmp_path, capsys, text, error
         assert not out.exists()
 
 
+def test_bounds_tuple_size_past_floats_exits_1_with_one_line(tmp_path, capsys):
+    # ceil(1e300 * e^49) once ended in an OverflowError traceback
+    consts = tmp_path / "c.json"
+    consts.write_text('{"scale": 1e300}')
+    assert main(["bounds", "--m", "1", "--constants", str(consts)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: tuple size overflows the float range at m=1 (49*m/growth = 49.0, "
+        "at most 700; scale = 1e+300); lower m or scale, or raise growth\n"
+    )
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["density", "--lambda", "1"])  # missing required flags

@@ -330,14 +330,21 @@ def test_filter_validation():
     ((4, (4,)), (4, (-1,)), (4, (1, 3, 1)), (0, ()), (-3, (0,)), (1, (1,))),
 )
 def test_constructed_filter_refuses_bad_classes(modulus, classes):
-    # a class outside [0, modulus) would index outside mask's table
+    # a class outside [0, modulus) is no class mod modulus
     with pytest.raises(ValueError):
         PrimeFilter(modulus, classes, "bad")
 
 
-def test_filter_modulus_within_the_memory_budget():
-    with pytest.raises(MemoryBudgetError, match="^modulus=2147483649 needs about 2,147,483,649 bytes"):
-        PrimeFilter.residue_class(1, primes.DEFAULT_MEMORY_BUDGET + 1)
+def test_filters_with_a_modulus_past_int32():
+    # few classes mod a large modulus are compared, never gathered from a
+    # table of the modulus's size, so the parent's residue filters all work
+    q = 2**31 + 11
+    values = np.array([2, 3, q + 1, 2 * q + 1, 2 * q + 3], dtype=np.int64)
+    filt = PrimeFilter.residue_class(1, q)
+    assert filt.mask(values).tolist() == [False, False, True, True, False]
+    assert [len(p) for _, p in prime_segments(1000, filt)] == [0, 0]
+    two = PrimeFilter(q, (1, 3), "two")
+    assert two.mask(values).tolist() == [False, True, True, True, True]
 
 
 def test_filter_form_of_each_constructor():
