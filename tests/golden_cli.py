@@ -93,6 +93,19 @@ CASES = [
           "--x-hi", "1000000002000", "--m", "1", "--max-clusters", "30",
           "--out", "t.csv", "--falsifications", "f.jsonl"),
          writes=("t.csv", "f.jsonl")),
+    # several blocks each: blocks of 4096, 135 and 769 bases, cut at 2**22;
+    # and a block ending at base 3269007 whose last traces cross the step of
+    # L to 15 at 3269018, past the next block's first base
+    Case("slide-blocks-cut-at-span",
+         ("slide", "--lambda", "1", "--x-lo", "4190000", "--x-hi", "4200000",
+          "--m", "1", "--max-clusters", "5000",
+          "--out", "t.csv", "--falsifications", "f.jsonl"),
+         writes=("t.csv", "f.jsonl")),
+    Case("slide-blocks-cross-a-step",
+         ("slide", "--lambda", "1", "--x-lo", "3264824", "--x-hi", "3290000",
+          "--m", "1", "--max-clusters", "5000",
+          "--out", "t.csv", "--falsifications", "f.jsonl"),
+         writes=("t.csv", "f.jsonl")),
     Case("bounds-m0-x-q",
          ("bounds", "--m", "0", "--lambda", "1e-9", "--x", "1e30", "--q", "3")),
     Case("bounds-m0", ("bounds", "--m", "0")),
