@@ -159,6 +159,8 @@ def _cmd_tuples_series(args) -> int:
 
 
 def _cmd_slide(args) -> int:
+    import operator
+
     import numpy as np
 
     from . import clusters as clusters_mod
@@ -178,16 +180,29 @@ def _cmd_slide(args) -> int:
         args.max_clusters,
     )
     n_traces = n_drop = n_fals = n_runs = longest = 0
-    header = clusters_mod.TRACE_HEADER
 
     def slid_blocks():
         # the bases come in increasing order; a block is cut where they cross
-        # a multiple of SLIDE_SPAN
-        while block := list(itertools.islice(stream, clusters_mod.SLIDE_BLOCK)):
-            bases = np.array([c.base for c in block])
+        # a multiple of SLIDE_SPAN.  The blocks share a set-up for bases up to
+        # twice the last base of the block that made it, or x_hi: a run makes
+        # a new one only when its bases double, and none reaches far past
+        # them.  A set-up refused there leaves each block to set up its own,
+        # so a block is refused only when its own bases are.
+        setup = None
+        base = operator.itemgetter(0)
+
+        def next_block():
+            block = itertools.islice(stream, clusters_mod.SLIDE_BLOCK)
+            return np.fromiter(map(base, block), np.int64)
+
+        while len(bases := next_block()):
+            if setup is None or bases[-1] > setup.top:
+                setup, top = None, min(2 * int(bases[-1]), args.x_hi)
+                with contextlib.suppress(ShortIntervalError):
+                    setup = clusters_mod.slide_setup(args.lam, args.x_lo, top)
             cuts = np.flatnonzero(np.diff(bases // clusters_mod.SLIDE_SPAN)) + 1
             for part in np.split(bases, cuts):
-                yield clusters_mod.slide(args.lam, part, args.m)
+                yield clusters_mod.slide(args.lam, part, args.m, setup=setup)
 
     # find_clusters checked its arguments when called; the first block is slid
     # before any output file is opened, and each block is written when done
@@ -196,16 +211,16 @@ def _cmd_slide(args) -> int:
     with _open_output(args.out) as out, _open_output(
         args.falsifications, sys.stderr
     ) as records:
-        out.write(header)
+        out.write(clusters_mod.TRACE_HEADER)
         for slides in itertools.chain(first, blocks):
-            out.write(clusters_mod.trace_csv(slides)[len(header) :])
+            out.writelines(clusters_mod.trace_rows(slides))
             records.write(clusters_mod.falsifications_jsonl(slides))
-            runs = clusters_mod.extract_m_runs(slides, args.m)
+            _, lengths = clusters_mod.m_runs(slides, args.m)
             n_traces += len(slides)
             n_drop += int((slides.j_drop >= 0).sum())
             n_fals += len(slides.falsifications)
-            n_runs += len(runs)
-            longest = max([longest, *(length for _, length in runs)])
+            n_runs += len(lengths)
+            longest = max(longest, int(lengths.max(initial=0)))
     stats = (
         f"traces={n_traces} with_drop={n_drop} "
         f"m_runs={n_runs} longest_run={longest} "

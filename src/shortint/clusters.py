@@ -9,8 +9,11 @@ of bases in one pass and locates, on each trace, the last index whose count
 still exceeds m; immediately after it the count drops to exactly m.
 Claims the sliding process relies on are checked on every trace, and any
 violation is recorded as a falsification rather than assumed impossible.
-Neither keeps a prime table: each sieves only the range it scans and reads
-its primes through one forward PrimeReader, so memory does not grow with x.
+Neither keeps a prime table, so memory does not grow with x: the scan reads
+its primes through one forward PrimeReader over its range, and each batch of
+slides sieves only [lo, hi + L(hi)] around its own traces.  The batches of
+one run share their fixed work, the breakpoints of L and the sieve's base
+primes and wheel, through one slide_setup.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -33,7 +37,7 @@ from .density import (
     window_runs,
 )
 from .errors import ParameterRangeError, check_lambda
-from .primes import ALL, PrimeFilter, PrimeReader, check_budget, prime_segments
+from .primes import ALL, PrimeFilter, PrimeReader, Sieve, check_budget, prime_segments
 
 # clusters per slide() call in the CLI, their bases inside one aligned range
 # of SLIDE_SPAN integers: a slide's memory grows with its windows and with the
@@ -109,6 +113,28 @@ class Slides:
         return len(self.bases)
 
 
+class SlideSetup(NamedTuple):
+    """The fixed work of every slide at lam whose bases lie in [lo, top]: the
+    breakpoints of L up to the end of the last window, and the sieve of that
+    range set up once (its base primes and wheel tile)."""
+
+    lam: float
+    lo: int
+    top: int
+    steps: np.ndarray
+    sieve: Sieve
+
+
+def slide_setup(lam: float, lo: int, top: int) -> SlideSetup:
+    """The SlideSetup for bases in [lo, top], 1 <= lo <= top; every trace
+    ends by required_limit(lam, top), and its windows by the limit of that."""
+    check_lambda(lam)
+    if not 1 <= lo <= top:
+        raise ValueError(f"need 1 <= lo <= top, got {lo}, {top}")
+    limit = required_limit(lam, required_limit(lam, top))
+    return SlideSetup(lam, lo, top, edge_steps(lam, limit), Sieve(limit, lo))
+
+
 def find_clusters(
     lam: float,
     m: int,
@@ -151,7 +177,7 @@ def find_clusters(
     who = f"a cluster window of {win_i} integers at lambda={lam}"
     check_budget(int(32 * y / math.log(y)), who, "its primes")
 
-    def scan() -> Iterator[Cluster]:
+    def scan() -> Iterator[Iterator[Cluster]]:
         reader = PrimeReader(prime_segments(x_hi + win_i, filt, x_lo))
         for a, b in spans(x_lo, x_hi, ramp=True):
             primes = reader.between(a, b + win_i)
@@ -172,9 +198,11 @@ def find_clusters(
             n = rich + a
             if require_spacing:
                 n, spaced = n[spaced], spaced[spaced]
-            yield from map(Cluster, n.tolist(), spaced.tolist())
+            # the records of a span, built in C as Cluster(base, spacing_ok)
+            # would be
+            yield map(tuple.__new__, repeat(Cluster), zip(n.tolist(), spaced.tolist()))
 
-    return scan()
+    return chain.from_iterable(scan())
 
 
 def slide(
@@ -182,6 +210,7 @@ def slide(
     bases: Sequence[int] | np.ndarray,
     m: int,
     filt: PrimeFilter = ALL,
+    setup: SlideSetup | None = None,
 ) -> Slides:
     """Count filtered primes in each I_j = [N0+j, N0+j+lam*log(N0+j)] for
     j = 0..floor(lam*log N0) from every base N0, and locate the drop indices.
@@ -189,14 +218,17 @@ def slide(
     The bases, each >= 1, may come in any order, overlapping or repeated;
     the traces keep their order.  One pass of density._read_runs counts every
     n in [lo, hi], the least base to the last N0 + j of any trace, as runs of
-    equal c(n), and each trace reads its windows out of them, so work and
-    memory are linear in the windows plus the primes in [lo, hi];
+    equal c(n), from the filtered primes of [lo, hi + L(hi)], sieved for this
+    batch alone; each trace reads its windows out of the runs, so work and
+    memory are linear in the windows plus the primes in [lo, hi].
     MemoryBudgetError refuses a batch whose primes and runs there would
-    exceed the budget.  Two claims are verified on every trace and recorded
-    as falsifications when violated: counts never increase by more than 1
-    between consecutive j, and whenever the count is observed to drop below
-    m+1 right after j_drop, the integer N0 + j_drop is itself a filtered
-    prime.
+    exceed the budget.  setup, from slide_setup for a range holding every
+    base, saves the batch its own breakpoints of L and sieve set-up; batches
+    of one run share it.  Two claims are verified on every trace and
+    recorded as falsifications when violated: counts never increase by more
+    than 1 between consecutive j, and whenever the count is observed to drop
+    below m+1 right after j_drop, the integer N0 + j_drop is itself a
+    filtered prime.
     """
     check_lambda(lam)
     if m < 0:
@@ -206,10 +238,15 @@ def slide(
     lo = int(bases.min()) if n else 1  # n = 1 alone for no bases
     if lo < 1:
         raise ValueError(f"bases must be >= 1, got least base {lo}")
-    # every trace ends by required_limit(lam, top base), and its windows
-    # end by the limit of that
-    limit = required_limit(lam, required_limit(lam, int(bases.max(initial=1))))
-    steps = edge_steps(lam, limit)
+    top = int(bases.max(initial=lo))
+    if setup is None or not n:  # no bases need no shared set-up
+        setup = slide_setup(lam, lo, top)
+    elif setup.lam != lam or not setup.lo <= lo <= top <= setup.top:
+        raise ValueError(
+            f"a slide setup for bases in [{setup.lo}, {setup.top}] at "
+            f"lambda={setup.lam} cannot slide [{lo}, {top}] at lambda={lam}"
+        )
+    steps = setup.steps
     lengths = np.searchsorted(steps, bases, side="right") + 1  # j = 0..L(base)
     starts = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(lengths, out=starts[1:])
@@ -219,16 +256,17 @@ def slide(
     y = max(hi - lo + 1, 2)
     who = f"a slide over [{lo:,}, {hi:,}]"
     check_budget(int(160 * y / math.log(y)), who, "the primes and runs there")
-    # one kernel pass gives c(n) for n in [lo, hi] as runs; it moves the reader
-    # past lo, so the filtered primes there are read first, after a -1 that
-    # keeps every search for a drop point in range
-    reader = PrimeReader(prime_segments(limit, filt, lo))
-    inside = np.concatenate(([-1], reader.between(lo, hi)))
-    pieces = zip(*_read_runs(reader, steps, lo, hi))
-    values, runs = (np.concatenate([[0], *col], dtype=np.int64) for col in pieces)
+    # one kernel pass gives c(n) for n in [lo, hi] as runs, from the filtered
+    # primes up to hi + L(hi); a -1 before them keeps every search for a drop
+    # point in range
+    end = hi + int(np.searchsorted(steps, hi, side="right"))
+    reader = PrimeReader(prime_segments(end, filt, lo, setup.sieve))
+    inside = np.concatenate(([-1], reader.between(lo, end)))
+    pieces = zip(*_read_runs(inside[1:], steps, lo, hi))
+    values, runs = (np.concatenate([[0], *col], dtype=np.int32) for col in pieces)
     # run k > 0 holds c(n) for n - lo in [ends[k - 1], ends[k]); trace t reads
     # its n - lo in [head, tail) from n_runs runs on from first, each cut to it
-    ends = np.cumsum(runs)
+    ends = np.cumsum(runs, dtype=np.int64)
     head, tail = bases - lo, bases + lengths - lo
     first = np.searchsorted(ends, head, side="right")
     n_runs = np.searchsorted(ends, tail - 1, side="right") + 1 - first
@@ -280,25 +318,28 @@ def slide(
     return Slides(bases, starts, counts, j_drop, tuple(falsifications))
 
 
+def m_runs(slides: Slides, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Maximal runs of consecutive counts[j] == m inside each trace, trace by
+    trace, as two arrays: the index into counts where each run begins, and
+    its length."""
+    hit = slides.counts == m
+    # a boundary before index k, where hit changes or a trace begins, and one
+    # after the last index; between two boundaries hit is constant
+    edge = np.ones(len(hit) + 1, dtype=bool)
+    np.not_equal(hit[1:], hit[:-1], out=edge[1:-1])
+    edge[slides.starts] = True
+    bounds = np.flatnonzero(edge)
+    keep = hit[bounds[:-1]]
+    begins = bounds[:-1][keep]
+    return begins, bounds[1:][keep] - begins
+
+
 def extract_m_runs(slides: Slides, m: int) -> list[tuple[int, int]]:
-    """Maximal runs of consecutive counts[j] == m inside each trace, as
-    (start_j, length), trace by trace."""
-    counts, starts = slides.counts, slides.starts
-    if not len(counts):
-        return []
-    hit = counts == m
-    opens = np.zeros(len(counts), dtype=bool)
-    opens[starts[:-1]] = True  # a trace begins here
-    opens[1:] |= ~hit[:-1]
-    closes = np.zeros(len(counts), dtype=bool)
-    closes[starts[1:] - 1] = True  # a trace ends here
-    closes[:-1] |= ~hit[1:]
-    run_starts = np.flatnonzero(hit & opens)
-    run_ends = np.flatnonzero(hit & closes) + 1
-    trace = np.searchsorted(starts, run_starts, side="right") - 1
-    return list(
-        zip((run_starts - starts[trace]).tolist(), (run_ends - run_starts).tolist())
-    )
+    """The runs of m_runs as (start_j, length), j counted from each trace's
+    first window."""
+    begins, lengths = m_runs(slides, m)
+    trace = np.searchsorted(slides.starts, begins, side="right") - 1
+    return list(zip((begins - slides.starts[trace]).tolist(), lengths.tolist()))
 
 
 def guaranteed_run_floor(
@@ -337,18 +378,20 @@ def _decimal_columns(columns: list[np.ndarray]) -> str:
     return str(flat[flat != 0].data, "ascii")
 
 
-def trace_csv(slides: Slides) -> str:
-    """TRACE_HEADER, then the rows j,N_j,count of every trace (j restarts at
-    0 per trace), formatted CSV_ROWS rows at a time."""
+def trace_rows(slides: Slides) -> Iterator[str]:
+    """The rows j,N_j,count of every trace (j restarts at 0 per trace),
+    formatted CSV_ROWS rows at a time."""
     lengths = np.diff(slides.starts)
     j = np.arange(len(slides.counts)) - np.repeat(slides.starts[:-1], lengths)
     n_j = np.repeat(slides.bases, lengths) + j
     columns = [j, n_j, slides.counts]
-    rows = (
-        _decimal_columns([col[i : i + CSV_ROWS] for col in columns])
-        for i in range(0, len(j), CSV_ROWS)
-    )
-    return "".join([TRACE_HEADER, *rows])
+    for i in range(0, len(j), CSV_ROWS):
+        yield _decimal_columns([col[i : i + CSV_ROWS] for col in columns])
+
+
+def trace_csv(slides: Slides) -> str:
+    """TRACE_HEADER, then the trace_rows of every trace."""
+    return "".join([TRACE_HEADER, *trace_rows(slides)])
 
 
 def falsifications_jsonl(slides: Slides) -> str:

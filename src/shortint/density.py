@@ -13,10 +13,11 @@ run lengths in O(pi(x)) work.  The density and growth histograms weight the
 run values by their lengths, window_counts repeats them to give c(n) one n
 at a time, slide reads each trace's c(n) out of the runs of one pass over
 its batch, and the cluster scan runs the kernel at its fixed window lengths.
-No scan keeps a prime table: each reads the primes of its windows, span by
-span, through one forward PrimeReader over its own range, which holds only
-the primes that windows still to be scanned can reach, so memory is
-O(segment) at any x.  The density and growth scans cut [1, x] into one
+No scan keeps a prime table: _read_runs takes the sorted primes of its
+range as an array, and a scan of a long range reads them span by span
+through one forward PrimeReader over its own range, which holds only the
+primes that windows still to be scanned can reach, so memory is O(segment)
+at any x.  The density and growth scans cut [1, x] into one
 contiguous part per CPU in the process's affinity mask (WORKERS), scan the
 parts at the same time in forked workers and sum their exact histograms.
 With one CPU nothing is forked.
@@ -132,18 +133,21 @@ def spans(a: int, b: int, ramp: bool = False) -> Iterator[tuple[int, int]]:
 
 
 def _read_runs(
-    reader: PrimeReader, steps: np.ndarray, a: int, b: int
+    primes: np.ndarray, steps: np.ndarray, a: int, b: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """window_runs over n = a..b, from the primes reader gives: the spans of
-    [a, b] are cut again at the breakpoints steps (known at least up to b),
-    so that L is constant on each piece, and each piece reads its primes."""
+    """window_runs over n = a..b, from primes, the sorted filtered primes of
+    at least [a, b + L(b)]: the spans of [a, b] are cut again at the
+    breakpoints steps (known at least up to b), so that L is constant on each
+    piece, and each piece reads its primes out of the array."""
     for lo, hi in spans(a, b):
         i, j = np.searchsorted(steps, (lo, hi), side="right").tolist()
         cuts = [lo, *steps[i:j].tolist(), hi + 1]
         for length, (start, stop) in enumerate(zip(cuts, cuts[1:]), start=i):
             if start < stop:  # coinciding breakpoints leave empty pieces
-                primes = reader.between(start, stop - 1 + length)
-                yield window_runs(primes, primes, start, stop - 1, length)
+                first = np.searchsorted(primes, start)
+                last = np.searchsorted(primes, stop - 1 + length, side="right")
+                piece = primes[first:last]
+                yield window_runs(piece, piece, start, stop - 1, length)
 
 
 def window_runs(
@@ -197,8 +201,8 @@ def window_counts(
     if not 1 <= a <= b:
         raise ValueError(f"need 1 <= a <= b, got {a}, {b}")
     limit = required_limit(lam, b)
-    reader = PrimeReader(prime_segments(limit, filt, a))
-    values, runs = zip(*_read_runs(reader, edge_steps(lam, limit), a, b))
+    primes = PrimeReader(prime_segments(limit, filt, a)).between(a, limit)
+    values, runs = zip(*_read_runs(primes, edge_steps(lam, limit), a, b))
     return np.repeat(np.concatenate(values), np.concatenate(runs))
 
 
@@ -308,17 +312,20 @@ def _scan_part(
     last: int,
 ) -> np.ndarray:
     """The rows of _histograms counted over the n in [first, last] only, from
-    one reader over [first, required_limit(lam, last)]: each run of
-    window_runs is counted with its length, in the row of its ends range.
-    steps holds the breakpoints of L at least up to that limit.
+    one reader over [first, required_limit(lam, last)], read span by span:
+    each run of window_runs is counted with its length, in the row of its
+    ends range.  steps holds the breakpoints of L at least up to that limit.
     """
     reader = PrimeReader(prime_segments(required_limit(lam, last), filt, first))
     hist = np.zeros((len(ends), m_max + 2), dtype=np.int64)
     a = first
     for row, end in zip(hist, ends):
-        for c, runs in _read_runs(reader, steps, a, min(end, last)):
-            np.minimum(c, m_max + 1, out=c)
-            row += np.bincount(c, weights=runs, minlength=m_max + 2).astype(np.int64)
+        for lo, hi in spans(a, min(end, last)):
+            top = hi + int(np.searchsorted(steps, hi, side="right"))  # hi + L(hi)
+            for c, runs in _read_runs(reader.between(lo, top), steps, lo, hi):
+                np.minimum(c, m_max + 1, out=c)
+                weighted = np.bincount(c, weights=runs, minlength=m_max + 2)
+                row += weighted.astype(np.int64)
         a = max(a, end + 1)
     return hist
 

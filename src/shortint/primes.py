@@ -11,11 +11,13 @@ handled logically.  Each segment is pre-sieved by a wheel: the flags of the
 odd n free of 3, 5, ..., 17 repeat with period WHEEL = 255255 in the odd-only
 index, so one tile of that pattern is copied in, and only the base primes
 above 17 are marked, from start offsets computed for all of them at once.
-It is the package's only sieve.  prime_segments turns each segment of a
-range [lo, limit] into its sorted, filtered primes; every window scan reads
-them through a forward PrimeReader, build_table writes them into the table's
-sorted int64 array, primes_upto takes the same path, and prime_count counts
-the segments without keeping them.  A table is that array alone, immutable
+It is the package's only sieve.  Its fixed part, the base primes and the
+wheel tile, is a Sieve, set up per range or once for many ranges inside one.
+prime_segments turns each segment of a range [lo, limit] into its sorted,
+filtered primes; every window scan reads them through a forward PrimeReader,
+build_table writes them into the table's sorted int64 array, primes_upto
+takes the same path, and prime_count counts the segments without keeping
+them.  A table is that array alone, immutable
 and safe to share between threads.
 """
 
@@ -39,6 +41,9 @@ DEFAULT_MEMORY_BUDGET = 2**31  # bytes
 # the largest sieve limit whose marking products, below limit + 2*isqrt(limit),
 # fit int64
 MAX_LIMIT = 2**63 - 6_074_000_997
+# the largest |d| of a Kronecker filter: its kept classes mod |d| are found
+# one Python call at a time, about 2 s and a 500,000-entry tuple at the cap
+MAX_DISCRIMINANT = 10**6
 
 
 def kronecker_symbol(d: int, n: int) -> int:
@@ -124,6 +129,11 @@ class PrimeFilter:
     def kronecker(cls, d: int, sign: int) -> "PrimeFilter":
         if sign not in (-1, 1):
             raise ValueError(f"sign must be +1 or -1, got {sign}")
+        if abs(d) > MAX_DISCRIMINANT:  # before the trial division below
+            raise ParameterRangeError(
+                f"discriminant {d} is beyond the supported range; "
+                f"|d| must be at most {MAX_DISCRIMINANT:,}"
+            )
         if not is_fundamental_discriminant(d):
             raise ValueError(f"{d} is not a fundamental discriminant")
         # (d/.) has period |d| for fundamental d, so (d/0) is (d/|d|)
@@ -190,51 +200,81 @@ def _mark_segment(flags: np.ndarray, base: np.ndarray, i0: int) -> None:
         flags[start::p] = False
 
 
-def _segments(limit: int, lo: int = 1) -> Iterator[tuple[int, np.ndarray]]:
+class Sieve:
+    """The fixed part of sieving any range inside [lo, limit]: the base
+    primes above the wheel primes up to isqrt(limit), and a tile of the wheel
+    pattern long enough for the longest segment of that range.
+
+    Set up once, it serves any number of ranges; prime_segments sets one up
+    per range when handed none.  A limit beyond MAX_LIMIT raises
+    ParameterRangeError, and one whose base primes would exceed the memory
+    budget MemoryBudgetError, before anything is sieved.
+    """
+
+    def __init__(self, limit: int, lo: int = 1):
+        if limit > MAX_LIMIT:
+            raise ParameterRangeError(
+                f"sieve limit {limit:,} is beyond int64 arithmetic; "
+                f"the largest supported is {MAX_LIMIT:,}"
+            )
+        root = math.isqrt(limit)
+        base = np.empty(0, dtype=np.int64)
+        if root >= 2:
+            check_budget(_array_bytes(root), f"limit={limit}", "its base primes")
+            base = _prime_array(root)
+        self.lo, self.limit = lo, limit
+        self.base = base[base > WHEEL_PRIMES[-1]]
+        n_odds = (limit - 1) // 2
+        # a segment starting at i0 copies wheel[i0 % WHEEL:], so the tile spans
+        # one period past the longest segment, or the whole range when shorter
+        self.segment = max(min(SEGMENT_SIZE, n_odds - _first_odd(lo)), 1)
+        self.wheel = _wheel(min(n_odds, WHEEL + self.segment))
+
+
+def _first_odd(lo: int) -> int:
+    """The odd-only index of the first odd n >= max(lo, 3)."""
+    return max((lo - 2) // 2, 0)
+
+
+def _segments(
+    limit: int, lo: int = 1, sieve: Sieve | None = None
+) -> Iterator[tuple[int, np.ndarray]]:
     """The odd-only sieve of the odd n in [lo, limit] from 3 on, one marked
     segment at a time.
 
     Yields (i0, flags) with flags[i] true iff 3 + 2*(i0 + i) is prime.  The
     first segment starts at the first odd n >= max(lo, 3), so a range costs
-    only its own segments and the base primes up to isqrt(limit).  Every
-    segment is marked in one reused buffer of SEGMENT_SIZE entries, so flags is
-    valid only until the next item is requested.  A limit beyond MAX_LIMIT
-    raises ParameterRangeError, and one whose base primes would exceed the
-    memory budget MemoryBudgetError, before anything is sieved.
+    only its own segments, and the base primes up to isqrt(limit) unless a
+    sieve set up for a range around it is handed in.  Every segment is marked
+    in one reused buffer of at most SEGMENT_SIZE entries, so flags is valid
+    only until the next item is requested.
     """
-    if limit > MAX_LIMIT:
-        raise ParameterRangeError(
-            f"sieve limit {limit:,} is beyond int64 arithmetic; "
-            f"the largest supported is {MAX_LIMIT:,}"
+    if sieve is None:
+        sieve = Sieve(limit, lo)
+    elif lo < sieve.lo or limit > sieve.limit:
+        raise ValueError(
+            f"a sieve set up for [{sieve.lo:,}, {sieve.limit:,}] "
+            f"cannot sieve [{lo:,}, {limit:,}]"
         )
-    root = math.isqrt(limit)
-    base = np.empty(0, dtype=np.int64)
-    if root >= 2:
-        check_budget(_array_bytes(root), f"limit={limit}", "its base primes")
-        base = _prime_array(root)
-    base = base[base > WHEEL_PRIMES[-1]]
-    size = SEGMENT_SIZE
-    n_odds = (limit - 1) // 2
-    first = max((lo - 2) // 2, 0)  # odd-only index of the first odd n >= lo
+    size, n_odds = sieve.segment, (limit - 1) // 2
+    first = _first_odd(lo)
     buf = np.empty(max(min(size, n_odds - first), 0), dtype=bool)
-    # segment i0 copies wheel[i0 % WHEEL:], so the tile spans one period
-    # past the longest segment, or the whole range when that is shorter
-    wheel = _wheel(min(n_odds, WHEEL + len(buf)))
     for i0 in range(first, n_odds, size):
         flags = buf[: min(size, n_odds - i0)]
         start = i0 % WHEEL
-        flags[:] = wheel[start : start + len(flags)]
+        flags[:] = sieve.wheel[start : start + len(flags)]
         # the wheel primes themselves are prime, in whichever segment they fall
         flags[[i - i0 for i in _WHEEL_INDEX if i0 <= i < i0 + len(flags)]] = True
-        _mark_segment(flags, base, i0)
+        _mark_segment(flags, sieve.base, i0)
         yield i0, flags
 
 
 def prime_segments(
-    limit: int, filt: PrimeFilter = ALL, lo: int = 1
+    limit: int, filt: PrimeFilter = ALL, lo: int = 1, sieve: Sieve | None = None
 ) -> Iterator[tuple[int, np.ndarray]]:
     """The primes in [lo, limit] that pass filt, in increasing order, one
-    sieve segment at a time.
+    sieve segment at a time, from sieve when one set up for a range around
+    [lo, limit] is handed in.
 
     Yields (top, primes): primes is a fresh sorted int64 array of the
     filtered primes in (previous top, top], or in [lo, top] for the first
@@ -245,7 +285,7 @@ def prime_segments(
     if lo <= 2:
         two = np.array([2], dtype=np.int64)
         yield 2, two[filt.mask(two)]
-    for i0, flags in _segments(limit, lo):
+    for i0, flags in _segments(limit, lo, sieve):
         primes = np.flatnonzero(flags)
         primes *= 2
         primes += 3 + 2 * i0

@@ -136,6 +136,9 @@ CASES = [
     Case("refuse-disc9",
          ("density", "--lambda", "1", "--x", "100", "--m-max", "2",
           "--disc", "9", "--class", "1")),
+    Case("refuse-disc-past-cap",
+         ("density", "--lambda", "1", "--x", "100", "--m-max", "2",
+          "--disc", "10000000033", "--class", "1")),
     Case("refuse-mod-without-res",
          ("density", "--lambda", "1", "--x", "100", "--m-max", "2", "--mod", "4")),
     Case("refuse-usage", ("density", "--lambda", "1", "--x", "100")),

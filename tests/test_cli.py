@@ -9,7 +9,7 @@ import pytest
 
 from shortint import clusters, density, primes
 from shortint.cli import main
-from shortint.errors import MemoryBudgetError
+from shortint.errors import MemoryBudgetError, ParameterRangeError
 from shortint.tuples import greedy_sieve
 
 
@@ -173,9 +173,9 @@ def test_slide_blocks_do_not_change_output(tmp_path, capsys, monkeypatch, argv):
     # the count-jump records
     slide, spans = clusters.slide, []
 
-    def recorded(lam, bases, m):
+    def recorded(lam, bases, m, **kwargs):
         spans.append(max(bases) // clusters.SLIDE_SPAN - min(bases) // clusters.SLIDE_SPAN)
-        return slide(lam, bases, m)
+        return slide(lam, bases, m, **kwargs)
 
     monkeypatch.setattr(clusters, "slide", recorded)
     outputs = []
@@ -188,6 +188,36 @@ def test_slide_blocks_do_not_change_output(tmp_path, capsys, monkeypatch, argv):
     assert outputs[0] == outputs[1] == outputs[2]
     assert outputs[0][1].count("\n") > 40
     assert len(spans) > 4 and set(spans) == {0}
+
+
+@pytest.mark.parametrize("refuse", (False, True), ids=("near-its-bases", "refused"))
+def test_slide_setup_limits_leave_the_output_alone(tmp_path, capsys, monkeypatch, refuse):
+    # lambda 5000 needs 103,617 breakpoints up to x_hi = 1e9, more than a
+    # set-up may settle, but the run's one cluster is at 10, so its set-up
+    # covers bases up to 20 only; when that set-up is refused, the block sets
+    # up its own, for its one base.  Either way the run writes what slide()
+    # alone gives.
+    alone = clusters.slide(5000.0, [10], 1)
+    tops, make = [], clusters.slide_setup
+
+    def setup(lam, lo, top):
+        tops.append(top)
+        if refuse and top == 20:
+            raise ParameterRangeError("refused")
+        return make(lam, lo, top)
+
+    monkeypatch.setattr(clusters, "slide_setup", setup)
+    out, fals = tmp_path / "t.csv", tmp_path / "f.jsonl"
+    argv = ["slide", "--lambda", "5000", "--x-lo", "10", "--x-hi", "1000000000",
+            "--m", "1", "--max-clusters", "1", "--out", str(out),
+            "--falsifications", str(fals)]
+    assert main(argv) == 1  # the count jumps of so wide a window
+    err = capsys.readouterr().err
+    assert "error" not in err and err.startswith("traces=1 ")
+    assert out.read_text() == clusters.trace_csv(alone)
+    assert fals.read_text() == clusters.falsifications_jsonl(alone)
+    assert len(alone.counts) > 10000 and alone.falsifications
+    assert tops == ([20, 10] if refuse else [20])
 
 
 def test_slide_with_constants_file(tmp_path, capsys):

@@ -475,7 +475,8 @@ def _bases(clusters, count):
 def _check_slides(lam, bases, m, filt=ALL):
     """slide() on the batch against the dense-sieve oracle per window, the
     definition of j_drop, a per-row CSV and a per-trace run scan.  Returns
-    the slides and the summary line the CLI prints for them."""
+    the slides, the summary line the CLI prints for them and the oracle's
+    CSV rows."""
     slides = slide(lam, bases, m, filt)
     primes = oracle(filt)
     rows, runs, counts, j_drops = ["j,N_j,count\n"], [], [], []
@@ -508,20 +509,63 @@ def _check_slides(lam, bases, m, filt=ALL):
         f"m_runs={len(runs)} longest_run={max([0, *(n for _, n in runs)])} "
         "falsifications=0\n"
     )
-    return slides, summary
+    return slides, summary, "".join(rows)
 
 
 def test_cli_slide_summary_matches_the_oracle(tmp_path, capsys, monkeypatch):
-    # the summary line sums every block's traces, drops and m-runs: 500
-    # clusters in blocks of 64
-    bases = _bases(find_clusters(1.0, 1, 10**5, 11 * 10**4), 500)
-    _, summary = _check_slides(1.0, bases, 1)
-    assert "with_drop=0" not in summary and "m_runs=0" not in summary
-    monkeypatch.setattr(clusters_mod, "SLIDE_BLOCK", 64)
+    # the summary line sums every block's traces, drops and m-runs, and the
+    # CSV joins every block's rows: 500 clusters in blocks of 64; and 151
+    # clusters in blocks of 60, where the last traces of the first block
+    # (bases up to 3269009, L = 14) cross the step of L to 15 at 3269018,
+    # beyond the next block's first base
+    assert density.edge_steps(1.0, 3269018)[-1] == 3269018
+    for x_lo, x_hi, count, block in ((10**5, 11 * 10**4, 500, 64),
+                                     (3268950, 3269100, 151, 60)):
+        bases = _bases(find_clusters(1.0, 1, x_lo, x_hi), count)
+        assert len(bases) == count
+        _, summary, rows = _check_slides(1.0, bases, 1)
+        assert "with_drop=0" not in summary and "m_runs=0" not in summary
+        monkeypatch.setattr(clusters_mod, "SLIDE_BLOCK", block)
+        out = tmp_path / f"t{x_lo}.csv"
+        argv = ["slide", "--lambda", "1", "--x-lo", str(x_lo), "--x-hi", str(x_hi),
+                "--m", "1", "--max-clusters", str(count), "--out", str(out)]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().err == summary
+        assert out.read_text() == rows
+    last = bases[block - 1]
+    assert bases[block] < 3269018 <= last + exact_length(1.0, last)
+
+
+def test_cli_slide_sets_up_once_for_all_blocks(tmp_path, monkeypatch):
+    # the breakpoints of L and the base primes of the sieve are computed for
+    # the run, not for each block: a run of 8 blocks makes as many of those
+    # calls as a run of one, and one edge_steps call in all
+    calls = {"slide": 0, "edge_steps": 0, "base primes": 0}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(clusters_mod, "slide", counted("slide", clusters_mod.slide))
+    monkeypatch.setattr(clusters_mod, "edge_steps", counted("edge_steps", density.edge_steps))
+    monkeypatch.setattr(
+        primes_mod, "_prime_array", counted("base primes", primes_mod._prime_array)
+    )
     argv = ["slide", "--lambda", "1", "--x-lo", "100000", "--x-hi", "110000",
             "--m", "1", "--max-clusters", "500", "--out", str(tmp_path / "t.csv")]
-    assert cli.main(argv) == 0
-    assert capsys.readouterr().err == summary
+    seen = []
+    for block in (4096, 64):
+        monkeypatch.setattr(clusters_mod, "SLIDE_BLOCK", block)
+        calls.update(dict.fromkeys(calls, 0))
+        assert cli.main(argv) == 0
+        seen.append(dict(calls))
+    one, many = seen
+    assert one["slide"] == 1 and many["slide"] == 8
+    assert one["edge_steps"] == many["edge_steps"] == 1
+    assert one["base primes"] == many["base primes"] > 0
 
 
 def test_slides_dense_overlapping_clusters():
@@ -547,7 +591,7 @@ def test_slides_keep_input_order_and_repeats():
     shuffled = bases[:]
     random.Random(0).shuffle(shuffled)
     shuffled.append(shuffled[7])
-    slides, _ = _check_slides(1.0, shuffled, 1)
+    slides, _, _ = _check_slides(1.0, shuffled, 1)
     assert slides.bases.tolist() == shuffled
     traces = np.split(slides.counts, slides.starts[1:-1])
     assert traces[-1].tolist() == traces[7].tolist()
@@ -605,7 +649,7 @@ def test_slide_refuses_bases_spanning_beyond_the_memory_budget():
 
 
 def test_slides_of_no_clusters():
-    slides, summary = _check_slides(1.0, [], 1)
+    slides, summary, _ = _check_slides(1.0, [], 1)
     assert len(slides) == 0 and slides.starts.tolist() == [0]
     assert summary == "traces=0 with_drop=0 m_runs=0 longest_run=0 falsifications=0\n"
     assert trace_csv(slides) == "j,N_j,count\n"
@@ -614,7 +658,7 @@ def test_slides_of_no_clusters():
 def test_slide_lengths_step_at_a_breakpoint():
     # e**16 = 8886110.52: the trace of 8886110 has j = 0..15, that of 8886111
     # j = 0..16
-    slides, _ = _check_slides(1.0, [8886110, 8886111], 0)
+    slides, _, _ = _check_slides(1.0, [8886110, 8886111], 0)
     assert np.diff(slides.starts).tolist() == [16, 17]
 
 
@@ -648,7 +692,7 @@ def test_falsification_records_come_trace_by_trace():
 def _fake_kernel(counts):
     """A run stream in place of density._read_runs: c(n) = counts.get(n, 0)
     for n = a..b, yielded as one piece of unit-length runs."""
-    def runs(reader, steps, a, b):
+    def runs(primes, steps, a, b):
         values = [counts.get(n, 0) for n in range(a, b + 1)]
         yield np.array(values, dtype=np.int32), np.ones(len(values), dtype=np.int32)
 

@@ -88,12 +88,12 @@ def test_prime_count_and_sieve_cli_match_dense_sieve(monkeypatch, capsys, segmen
 RANGE_FILTERS = (ALL, PrimeFilter.residue_class(2, 3), PrimeFilter.kronecker(-3, -1))
 
 
-def _check_range(limit, filt, lo, oracle):
-    """prime_segments(limit, filt, lo) yields the oracle's primes in [lo, limit],
-    each item's primes inside (previous top, top], and ends at top = limit
-    unless the range holds neither 2 nor an odd n > 2."""
+def _check_range(limit, filt, lo, oracle, sieve=None):
+    """prime_segments(limit, filt, lo, sieve) yields the oracle's primes in
+    [lo, limit], each item's primes inside (previous top, top], and ends at
+    top = limit unless the range holds neither 2 nor an odd n > 2."""
     got, low = [], lo
-    for top, found in primes.prime_segments(limit, filt, lo=lo):
+    for top, found in primes.prime_segments(limit, filt, lo=lo, sieve=sieve):
         assert found.dtype == np.int64
         assert found.size == 0 or low <= found[0] <= found[-1] <= top, (lo, limit)
         got.append(found)
@@ -155,6 +155,32 @@ def test_short_ranges_far_above_the_wheel_match_dense_sieve(monkeypatch, filt, s
     ] + [3 * period + 123457]:
         for length in (0, 1, 2, 50, 3000):
             _check_range(lo + length, filt, lo, oracle)
+
+
+@pytest.mark.parametrize("filt", RANGE_FILTERS, ids=lambda f: f.tag)
+@pytest.mark.parametrize("segment_size", [97, primes.SEGMENT_SIZE])
+def test_one_sieve_serves_every_range_inside_its_own(monkeypatch, filt, segment_size):
+    # base primes and wheel tile set up once, from n = 1 and from far above
+    # the wheel period, then read for ranges inside; a range reaching outside
+    # is refused
+    monkeypatch.setattr(primes, "SEGMENT_SIZE", segment_size)
+    period = 2 * primes.WHEEL  # integers per wheel period of the odd-only index
+    oracle = _oracle(4 * period + 6000, filt)
+    for lo0, limit0, ranges in (
+        (1, 5000, ((1, 2), (2, 2), (3, 100), (90, 100), (4000, 5000))),
+        (3 * period - 5, 4 * period + 6000, (
+            (3 * period - 5, 3 * period + 50), (3 * period + 123457, 4 * period),
+            (4 * period - 7, 4 * period + 3000), (4 * period + 6000, 4 * period + 6000),
+            (3 * period - 5, 4 * period + 6000),
+        )),
+    ):
+        sieve = primes.Sieve(limit0, lo0)
+        for lo, limit in ranges:
+            _check_range(limit, filt, lo, oracle, sieve)
+        for lo, limit in ((lo0 - 1, lo0 + 10), (lo0, limit0 + 1)):
+            with pytest.raises(ValueError, match=f"^a sieve set up for \\[{lo0:,}, "
+                               f"{limit0:,}\\] cannot sieve \\[{lo:,}, {limit:,}\\]$"):
+                list(primes.prime_segments(limit, filt, lo, sieve))
 
 
 def test_build_argument_validation():
@@ -323,6 +349,22 @@ def test_filter_validation():
         PrimeFilter.kronecker(9, 1)
     with pytest.raises(ValueError, match="^sign must be [+]1 or -1, got 0$"):
         PrimeFilter.kronecker(5, 0)
+
+
+def test_kronecker_refuses_a_discriminant_past_the_cap_at_once():
+    # 10000000033 is a prime = 1 (mod 4), so fundamental: its classes would
+    # take 10**10 symbol calls; the cap is checked before any of them, and
+    # before the trial division that tests d
+    assert primes.MAX_DISCRIMINANT == 10**6
+    for d in (10000000033, -(10**18) - 3, 1000001):
+        start = time.perf_counter()
+        with pytest.raises(ParameterRangeError, match=f"^discriminant {d} is beyond "
+                           r"the supported range; \|d\| must be at most 1,000,000$"):
+            PrimeFilter.kronecker(d, 1)
+        assert time.perf_counter() - start < 0.1
+    # at the cap, d = -10**6 = 4 * -250000 is checked and found not fundamental
+    with pytest.raises(ValueError, match="^-1000000 is not a fundamental discriminant$"):
+        PrimeFilter.kronecker(-(10**6), 1)
 
 
 @pytest.mark.parametrize(
