@@ -10,10 +10,11 @@ still exceeds m; immediately after it the count drops to exactly m.
 Claims the sliding process relies on are checked on every trace, and any
 violation is recorded as a falsification rather than assumed impossible.
 Neither keeps a prime table, so memory does not grow with x: the scan reads
-its primes through one forward PrimeReader over its range, and each batch of
-slides sieves only [lo, hi + L(hi)] around its own traces.  The batches of
-one run share their fixed work, the breakpoints of L and the sieve's base
-primes and wheel, through one slide_setup.
+its primes through one forward PrimeReader over its range, sieved in pieces
+that double from its start, and each batch of slides sieves only
+[lo, hi + L(hi)] around its own traces.  The batches of one run share their
+fixed work, the breakpoints of L and the sieve's base primes and wheel,
+through one slide_setup.
 """
 
 from __future__ import annotations
@@ -37,7 +38,15 @@ from .density import (
     window_runs,
 )
 from .errors import ParameterRangeError, check_lambda
-from .primes import ALL, PrimeFilter, PrimeReader, Sieve, check_budget, prime_segments
+from .primes import (
+    ALL,
+    PrimeFilter,
+    PrimeReader,
+    Sieve,
+    check_budget,
+    check_sieve,
+    prime_segments,
+)
 
 # clusters per slide() call in the CLI, their bases inside one aligned range
 # of SLIDE_SPAN integers: a slide's memory grows with its windows and with the
@@ -157,9 +166,12 @@ def find_clusters(
     bases are counted in spans that grow with what has been scanned
     (density.spans with ramp), so a consumer that stops early has at most
     about twice the bases it consumed counted.  The primes come from one
-    reader over [x_lo, x_hi + window], read span by span.  With
-    require_spacing, only spacing_ok clusters are yielded.  Every check runs
-    when find_clusters is called, before any cluster is asked for.
+    reader over [x_lo, x_hi + window], read span by span, which sieves that
+    range in pieces that double from x_lo, so that one stopped early sets up
+    no sieve far past what it read.  With require_spacing, only spacing_ok
+    clusters are yielded.  Every check runs when find_clusters is called,
+    before any cluster is asked for, including those of the sieve of the
+    whole range.
     """
     check_lambda(lam)
     if not 1 <= x_lo <= x_hi:
@@ -176,9 +188,19 @@ def find_clusters(
     y = SCAN_CHUNK + win_i
     who = f"a cluster window of {win_i} integers at lambda={lam}"
     check_budget(int(32 * y / math.log(y)), who, "its primes")
+    end = x_hi + win_i
+    check_sieve(end)
+
+    def segments() -> Iterator[tuple[int, np.ndarray]]:
+        # each range sets up its own sieve, base primes up to the root of top
+        lo = x_lo
+        while lo <= end:
+            top = min(2 * lo, end)
+            yield from prime_segments(top, filt, lo)
+            lo = top + 1
 
     def scan() -> Iterator[Iterator[Cluster]]:
-        reader = PrimeReader(prime_segments(x_hi + win_i, filt, x_lo))
+        reader = PrimeReader(segments())
         for a, b in spans(x_lo, x_hi, ramp=True):
             primes = reader.between(a, b + win_i)
             early = primes[: np.searchsorted(primes, b + portion_i, side="right")]

@@ -41,8 +41,9 @@ DEFAULT_MEMORY_BUDGET = 2**31  # bytes
 # the largest sieve limit whose marking products, below limit + 2*isqrt(limit),
 # fit int64
 MAX_LIMIT = 2**63 - 6_074_000_997
-# the largest |d| of a Kronecker filter: its kept classes mod |d| are found
-# one Python call at a time, about 2 s and a 500,000-entry tuple at the cap
+# the largest |d| of a Kronecker filter: its kept classes are held as a tuple
+# of about |d|/2 Python ints, some 20 MB at the cap, and found as arrays of
+# |d| entries in a few tenths of a second there
 MAX_DISCRIMINANT = 10**6
 
 
@@ -72,6 +73,53 @@ def kronecker_symbol(d: int, n: int) -> int:
             result = -result
         a %= n
     return result
+
+
+# (D/r) for r mod 8, for the three prime discriminants D = -4, 8, -8 of 2
+_TWO_CHARACTERS = {
+    -4: (0, 1, 0, -1, 0, 1, 0, -1),
+    8: (0, 1, 0, -1, 0, -1, 0, 1),
+    -8: (0, 1, 0, 1, 0, -1, 0, -1),
+}
+
+
+def _legendre_table(p: int) -> np.ndarray:
+    """(r/p) = r^((p-1)/2) mod p, as -1, 0 or 1, for r = 0, ..., p - 1 and
+    an odd prime p <= MAX_DISCRIMINANT, whose products stay in int64."""
+    a, power, e = np.arange(p, dtype=np.int64), np.ones(p, dtype=np.int64), (p - 1) // 2
+    while e:  # square and multiply
+        if e & 1:
+            power = power * a % p
+        a = a * a % p
+        e >>= 1
+    power[power == p - 1] = -1
+    return power.astype(np.int8)
+
+
+def _kronecker_table(d: int) -> np.ndarray:
+    """(d/r) for r = 0, ..., |d| - 1, as int8, for a fundamental d, with
+    (d/0) = (d/|d|).
+
+    (d/.) is the product of the characters of the prime discriminants that
+    d is made of: the Legendre symbol (r/p) for each odd prime p | d, and,
+    when 4 | d, the character of the 2-part -4, 8 or -8.  Each factor is 0
+    on the r its prime divides, so the product is 0 where gcd(r, |d|) > 1.
+    """
+    q = abs(d)
+    r = np.arange(q, dtype=np.int64)
+    table = np.ones(q, dtype=np.int8)
+    odd, rest, p = 1, q // (q & -q), 3  # rest: the odd part of |d|, squarefree
+    while rest > 1:
+        if p * p > rest:
+            p = rest  # what is left is prime
+        if rest % p == 0:
+            rest //= p
+            odd *= p if p % 4 == 1 else -p  # the prime discriminant of p
+            table *= _legendre_table(p)[r % p]
+        p += 2
+    if q % 4 == 0:
+        table *= np.array(_TWO_CHARACTERS[d // odd], dtype=np.int8)[r % 8]
+    return table
 
 
 def _squarefree(n: int) -> bool:
@@ -136,10 +184,8 @@ class PrimeFilter:
             )
         if not is_fundamental_discriminant(d):
             raise ValueError(f"{d} is not a fundamental discriminant")
-        # (d/.) has period |d| for fundamental d, so (d/0) is (d/|d|)
-        q = abs(d)
-        classes = tuple(r for r in range(q) if kronecker_symbol(d, r or q) == sign)
-        return cls(q, classes, f"disc{d}s{sign:+d}")
+        classes = tuple(np.flatnonzero(_kronecker_table(d) == sign).tolist())
+        return cls(abs(d), classes, f"disc{d}s{sign:+d}")
 
     def mask(self, primes: np.ndarray) -> np.ndarray:
         """Boolean mask over an array of primes."""
@@ -212,16 +258,9 @@ class Sieve:
     """
 
     def __init__(self, limit: int, lo: int = 1):
-        if limit > MAX_LIMIT:
-            raise ParameterRangeError(
-                f"sieve limit {limit:,} is beyond int64 arithmetic; "
-                f"the largest supported is {MAX_LIMIT:,}"
-            )
+        check_sieve(limit)
         root = math.isqrt(limit)
-        base = np.empty(0, dtype=np.int64)
-        if root >= 2:
-            check_budget(_array_bytes(root), f"limit={limit}", "its base primes")
-            base = _prime_array(root)
+        base = _prime_array(root) if root >= 2 else np.empty(0, dtype=np.int64)
         self.lo, self.limit = lo, limit
         self.base = base[base > WHEEL_PRIMES[-1]]
         n_odds = (limit - 1) // 2
@@ -229,6 +268,20 @@ class Sieve:
         # one period past the longest segment, or the whole range when shorter
         self.segment = max(min(SEGMENT_SIZE, n_odds - _first_odd(lo)), 1)
         self.wheel = _wheel(min(n_odds, WHEEL + self.segment))
+
+
+def check_sieve(limit: int) -> None:
+    """The checks a Sieve up to limit makes before it allocates anything:
+    ParameterRangeError beyond MAX_LIMIT, and MemoryBudgetError when its
+    base primes would exceed the memory budget."""
+    if limit > MAX_LIMIT:
+        raise ParameterRangeError(
+            f"sieve limit {limit:,} is beyond int64 arithmetic; "
+            f"the largest supported is {MAX_LIMIT:,}"
+        )
+    root = math.isqrt(limit)
+    if root >= 2:
+        check_budget(_array_bytes(root), f"limit={limit}", "its base primes")
 
 
 def _first_odd(lo: int) -> int:
@@ -278,11 +331,11 @@ def prime_segments(
 
     Yields (top, primes): primes is a fresh sorted int64 array of the
     filtered primes in (previous top, top], or in [lo, top] for the first
-    item, and the last top is limit.  The prime 2, when lo <= 2, comes first,
-    alone, with top 2.  A range that holds neither 2 nor an odd n > 2 yields
-    nothing.
+    item, and the last top is limit.  The prime 2, when lo <= 2 <= limit,
+    comes first, alone, with top 2.  A range that holds neither 2 nor an odd
+    n > 2 yields nothing.
     """
-    if lo <= 2:
+    if lo <= 2 <= limit:
         two = np.array([2], dtype=np.int64)
         yield 2, two[filt.mask(two)]
     for i0, flags in _segments(limit, lo, sieve):

@@ -87,6 +87,8 @@ class SievedSet:
     """Survivors of the greedy residue sieve on {0, ..., floor(window)}.
 
     removed records, per prime processed, which residue class was deleted.
+    elements is a read-only int64 array: one handed in read-only is kept,
+    any other is copied.
     """
 
     elements: np.ndarray
@@ -95,10 +97,11 @@ class SievedSet:
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.elements, dtype=np.int64)
-        if arr.ndim != 1 or (len(arr) > 1 and not np.all(np.diff(arr) > 0)):
+        if arr.ndim != 1 or (len(arr) > 1 and not np.all(arr[1:] > arr[:-1])):
             raise ValueError("elements must be a strictly increasing 1-d sequence")
-        arr = arr.copy()
-        arr.setflags(write=False)
+        if arr.flags.writeable:  # a read-only array is kept as it is
+            arr = arr.copy()
+            arr.setflags(write=False)
         object.__setattr__(self, "elements", arr)
 
     def __len__(self) -> int:
@@ -110,25 +113,47 @@ def greedy_sieve(window: float, k: int) -> SievedSet:
     removing at each step the residue class mod p with the fewest survivors
     (ties broken towards the smallest residue).
 
-    Raises MemoryBudgetError before allocating when the int64 elements, the
-    int64 residues and the keep-mask of one step exceed DEFAULT_MEMORY_BUDGET.
+    The sieve keeps one bool per integer of the window.  Each prime's classes
+    are counted in that mask, the chosen class is cleared with one strided
+    store, and the survivors are read out once, at the end, as the int64
+    elements.  Raises MemoryBudgetError before allocating when the mask, the
+    elements and SievedSet's one bool per element for its order check would
+    exceed DEFAULT_MEMORY_BUDGET, with the elements counted at their most:
+    the whole window for k < 2, and half of it (rounded up) after the prime 2.
     """
     if not 1 <= window < math.inf:
         raise ValueError(f"window must be finite and >= 1, got {window}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     size = math.floor(window) + 1
-    # 8 B element + 8 B residue + 1 B mask
-    check_budget(17 * size, f"window={window}", "the sieve")
-    elements = np.arange(size, dtype=np.int64)
+    most = size if k < 2 else (size + 1) // 2  # mod 2 the smaller class goes
+    check_budget(size + 9 * most, f"window={window}", "the sieve")
+    keep = np.ones(size, dtype=bool)
     removed: list[tuple[int, int]] = []
     for p in primes_upto(k):
-        residues = elements % p
-        counts = np.bincount(residues, minlength=p)
-        r = int(np.argmin(counts))  # argmin takes the first, i.e. smallest, class
-        elements = elements[residues != r]
+        r = int(np.argmin(_class_counts(keep, p)))  # the first, i.e. smallest, class
+        keep[r::p] = False
         removed.append((p, r))
+    elements = np.flatnonzero(keep)
+    del keep
+    elements.setflags(write=False)  # SievedSet keeps it without a copy
     return SievedSet(elements, float(window), tuple(removed))
+
+
+# primes up to this count their classes one strided view at a time; above it
+# one pass over a (rows, p) view of the mask costs less than p calls
+STRIDED_CLASSES = 100
+
+
+def _class_counts(keep: np.ndarray, p: int) -> list[int] | np.ndarray:
+    """The number of True entries of keep in each class mod p."""
+    if p <= STRIDED_CLASSES:
+        return [np.count_nonzero(keep[r::p]) for r in range(p)]
+    full = len(keep) - len(keep) % p
+    dtype = np.int32 if len(keep) < 2**31 else np.int64  # int32 sums faster
+    counts = np.add.reduce(keep[:full].reshape(-1, p), axis=0, dtype=dtype)
+    counts[: len(keep) - full] += keep[full:]
+    return counts
 
 
 def _elements_of(source: SievedSet | Iterable[int]) -> np.ndarray:
@@ -191,14 +216,16 @@ def count_spaced_selections(
 
     The counts are multi-limb integers on uint64: row l of ways holds bits
     B*l to B*(l+1) - 1 of every count, with B = 64 - b and b = n.bit_length().
-    A pass takes the prefix sums of each row, carries each row's bits from B
-    up into the next row, masks them off, and gathers the prefix sums at the
-    cuts.  No limb overflows while b <= 32: a masked limb is below 2**B, so a
+    A pass works up the rows one at a time, through one prefix row and one
+    carry row: it takes the row's prefix sums, adds the bits the row below
+    carried up, carries its own bits from B up, masks them off unless it is
+    the top row, and gathers the prefix sums at the cuts back into the row.
+    No limb overflows while b <= 32: a masked limb is below 2**B, so a
     row's prefix sum is below n * 2**B, and after the carry from the row
     below (at most n) it is below n * (2**B + 1) <= (2**b - 1) * (2**B + 1)
     < 2**64.  The pass that forms (j+1)-selections sums j-selections, so its
-    values are at most C(n, j), which sets how many rows it touches; the two
-    buffers, allocated once, hold the most any pass needs, C(n, j) at
+    values are at most C(n, j), which sets how many rows it touches; ways,
+    allocated once, holds the most any pass needs, C(n, j) at
     j = min(k - 1, n // 2).  The count is the Python int
     sum_l ways[l].sum() << (B*l), exact at any size.
 
@@ -208,7 +235,8 @@ def count_spaced_selections(
     spacing 0 has exactly one selection against a bound of about 7.8e11.
 
     Raises ParameterRangeError for n >= 2**32 and MemoryBudgetError before
-    allocating when the buffers exceed DEFAULT_MEMORY_BUDGET.
+    allocating when ways, the two rows and the cuts (with the shifted
+    elements they are searched for) exceed DEFAULT_MEMORY_BUDGET.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -235,8 +263,12 @@ def _count_on_limbs(els: np.ndarray, k: int, spacing: int) -> int:
         comb = comb * (n - j + 1) // j
         limbs.append(max(-(-comb.bit_length() // width), 1))
     rows = max(limbs, default=1)
+    # every array of 8-byte entries the count allocates: ways, the prefix and
+    # carry rows, the cuts and the shifted elements they are searched for
     check_budget(
-        8 * rows * (2 * n + 1), f"{n:,} elements at k={k}", "the selection count's limbs"
+        8 * (rows * n + 2 * (n + 1) + 2 * n),
+        f"{n:,} elements at k={k}",
+        "the selection count's limbs",
     )
     shift, mask = np.uint64(width), np.uint64((1 << width) - 1)
     # cut[i]: number of elements below els[i] - spacing, i.e. those that
@@ -244,16 +276,18 @@ def _count_on_limbs(els: np.ndarray, k: int, spacing: int) -> int:
     cut = np.searchsorted(els, els - min(spacing, INT64_MAX), side="left")
     ways = np.zeros((rows, n), dtype=np.uint64)
     ways[0] = 1  # selections of size 1 ending at each element
-    prefix = np.zeros((rows, n + 1), dtype=np.uint64)
+    prefix = np.zeros(n + 1, dtype=np.uint64)  # prefix[0] stays 0
     carry = np.empty(n + 1, dtype=np.uint64)
     used = 1
     for used in limbs:
-        np.cumsum(ways[:used], axis=1, out=prefix[:used, 1:])
-        for l in range(used - 1):
-            np.right_shift(prefix[l], shift, out=carry)
-            prefix[l + 1] += carry
-            prefix[l] &= mask
-        np.take(prefix[:used], cut, axis=1, out=ways[:used], mode="clip")
+        for l in range(used):
+            np.cumsum(ways[l], out=prefix[1:])
+            if l:
+                prefix += carry  # the bits row l - 1 carried up
+            if l < used - 1:
+                np.right_shift(prefix, shift, out=carry)
+                prefix &= mask
+            np.take(prefix, cut, out=ways[l], mode="clip")
     return sum(int(row.sum()) << (width * l) for l, row in enumerate(ways[:used]))
 
 
@@ -305,13 +339,21 @@ def singular_series(
         return 1.0
     primes = build_table(int(cutoff)).primes()
     split = int(np.searchsorted(primes, hmax, side="right"))
+    head, tail = primes[:split].tolist(), primes[split:].astype(np.float64)
+    del primes  # the table is not needed past here
     log_total = 0.0
-    for p in primes[:split].tolist():
+    for p in head:
         nu = len({h % p for h in offsets})
         log_total += math.log1p(-nu / p) - k * math.log1p(-1.0 / p)
-    tail = primes[split:].astype(np.float64)
     if len(tail):
-        log_total += float(np.sum(np.log1p(-k / tail) - k * np.log1p(-1.0 / tail)))
+        # log1p(-k/p) - k*log1p(-1/p) for every p in the tail, in two buffers
+        terms = np.divide(-k, tail)
+        np.log1p(terms, out=terms)
+        np.divide(-1.0, tail, out=tail)
+        np.log1p(tail, out=tail)
+        np.multiply(k, tail, out=tail)
+        terms -= tail
+        log_total += float(np.sum(terms))
     return math.exp(log_total)
 
 

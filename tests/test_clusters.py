@@ -167,6 +167,25 @@ def test_islice_counts_what_it_consumes(monkeypatch, chunk):
         assert bases <= max(first_span, 2 * consumed), (take, consumed, bases)
 
 
+def test_a_scan_stopped_early_sieves_nothing_far_past_what_it_read(monkeypatch):
+    # 100 clusters near 10 of a scan to 1e16 come from the first span; the
+    # reader reads to that span's end plus the window, and the piece that
+    # holds it reaches at most twice as far, so no sieve is set up past that
+    limits = []
+
+    class Recording(primes_mod.Sieve):
+        def __init__(self, limit, lo=1):
+            limits.append(limit)
+            super().__init__(limit, lo)
+
+    monkeypatch.setattr(primes_mod, "Sieve", Recording)
+    x_lo, x_hi = 10, 10**16
+    got = list(itertools.islice(find_clusters(1.0, 1, x_lo, x_hi), 100))
+    assert len(got) == 100 and got[-1].base < x_lo + density.SCAN_CHUNK // 64
+    read_to = x_lo + density.SCAN_CHUNK // 64 - 1 + math.floor(5 * math.log(x_hi))
+    assert limits and max(limits) <= 2 * read_to
+
+
 def test_scan_and_slide_far_up_the_line_match_miller_rabin():
     # nothing caps the range: at 1e12 the scan and the slides sieve only
     # their own ranges; every cluster, count and c(n) against Miller-Rabin.
@@ -437,6 +456,9 @@ def test_find_clusters_range_validation(monkeypatch):
             find_clusters(lam, 0, 10, 100)
     with pytest.raises(ParameterRangeError, match="table limit .* overflows"):
         find_clusters(1e308, 0, 10, 100)
+    # the last window of the scan would end past what the sieve supports
+    with pytest.raises(ParameterRangeError, match="sieve limit .* beyond int64"):
+        find_clusters(1.0, 0, 10, primes_mod.MAX_LIMIT)
     monkeypatch.setattr(primes_mod, "DEFAULT_MEMORY_BUDGET", 10**5)
     with pytest.raises(MemoryBudgetError, match="a cluster window of 23025 integers"):
         find_clusters(1000.0, 1, 10, 100)

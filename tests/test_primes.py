@@ -238,6 +238,19 @@ def test_reader_at_the_ends_of_its_range(monkeypatch):
     assert PrimeReader(prime_segments(2, ALL, 2)).between(2, 2).tolist() == [2]
 
 
+@pytest.mark.parametrize(
+    "filt, two",
+    [(ALL, [2]), (PrimeFilter.residue_class(2, 3), [2]), (PrimeFilter.residue_class(1, 4), [])],
+    ids=lambda v: v.tag if isinstance(v, PrimeFilter) else str(v),
+)
+def test_prime_segments_yield_two_only_up_to_the_limit(filt, two):
+    # [1, 1] holds no prime; [1, 2] and [2, 2] hold 2 alone, which the filter
+    # keeps or drops, and the one item's top is the limit
+    assert list(prime_segments(1, filt, 1)) == []
+    for lo in (1, 2):
+        assert [(top, p.tolist()) for top, p in prime_segments(2, filt, lo)] == [(2, two)]
+
+
 def test_reader_between_additive_over_adjacent_intervals(monkeypatch):
     # one reader walked forward over adjacent intervals, each lo and hi at
     # least the last, gives the oracle's primes of every interval; some
@@ -365,6 +378,32 @@ def test_kronecker_refuses_a_discriminant_past_the_cap_at_once():
     # at the cap, d = -10**6 = 4 * -250000 is checked and found not fundamental
     with pytest.raises(ValueError, match="^-1000000 is not a fundamental discriminant$"):
         PrimeFilter.kronecker(-(10**6), 1)
+
+
+def test_kronecker_classes_match_the_symbol_for_every_small_discriminant():
+    for d in range(-1000, 1001):
+        if not is_fundamental_discriminant(d):
+            continue
+        q = abs(d)
+        symbols = [kronecker_symbol(d, r or q) for r in range(q)]
+        for sign in (1, -1):
+            want = tuple(r for r, s in enumerate(symbols) if s == sign)
+            assert PrimeFilter.kronecker(d, sign).classes == want, (d, sign)
+
+
+@pytest.mark.parametrize("d", (999997, -999988))  # 757 * 1321, -4 * 11 * 22727
+def test_kronecker_classes_near_the_cap(d):
+    # fast at the cap, and equal to the symbol on the ends and a sample of r
+    q = abs(d)
+    start = time.perf_counter()
+    plus, minus = (set(PrimeFilter.kronecker(d, sign).classes) for sign in (1, -1))
+    assert time.perf_counter() - start < 2.0
+    rng = random.Random(d)
+    for r in [*range(300), *range(q - 300, q), *rng.sample(range(q), 5000)]:
+        symbol = kronecker_symbol(d, r or q)
+        assert (r in plus, r in minus) == (symbol == 1, symbol == -1), r
+    coprime = int(np.count_nonzero(np.gcd(np.arange(q), q) == 1))
+    assert 2 * len(plus) == 2 * len(minus) == coprime
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -83,22 +84,74 @@ def test_greedy_sieve_refuses_windows_over_the_memory_budget(monkeypatch):
     def no_allocation(*args, **kwargs):
         raise AssertionError("the sieve allocated before checking its budget")
 
-    monkeypatch.setattr(np, "arange", no_allocation)
+    monkeypatch.setattr(np, "ones", no_allocation)
     with pytest.raises(MemoryBudgetError) as info:
         greedy_sieve(1e12, 3)
     message = str(info.value)
-    assert f"{17 * (10**12 + 1):,}" in message
+    # a bool per integer, then at most half the window as int64 elements and
+    # a bool each for SievedSet's order check
+    size = 10**12 + 1
+    assert f"{size + 9 * ((size + 1) // 2):,}" in message
     assert f"{DEFAULT_MEMORY_BUDGET:,}" in message
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError, match="finite"):
             greedy_sieve(bad, 3)
 
 
+def _traced_peak_and_budget(monkeypatch, call):
+    """The most bytes call() holds at once under tracemalloc, over what was
+    traced before it, and the bytes its one budget check counted."""
+    counted = []
+
+    def record(need, who, what):
+        counted.append(need)
+        primes.check_budget(need, who, what)
+
+    monkeypatch.setattr(tuples, "check_budget", record)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    (need,) = counted
+    return peak, need
+
+
+@pytest.mark.parametrize("k", [1, 2, 30])
+def test_greedy_sieve_never_holds_more_than_its_budget_counts(monkeypatch, k):
+    greedy_sieve(1000, k)  # anything numpy sets up on first use is not traced
+    peak, need = _traced_peak_and_budget(monkeypatch, lambda: greedy_sieve(1e6, k))
+    assert peak <= need
+    assert need <= 10 * (10**6 + 1)  # at most 10 bytes per integer
+
+
+@pytest.mark.parametrize(
+    "source, k, spacing",
+    [
+        (None, 30, 60),  # the seed-0 count: 157,970 survivors in 9 limbs
+        (SievedSet(np.arange(2000), window=1999.0), 30, 5),  # 5 limbs
+    ],
+)
+def test_count_spaced_never_holds_more_than_its_budget_counts(
+    monkeypatch, source, k, spacing
+):
+    if source is None:
+        source = greedy_sieve(10**6, 30)
+    count_spaced_selections(source, k, spacing)  # warm, as above
+    peak, need = _traced_peak_and_budget(
+        monkeypatch, lambda: count_spaced_selections(source, k, spacing)
+    )
+    assert peak <= need
+
+
 def test_greedy_sieve_removes_minimum_class_each_step():
     rng = random.Random(5)
-    for _ in range(30):
-        window = rng.uniform(10, 500)
-        k = rng.randint(1, 13)
+    cases = [(rng.uniform(10, 500), rng.randint(1, 13)) for _ in range(30)]
+    # primes past tuples.STRIDED_CLASSES, some of them past the window
+    cases += [(5000.5, 400), (150, 250)]
+    for window, k in cases:
         s = greedy_sieve(window, k)
         elements = np.arange(math.floor(window) + 1)
         for p, r in s.removed:
