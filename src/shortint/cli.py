@@ -19,7 +19,6 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import argparse
 import contextlib
 import itertools
-import json
 import sys
 from typing import TextIO
 
@@ -42,6 +41,12 @@ def _open_output(path: str, std: TextIO | None = None):
 def _write_output(text: str, path: str) -> None:
     with _open_output(path) as out:
         out.write(text)
+
+
+def _json_text(obj) -> str:
+    import json  # loaded only by the commands that write JSON
+
+    return json.dumps(_round12(obj), indent=2) + "\n"
 
 
 def _round12(obj):
@@ -72,6 +77,8 @@ def _params_from_args(args):
     from . import bounds as bounds_mod
 
     if args.constants:
+        import json
+
         with open(args.constants) as fh:
             return bounds_mod.params_from_dict(json.load(fh))
     return bounds_mod.DEFAULT_PARAMS
@@ -99,7 +106,7 @@ def _cmd_density(args) -> int:
                 }
                 for r in results
             ]
-            text = json.dumps(_round12(payload), indent=2) + "\n"
+            text = _json_text(payload)
         else:
             text = density_mod.growth_csv(results)
         _write_output(text, args.out)
@@ -107,7 +114,7 @@ def _cmd_density(args) -> int:
     report = density_mod.measure_density(args.lam, args.x, args.m_max, filt)
     if args.json:
         payload = density_mod.density_json(report, args.compare_poisson)
-        text = json.dumps(_round12(payload), indent=2) + "\n"
+        text = _json_text(payload)
     else:
         text = density_mod.density_csv(report, args.compare_poisson)
     _write_output(text, args.out)
@@ -237,7 +244,7 @@ def _cmd_bounds(args) -> int:
     report = bounds_mod.bounds_report(
         args.m, lam=args.lam, x=args.x, q=args.q, params=params
     )
-    _write_output(json.dumps(_round12(report), indent=2) + "\n", args.out)
+    _write_output(_json_text(report), args.out)
     return 0
 
 
@@ -334,7 +341,36 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def main_entry() -> None:
-    raise SystemExit(main())
+    """Run main and end the process with its exit code.
+
+    When main returns, every output file is closed and every forked worker
+    reaped, so once the standard streams are flushed the process ends with
+    os._exit: the interpreter's teardown, mostly a last garbage collection
+    over the objects the imports made, would take 15-35 ms and change
+    nothing.  When a flush fails (a closed pipe), or a profiler, tracer or
+    sys.monitoring tool (cProfile from Python 3.12 on) is attached, it ends
+    by SystemExit instead, so that they see the usual exit.
+    """
+    code = main()
+    if not _observed():
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        except Exception:  # a closed pipe or stream, or none: the usual exit reports it
+            pass
+        else:
+            os._exit(code)
+    raise SystemExit(code)
+
+
+def _observed() -> bool:
+    """Whether a profiler, tracer or sys.monitoring tool watches the process."""
+    monitoring = getattr(sys, "monitoring", None)  # Python 3.12 on
+    return (
+        sys.getprofile() is not None
+        or sys.gettrace() is not None
+        or (monitoring is not None and any(map(monitoring.get_tool, range(6))))
+    )
 
 
 if __name__ == "__main__":

@@ -19,7 +19,6 @@ through one slide_setup.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -92,6 +91,8 @@ class Falsification:
     observed: object
 
     def to_json(self) -> str:
+        import json  # only a slide that finds a falsification writes one
+
         return json.dumps(
             {
                 "kind": self.kind,

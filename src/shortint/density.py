@@ -28,8 +28,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from decimal import Decimal, localcontext
-from fractions import Fraction
 from typing import Iterator
 
 import numpy as np
@@ -69,7 +67,6 @@ def edge_steps(lam: float, limit: int) -> np.ndarray:
             f"lambda={lam} needs {count:,} window-edge breakpoints up to "
             f"{limit:,}; at most {MAX_EDGE_STEPS:,} are supported"
         )
-    lam_d = Decimal(lam)
 
     def reaches(n: int, k: int) -> bool:
         """lam*log n >= k, decided exactly."""
@@ -78,6 +75,9 @@ def edge_steps(lam: float, limit: int) -> np.ndarray:
         approx = lam * math.log(n)
         if abs(approx - k) > 1e-9 * approx:
             return approx > k
+        from decimal import Decimal, localcontext  # only near a breakpoint
+
+        lam_d = Decimal(lam)
         prec = 30
         while True:
             with localcontext() as ctx:
@@ -241,6 +241,8 @@ class DensityReport:
     poisson: dict[int, float] = field(init=False)
 
     def __post_init__(self) -> None:
+        from fractions import Fraction  # a slide makes no report, so never loads it
+
         total = sum(self.counts.values()) + self.overflow
         if total != self.x:
             raise AssertionError(

@@ -3,6 +3,7 @@ and the singular-series diagnostic."""
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 from dataclasses import dataclass, field
@@ -113,13 +114,15 @@ def greedy_sieve(window: float, k: int) -> SievedSet:
     removing at each step the residue class mod p with the fewest survivors
     (ties broken towards the smallest residue).
 
-    The sieve keeps one bool per integer of the window.  Each prime's classes
-    are counted in that mask, the chosen class is cleared with one strided
-    store, and the survivors are read out once, at the end, as the int64
-    elements.  Raises MemoryBudgetError before allocating when the mask, the
-    elements and SievedSet's one bool per element for its order check would
-    exceed DEFAULT_MEMORY_BUDGET, with the elements counted at their most:
-    the whole window for k < 2, and half of it (rounded up) after the prime 2.
+    The sieve keeps one bool per integer of the window.  Each prime below its
+    length counts its classes in that mask and clears the chosen class with
+    one strided store; the primes from the length on pick their class in
+    O(1) each, without counting.  The survivors are read out once, at the
+    end, as the int64 elements.  Raises MemoryBudgetError before allocating
+    when the mask, the elements and SievedSet's one bool per element for its
+    order check would exceed DEFAULT_MEMORY_BUDGET, with the elements counted
+    at their most: the whole window for k < 2, and half of it (rounded up)
+    after the prime 2.
     """
     if not 1 <= window < math.inf:
         raise ValueError(f"window must be finite and >= 1, got {window}")
@@ -130,10 +133,22 @@ def greedy_sieve(window: float, k: int) -> SievedSet:
     check_budget(size + 9 * most, f"window={window}", "the sieve")
     keep = np.ones(size, dtype=bool)
     removed: list[tuple[int, int]] = []
-    for p in primes_upto(k):
+    sieving = primes_upto(k)
+    inside = bisect.bisect_left(sieving, size)
+    for p in sieving[:inside]:
         r = int(np.argmin(_class_counts(keep, p)))  # the first, i.e. smallest, class
         keep[r::p] = False
         removed.append((p, r))
+    if inside < len(sieving):
+        # from p = size on, class r mod p holds at most the integer r, so
+        # the first class without survivors is the first integer cleared.
+        # With none cleared it is size, a class only for p > size; for
+        # p = size every class holds one survivor and 0 goes.  Either way
+        # every later prime finds the same class.
+        first = int(np.argmin(keep))
+        r = first if not keep[first] else size % sieving[inside]
+        keep[r : r + 1] = False
+        removed.extend((p, r) for p in sieving[inside:])
     elements = np.flatnonzero(keep)
     del keep
     elements.setflags(write=False)  # SievedSet keeps it without a copy

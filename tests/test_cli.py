@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from shortint import clusters, density, primes
+from shortint import cli, clusters, density, primes
 from shortint.cli import main
 from shortint.errors import MemoryBudgetError, ParameterRangeError
 from shortint.tuples import greedy_sieve
@@ -336,6 +336,79 @@ def test_usage_errors_exit_2(capsys):
         main(["density", "--lambda", "1"])  # missing required flags
     assert exc.value.code == 2
     assert main([]) == 2
+
+
+class _Stream:
+    """A standard stream that records its flushes in events."""
+
+    def __init__(self, name, events, fails=False):
+        self.name, self.events, self.fails = name, events, fails
+
+    def flush(self):
+        self.events.append(("flush", self.name))
+        if self.fails:
+            raise BrokenPipeError("closed pipe")
+
+
+class _Exited(Exception):
+    pass
+
+
+def _main_entry(monkeypatch, fails=False):
+    """The events of cli.main_entry with main returning 3 and os._exit
+    recorded, ending in ("SystemExit", code) when it raised that."""
+    events = []
+
+    def exit_now(code):
+        events.append(("_exit", code))
+        raise _Exited
+
+    monkeypatch.setattr(cli, "main", lambda: 3)
+    monkeypatch.setattr(cli.os, "_exit", exit_now)
+    monkeypatch.setattr(sys, "stdout", _Stream("stdout", events, fails))
+    monkeypatch.setattr(sys, "stderr", _Stream("stderr", events))
+    try:
+        cli.main_entry()
+    except SystemExit as done:
+        events.append(("SystemExit", done.code))
+    except _Exited:
+        pass
+    return events
+
+
+def test_main_entry_flushes_then_ends_without_teardown(monkeypatch):
+    # as in a run that no profiler, tracer or coverage tool watches
+    monkeypatch.setattr(cli, "_observed", lambda: False)
+    assert _main_entry(monkeypatch) == [
+        ("flush", "stdout"), ("flush", "stderr"), ("_exit", 3)
+    ]
+
+
+def test_main_entry_exits_as_usual_when_a_flush_fails(monkeypatch):
+    monkeypatch.setattr(cli, "_observed", lambda: False)
+    assert _main_entry(monkeypatch, fails=True) == [
+        ("flush", "stdout"), ("SystemExit", 3)
+    ]
+
+
+def test_main_entry_exits_as_usual_under_a_profiler(monkeypatch):
+    previous = sys.getprofile()
+    sys.setprofile(lambda frame, event, arg: None)
+    try:
+        events = _main_entry(monkeypatch)
+    finally:
+        sys.setprofile(previous)
+    assert events == [("SystemExit", 3)]
+
+
+@pytest.mark.skipif(not hasattr(sys, "monitoring"), reason="sys.monitoring is 3.12 on")
+def test_a_monitoring_tool_counts_as_observed():
+    # cProfile attaches this way from 3.12 on, with no profile function
+    sys.monitoring.use_tool_id(4, "test")
+    try:
+        assert cli._observed()
+    finally:
+        sys.monitoring.free_tool_id(4)
 
 
 def test_tuples_greedy_huge_window_fails_with_budget_error(capsys):

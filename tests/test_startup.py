@@ -35,15 +35,16 @@ EXPORTS = [
     "singular_series",
 ]
 
-# runs the CLI as `python -m shortint.cli` would, then prints the loaded
-# module names as the last stdout line
+# runs the CLI's main() on the arguments, then prints the names of the modules
+# loaded by then as the last stdout line; json loads only after they are read
 RUN_CLI = """
-import json, runpy, sys
-try:
-    runpy.run_module("shortint.cli", run_name="__main__", alter_sys=True)
-except SystemExit as done:
-    assert done.code == 0, done.code
-print(json.dumps(sorted(sys.modules)))
+import sys
+import shortint.cli
+code = shortint.cli.main(sys.argv[1:])
+assert code == 0, code
+loaded = sorted(sys.modules)
+import json
+print(json.dumps(loaded))
 """
 
 
@@ -88,17 +89,51 @@ def test_tests_fork_density_parts_from_one_thread():
 @pytest.mark.parametrize("argv", (
     ["tuples", "check", "--offsets", "0,2,6"],
     ["tuples", "series", "--offsets", "0,2,6", "--cutoff", "1000"],
+    ["tuples", "greedy", "--window", "1000", "--k", "10", "--spacing", "20", "--count"],
 ))
 def test_tuples_commands_load_no_scan_modules(argv):
     loaded = child(RUN_CLI, *argv)
     assert "shortint.tuples" in loaded
-    unwanted = {"shortint.density", "shortint.clusters", "shortint.bounds", "multiprocessing"}
+    unwanted = {
+        "shortint.density", "shortint.clusters", "shortint.bounds", "multiprocessing",
+        "json",
+    }
     assert unwanted.isdisjoint(loaded)
 
 
 def test_density_loads_no_tuple_module():
     loaded = child(RUN_CLI, "density", "--lambda", "1", "--x", "100000", "--m-max", "4")
     assert "shortint.density" in loaded and "shortint.tuples" not in loaded
+
+
+def test_density_loads_no_multiprocessing_or_json():
+    from shortint.density import WORKERS
+
+    # in one part per CPU: with two or more, they fork without multiprocessing
+    loaded = child(RUN_CLI, "density", "--lambda", "1", "--x", "100000", "--m-max", "4")
+    assert ("shortint.workers" in loaded) == (WORKERS > 1)
+    assert {"multiprocessing", "json"}.isdisjoint(loaded)
+
+
+def test_slide_loads_no_json_fractions_or_decimal(tmp_path):
+    # no falsification to write, no density report and no window edge near
+    # enough to a breakpoint to need decimal arithmetic
+    loaded = child(
+        RUN_CLI, "slide", "--lambda", "1", "--x-lo", "1000", "--x-hi", "100000",
+        "--m", "2", "--max-clusters", "50", "--out", str(tmp_path / "trace.csv"),
+    )
+    assert "shortint.clusters" in loaded
+    assert {"json", "fractions", "decimal"}.isdisjoint(loaded)
+
+
+def test_import_shortint_cli_loads_no_json():
+    loaded = child(
+        "import sys, shortint.cli\n"
+        "loaded = sorted(sys.modules)\n"
+        "import json\n"
+        "print(json.dumps(loaded))"
+    )
+    assert "json" not in loaded
 
 
 def test_every_export_resolves():

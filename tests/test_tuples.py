@@ -163,6 +163,41 @@ def test_greedy_sieve_removes_minimum_class_each_step():
         assert elements.tolist() == s.elements.tolist()
 
 
+def test_greedy_sieve_primes_past_the_window_pick_a_class_without_survivors(monkeypatch):
+    counted = []
+    original = tuples._class_counts
+
+    def record(keep, p):
+        counted.append(p)
+        return original(keep, p)
+
+    monkeypatch.setattr(tuples, "_class_counts", record)
+    s = greedy_sieve(100, 100000)
+    assert s.removed[:26] == (
+        (2, 1), (3, 0), (5, 1), (7, 5), (11, 2), (13, 0), (17, 1), (19, 2),
+        (23, 3), (29, 2), (31, 6), (37, 2), (41, 0), (43, 0), (47, 1), (53, 0),
+        (59, 0), (61, 0), (67, 0), (71, 0), (73, 0), (79, 0), (83, 0), (89, 0),
+        (97, 0), (101, 0),
+    )
+    # from 101 on every class mod p holds at most one integer, and 0 is cleared
+    assert s.removed[26:] == tuple((p, 0) for p in primes.primes_upto(100000)[26:])
+    assert s.elements.tolist() == [
+        4, 8, 10, 14, 20, 22, 28, 32, 34, 38, 44, 50, 58, 62, 64, 70, 74, 80,
+        88, 92, 94, 98, 100,
+    ]
+    assert max(counted) == 97  # no prime past the window counts its classes
+    # windows whose length is a prime <= k: 7, where 1 is the first integer
+    # cleared, and 2, where nothing is cleared at p = 2, each class holds one
+    # integer and 0 goes
+    assert greedy_sieve(6, 30).removed == (
+        (2, 1), (3, 1), (5, 3), (7, 1), (11, 1), (13, 1), (17, 1), (19, 1),
+        (23, 1), (29, 1),
+    )
+    s = greedy_sieve(1, 30)
+    assert s.removed == tuple((p, 0) for p in primes.primes_upto(30))
+    assert s.elements.tolist() == [1]
+
+
 def test_greedy_sieve_survivors_avoid_removed_classes():
     s = greedy_sieve(300, 11)
     for p, r in s.removed:
