@@ -15,8 +15,7 @@ _EXPORTS = {
     "density": "DensityReport GrowthResult growth_check measure_density "
     "poisson_reference required_limit window_counts",
     "errors": "InadmissibleTupleError MemoryBudgetError ParameterRangeError ShortIntervalError",
-    "primes": "ALL PrimeFilter PrimeTable build_table is_fundamental_discriminant "
-    "kronecker_symbol",
+    "primes": "ALL PrimeFilter PrimeTable build_table is_fundamental_discriminant",
     "tuples": "AdmissibleTuple SievedSet count_spaced_selections first_covered_prime "
     "format_offsets greedy_sieve is_admissible parse_offsets select_spaced singular_series",
 }

@@ -190,12 +190,7 @@ def _cmd_slide(args) -> int:
 
     def slid_blocks():
         # the bases come in increasing order; a block is cut where they cross
-        # a multiple of SLIDE_SPAN.  The blocks share a set-up for bases up to
-        # twice the last base of the block that made it, or x_hi: a run makes
-        # a new one only when its bases double, and none reaches far past
-        # them.  A set-up refused there leaves each block to set up its own,
-        # so a block is refused only when its own bases are.
-        setup = None
+        # a multiple of SLIDE_SPAN
         base = operator.itemgetter(0)
 
         def next_block():
@@ -203,13 +198,9 @@ def _cmd_slide(args) -> int:
             return np.fromiter(map(base, block), np.int64)
 
         while len(bases := next_block()):
-            if setup is None or bases[-1] > setup.top:
-                setup, top = None, min(2 * int(bases[-1]), args.x_hi)
-                with contextlib.suppress(ShortIntervalError):
-                    setup = clusters_mod.slide_setup(args.lam, args.x_lo, top)
             cuts = np.flatnonzero(np.diff(bases // clusters_mod.SLIDE_SPAN)) + 1
             for part in np.split(bases, cuts):
-                yield clusters_mod.slide(args.lam, part, args.m, setup=setup)
+                yield clusters_mod.slide(args.lam, part, args.m)
 
     # find_clusters checked its arguments when called; the first block is slid
     # before any output file is opened, and each block is written when done

@@ -12,9 +12,9 @@ violation is recorded as a falsification rather than assumed impossible.
 Neither keeps a prime table, so memory does not grow with x: the scan reads
 its primes through one forward PrimeReader over its range, sieved in pieces
 that double from its start, and each batch of slides sieves only
-[lo, hi + L(hi)] around its own traces.  The batches of one run share their
-fixed work, the breakpoints of L and the sieve's base primes and wheel,
-through one slide_setup.
+[lo, hi + L(hi)] around its own traces.  The scan and the batches of one run
+share their fixed work, the breakpoints of L and the sieve's base primes and
+wheel tile, through what density.edge_steps and the sieve keep.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from .primes import (
     ALL,
     PrimeFilter,
     PrimeReader,
-    Sieve,
     check_budget,
     check_sieve,
     prime_segments,
@@ -123,28 +122,6 @@ class Slides:
         return len(self.bases)
 
 
-class SlideSetup(NamedTuple):
-    """The fixed work of every slide at lam whose bases lie in [lo, top]: the
-    breakpoints of L up to the end of the last window, and the sieve of that
-    range set up once (its base primes and wheel tile)."""
-
-    lam: float
-    lo: int
-    top: int
-    steps: np.ndarray
-    sieve: Sieve
-
-
-def slide_setup(lam: float, lo: int, top: int) -> SlideSetup:
-    """The SlideSetup for bases in [lo, top], 1 <= lo <= top; every trace
-    ends by required_limit(lam, top), and its windows by the limit of that."""
-    check_lambda(lam)
-    if not 1 <= lo <= top:
-        raise ValueError(f"need 1 <= lo <= top, got {lo}, {top}")
-    limit = required_limit(lam, required_limit(lam, top))
-    return SlideSetup(lam, lo, top, edge_steps(lam, limit), Sieve(limit, lo))
-
-
 def find_clusters(
     lam: float,
     m: int,
@@ -168,11 +145,11 @@ def find_clusters(
     (density.spans with ramp), so a consumer that stops early has at most
     about twice the bases it consumed counted.  The primes come from one
     reader over [x_lo, x_hi + window], read span by span, which sieves that
-    range in pieces that double from x_lo, so that one stopped early sets up
-    no sieve far past what it read.  With require_spacing, only spacing_ok
-    clusters are yielded.  Every check runs when find_clusters is called,
-    before any cluster is asked for, including those of the sieve of the
-    whole range.
+    range in pieces that double from x_lo, so that one stopped early has
+    sieved nothing far past what it read.  With require_spacing, only
+    spacing_ok clusters are yielded.  Every check runs when find_clusters is
+    called, before any cluster is asked for, including those of the sieve of
+    the whole range.
     """
     check_lambda(lam)
     if not 1 <= x_lo <= x_hi:
@@ -193,7 +170,6 @@ def find_clusters(
     check_sieve(end)
 
     def segments() -> Iterator[tuple[int, np.ndarray]]:
-        # each range sets up its own sieve, base primes up to the root of top
         lo = x_lo
         while lo <= end:
             top = min(2 * lo, end)
@@ -233,7 +209,6 @@ def slide(
     bases: Sequence[int] | np.ndarray,
     m: int,
     filt: PrimeFilter = ALL,
-    setup: SlideSetup | None = None,
 ) -> Slides:
     """Count filtered primes in each I_j = [N0+j, N0+j+lam*log(N0+j)] for
     j = 0..floor(lam*log N0) from every base N0, and locate the drop indices.
@@ -245,9 +220,7 @@ def slide(
     batch alone; each trace reads its windows out of the runs, so work and
     memory are linear in the windows plus the primes in [lo, hi].
     MemoryBudgetError refuses a batch whose primes and runs there would
-    exceed the budget.  setup, from slide_setup for a range holding every
-    base, saves the batch its own breakpoints of L and sieve set-up; batches
-    of one run share it.  Two claims are verified on every trace and
+    exceed the budget.  Two claims are verified on every trace and
     recorded as falsifications when violated: counts never increase by more
     than 1 between consecutive j, and whenever the count is observed to drop
     below m+1 right after j_drop, the integer N0 + j_drop is itself a
@@ -261,15 +234,10 @@ def slide(
     lo = int(bases.min()) if n else 1  # n = 1 alone for no bases
     if lo < 1:
         raise ValueError(f"bases must be >= 1, got least base {lo}")
-    top = int(bases.max(initial=lo))
-    if setup is None or not n:  # no bases need no shared set-up
-        setup = slide_setup(lam, lo, top)
-    elif setup.lam != lam or not setup.lo <= lo <= top <= setup.top:
-        raise ValueError(
-            f"a slide setup for bases in [{setup.lo}, {setup.top}] at "
-            f"lambda={setup.lam} cannot slide [{lo}, {top}] at lambda={lam}"
-        )
-    steps = setup.steps
+    # traces end by required_limit(lam, top), their windows by the limit of that
+    limit = required_limit(lam, required_limit(lam, int(bases.max(initial=lo))))
+    steps = edge_steps(lam, limit)
+    check_sieve(limit)
     lengths = np.searchsorted(steps, bases, side="right") + 1  # j = 0..L(base)
     starts = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(lengths, out=starts[1:])
@@ -283,7 +251,7 @@ def slide(
     # primes up to hi + L(hi); a -1 before them keeps every search for a drop
     # point in range
     end = hi + int(np.searchsorted(steps, hi, side="right"))
-    reader = PrimeReader(prime_segments(end, filt, lo, setup.sieve))
+    reader = PrimeReader(prime_segments(end, filt, lo))
     inside = np.concatenate(([-1], reader.between(lo, end)))
     pieces = zip(*_read_runs(inside[1:], steps, lo, hi))
     values, runs = (np.concatenate([[0], *col], dtype=np.int32) for col in pieces)

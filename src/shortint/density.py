@@ -3,10 +3,11 @@ contains exactly m filtered primes, with Poisson reference values.
 
 Window edges are exact for the float64 value of lam.  For integer n the last
 integer of the window is n + L(n) with L(n) = floor(lam*log n), a step
-function whose breakpoints edge_steps settles in decimal arithmetic.  They
-are the one source of L: _read_runs cuts its ranges at them, so that L is
-constant on each piece, slide takes each trace's L(N0) from them, and
-right_edge, which no scan calls, gives n + L(n).  Every window count
+function whose breakpoints edge_steps settles in decimal arithmetic and
+keeps for the last lam, so that the batches of a slide run settle each one
+once.  They are the one source of L: _read_runs cuts its ranges at them, so
+that L is constant on each piece, slide takes each trace's L(N0) from them,
+and right_edge, which no scan calls, gives n + L(n).  Every window count
 comes from one kernel, window_runs: where L is constant, c(n) changes only
 where a prime leaves or enters the window, so it returns c as run values and
 run lengths in O(pi(x)) work.  The density and growth histograms weight the
@@ -47,6 +48,11 @@ WORKERS = (
 )
 
 
+# what edge_steps settled last, (lam, known, steps): steps holds every n_k <=
+# known for that lam; replaced whole, never changed in place
+_edges = (math.nan, 0, np.empty(0, dtype=np.int64))
+
+
 def edge_steps(lam: float, limit: int) -> np.ndarray:
     """The breakpoints of L(n) = floor(lam*log n) up to limit, as a sorted
     read-only int64 array.
@@ -58,13 +64,17 @@ def edge_steps(lam: float, limit: int) -> np.ndarray:
     lam*log n is never an integer for n > 1, so raising the decimal precision
     until the sign of lam*log n - k is certain always ends.  Only an n whose
     float64 lam*log n lies within a relative 1e-9 of k goes to Decimal.
-    Nothing is cached.  More than MAX_EDGE_STEPS breakpoints raise
-    ParameterRangeError before any is settled.
+    Those of the last lam are kept, so each n_k is settled once: a call
+    returns a prefix of them, settling only the k they do not reach.  More
+    than MAX_EDGE_STEPS breakpoints up to limit, or a count past the float
+    range, raise ParameterRangeError before any is settled.
     """
-    count = math.floor(lam * math.log(limit))
-    if count > MAX_EDGE_STEPS:
+    global _edges
+    count = lam * math.log(limit)  # L(limit) unfloored; inf or nan past the floats
+    if not count < MAX_EDGE_STEPS + 1:
+        needs = f"{math.floor(count):,}" if math.isfinite(count) else count
         raise ParameterRangeError(
-            f"lambda={lam} needs {count:,} window-edge breakpoints up to "
+            f"lambda={lam} needs {needs} window-edge breakpoints up to "
             f"{limit:,}; at most {MAX_EDGE_STEPS:,} are supported"
         )
 
@@ -90,22 +100,27 @@ def edge_steps(lam: float, limit: int) -> np.ndarray:
                     return gap > 0
             prec *= 2
 
-    steps = []
-    top = math.log(limit) + 1  # beyond it k/lam puts n_k past limit; exp stays finite
-    k = 1
-    while k <= lam * top:
-        n = max(math.ceil(math.exp(k / lam)), 2)
-        while not reaches(n, k):
-            n += 1
-        while reaches(n - 1, k):
-            n -= 1
-        if n > limit:
-            break
-        steps.append(n)
-        k += 1
-    out = np.array(steps, dtype=np.int64)
-    out.setflags(write=False)
-    return out
+    kept_lam, known, steps = _edges
+    if kept_lam != lam:
+        known, steps = 0, steps[:0]
+    if limit > known:
+        new, k, known = [], len(steps) + 1, limit
+        top = math.log(limit) + 1  # beyond it k/lam puts n_k past limit; exp stays finite
+        while k <= lam * top:
+            n = max(math.ceil(math.exp(k / lam)), 2)
+            while not reaches(n, k):
+                n += 1
+            while reaches(n - 1, k):
+                n -= 1
+            new.append(n)
+            if n > limit:  # kept too: every n_k < n is known
+                known = n - 1
+                break
+            k += 1
+        steps = np.concatenate((steps, np.array(new, dtype=np.int64)))
+        steps.setflags(write=False)
+        _edges = lam, known, steps
+    return steps[: np.searchsorted(steps, limit, side="right")]
 
 
 def right_edge(n: np.ndarray, lam: float) -> np.ndarray:

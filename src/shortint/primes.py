@@ -12,7 +12,10 @@ odd n free of 3, 5, ..., 17 repeat with period WHEEL = 255255 in the odd-only
 index, so one tile of that pattern is copied in, and only the base primes
 above 17 are marked, from start offsets computed for all of them at once.
 It is the package's only sieve.  Its fixed part, the base primes and the
-wheel tile, is a Sieve, set up per range or once for many ranges inside one.
+wheel tile, is kept here and replaced only when a segment needs more: the
+base primes are sieved again up to the root of twice the value that first
+needs more, or of its range's limit if less, so a run that climbs sieves
+them a few times, never far past its own values.
 prime_segments turns each segment of a range [lo, limit] into its sorted,
 filtered primes; every window scan reads them through a forward PrimeReader,
 build_table writes them into the table's sorted int64 array, primes_upto
@@ -45,34 +48,6 @@ MAX_LIMIT = 2**63 - 6_074_000_997
 # of about |d|/2 Python ints, some 20 MB at the cap, and found as arrays of
 # |d| entries in a few tenths of a second there
 MAX_DISCRIMINANT = 10**6
-
-
-def kronecker_symbol(d: int, n: int) -> int:
-    """Kronecker symbol (d/n) for positive n, with the usual 2-adic rules."""
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
-    if n == 1:
-        return 1
-    if math.gcd(d, n) != 1:
-        return 0
-    result = 1
-    # (d/2) factors: depends on d mod 8
-    twos = (n & -n).bit_length() - 1
-    n >>= twos
-    if twos % 2 == 1 and d % 8 in (3, 5):
-        result = -result
-    # Jacobi symbol (d/n) for odd n via quadratic reciprocity
-    a = d % n
-    while a != 0:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result
 
 
 # (D/r) for r mod 8, for the three prime discriminants D = -4, 8, -8 of 2
@@ -222,21 +197,32 @@ class PrimeTable:
         return f"PrimeTable(limit={self.limit}, count={self.count})"
 
 
-def _wheel(length: int) -> np.ndarray:
-    """Flags over 3 + 2i for i < length, false where a WHEEL_PRIMES prime
-    divides; the pattern repeats every WHEEL entries."""
-    flags = np.ones(length, dtype=bool)
-    for p in WHEEL_PRIMES:
-        flags[(p - 3) // 2 :: p] = False
-    return flags
+# The fixed part of every sieve, kept from the last one that needed more:
+# (root, base), the base primes above the wheel primes up to root, and a
+# wheel tile.  Each is replaced whole, never changed in place, so threads and
+# forked workers only ever see complete arrays.
+_base: tuple[int, np.ndarray] = (WHEEL_PRIMES[-1], np.empty(0, dtype=np.int64))
+_tile = np.empty(0, dtype=bool)
 
 
-def _mark_segment(flags: np.ndarray, base: np.ndarray, i0: int) -> None:
+def _mark_segment(flags: np.ndarray, i0: int, limit: int) -> None:
     """Clear the odd multiples of the base primes in flags, which covers
-    3 + 2i for i >= i0; each prime starts at its first odd multiple that is
-    at least both its square and the segment's first value."""
+    3 + 2i for i >= i0 in a range to limit; each prime starts at its first
+    odd multiple that is at least both its square and the segment's first
+    value.  Kept base primes that stop short of the root of the segment's
+    last value are sieved again up to the root of twice that value or of
+    limit, whichever is less, or only to its own root where that would
+    exceed the memory budget."""
+    global _base
     lo_val = 3 + 2 * i0
     hi_val = lo_val + 2 * (len(flags) - 1)
+    root, base = _base
+    if root < math.isqrt(hi_val):
+        root = math.isqrt(min(2 * hi_val, limit))
+        if _array_bytes(root) > DEFAULT_MEMORY_BUDGET:
+            root = math.isqrt(hi_val)
+        base = _prime_array(root)[len(WHEEL_PRIMES) + 1 :]  # past 2, ..., 17
+        _base = root, base
     live = base[: np.searchsorted(base, math.isqrt(hi_val), side="right")]
     first = (-(-lo_val // live)) | 1  # first odd cofactor q with q*p >= lo_val
     starts = (np.maximum(live * live, first * live) - lo_val) // 2
@@ -246,32 +232,8 @@ def _mark_segment(flags: np.ndarray, base: np.ndarray, i0: int) -> None:
         flags[start::p] = False
 
 
-class Sieve:
-    """The fixed part of sieving any range inside [lo, limit]: the base
-    primes above the wheel primes up to isqrt(limit), and a tile of the wheel
-    pattern long enough for the longest segment of that range.
-
-    Set up once, it serves any number of ranges; prime_segments sets one up
-    per range when handed none.  A limit beyond MAX_LIMIT raises
-    ParameterRangeError, and one whose base primes would exceed the memory
-    budget MemoryBudgetError, before anything is sieved.
-    """
-
-    def __init__(self, limit: int, lo: int = 1):
-        check_sieve(limit)
-        root = math.isqrt(limit)
-        base = _prime_array(root) if root >= 2 else np.empty(0, dtype=np.int64)
-        self.lo, self.limit = lo, limit
-        self.base = base[base > WHEEL_PRIMES[-1]]
-        n_odds = (limit - 1) // 2
-        # a segment starting at i0 copies wheel[i0 % WHEEL:], so the tile spans
-        # one period past the longest segment, or the whole range when shorter
-        self.segment = max(min(SEGMENT_SIZE, n_odds - _first_odd(lo)), 1)
-        self.wheel = _wheel(min(n_odds, WHEEL + self.segment))
-
-
 def check_sieve(limit: int) -> None:
-    """The checks a Sieve up to limit makes before it allocates anything:
+    """The checks of every sieve up to limit, before it allocates anything:
     ParameterRangeError beyond MAX_LIMIT, and MemoryBudgetError when its
     base primes would exceed the memory budget."""
     if limit > MAX_LIMIT:
@@ -284,50 +246,46 @@ def check_sieve(limit: int) -> None:
         check_budget(_array_bytes(root), f"limit={limit}", "its base primes")
 
 
-def _first_odd(lo: int) -> int:
-    """The odd-only index of the first odd n >= max(lo, 3)."""
-    return max((lo - 2) // 2, 0)
-
-
-def _segments(
-    limit: int, lo: int = 1, sieve: Sieve | None = None
-) -> Iterator[tuple[int, np.ndarray]]:
+def _segments(limit: int, lo: int = 1) -> Iterator[tuple[int, np.ndarray]]:
     """The odd-only sieve of the odd n in [lo, limit] from 3 on, one marked
     segment at a time.
 
     Yields (i0, flags) with flags[i] true iff 3 + 2*(i0 + i) is prime.  The
     first segment starts at the first odd n >= max(lo, 3), so a range costs
-    only its own segments, and the base primes up to isqrt(limit) unless a
-    sieve set up for a range around it is handed in.  Every segment is marked
-    in one reused buffer of at most SEGMENT_SIZE entries, so flags is valid
-    only until the next item is requested.
+    only its own segments, and each segment the base primes up to the root
+    of its own last value.  check_sieve(limit) decides the refusals, whatever
+    is kept.  Every segment is marked in one reused buffer of at most
+    SEGMENT_SIZE entries, so flags is valid only until the next item is
+    requested.
     """
-    if sieve is None:
-        sieve = Sieve(limit, lo)
-    elif lo < sieve.lo or limit > sieve.limit:
-        raise ValueError(
-            f"a sieve set up for [{sieve.lo:,}, {sieve.limit:,}] "
-            f"cannot sieve [{lo:,}, {limit:,}]"
-        )
-    size, n_odds = sieve.segment, (limit - 1) // 2
-    first = _first_odd(lo)
+    global _tile
+    check_sieve(limit)
+    size, n_odds = SEGMENT_SIZE, (limit - 1) // 2
+    first = max((lo - 2) // 2, 0)  # the odd-only index of the first odd n >= max(lo, 3)
     buf = np.empty(max(min(size, n_odds - first), 0), dtype=bool)
+    # tile[i] is false where a wheel prime divides 3 + 2i.  A segment starting
+    # at i0 copies tile[i0 % WHEEL:], so the tile spans one period past the
+    # longest segment, or the whole range when shorter
+    if len(tile := _tile) < (need := min(n_odds, WHEEL + len(buf))):
+        tile = np.ones(need, dtype=bool)
+        for p in WHEEL_PRIMES:
+            tile[(p - 3) // 2 :: p] = False
+        _tile = tile
     for i0 in range(first, n_odds, size):
         flags = buf[: min(size, n_odds - i0)]
         start = i0 % WHEEL
-        flags[:] = sieve.wheel[start : start + len(flags)]
+        flags[:] = tile[start : start + len(flags)]
         # the wheel primes themselves are prime, in whichever segment they fall
         flags[[i - i0 for i in _WHEEL_INDEX if i0 <= i < i0 + len(flags)]] = True
-        _mark_segment(flags, sieve.base, i0)
+        _mark_segment(flags, i0, limit)
         yield i0, flags
 
 
 def prime_segments(
-    limit: int, filt: PrimeFilter = ALL, lo: int = 1, sieve: Sieve | None = None
+    limit: int, filt: PrimeFilter = ALL, lo: int = 1
 ) -> Iterator[tuple[int, np.ndarray]]:
     """The primes in [lo, limit] that pass filt, in increasing order, one
-    sieve segment at a time, from sieve when one set up for a range around
-    [lo, limit] is handed in.
+    sieve segment at a time.
 
     Yields (top, primes): primes is a fresh sorted int64 array of the
     filtered primes in (previous top, top], or in [lo, top] for the first
@@ -338,7 +296,7 @@ def prime_segments(
     if lo <= 2 <= limit:
         two = np.array([2], dtype=np.int64)
         yield 2, two[filt.mask(two)]
-    for i0, flags in _segments(limit, lo, sieve):
+    for i0, flags in _segments(limit, lo):
         primes = np.flatnonzero(flags)
         primes *= 2
         primes += 3 + 2 * i0

@@ -191,22 +191,20 @@ def test_slide_blocks_do_not_change_output(tmp_path, capsys, monkeypatch, argv):
 
 
 @pytest.mark.parametrize("refuse", (False, True), ids=("near-its-bases", "refused"))
-def test_slide_setup_limits_leave_the_output_alone(tmp_path, capsys, monkeypatch, refuse):
-    # lambda 5000 needs 103,617 breakpoints up to x_hi = 1e9, more than a
-    # set-up may settle, but the run's one cluster is at 10, so its set-up
-    # covers bases up to 20 only; when that set-up is refused, the block sets
-    # up its own, for its one base.  Either way the run writes what slide()
-    # alone gives.
+def test_slide_setup_limits_leave_the_output_alone(
+    tmp_path, capsys, monkeypatch, nothing_kept, refuse
+):
+    # lambda 5000 needs 103,616 breakpoints up to x_hi = 1e9, more than may be
+    # settled, but the run's one cluster is at 10, so its block settles only
+    # those up to its own windows.  With refuse, a call for the whole range is
+    # refused first; either way, from nothing kept, the run writes what
+    # slide() alone gives.
+    empty = primes._base, primes._tile, density._edges
     alone = clusters.slide(5000.0, [10], 1)
-    tops, make = [], clusters.slide_setup
-
-    def setup(lam, lo, top):
-        tops.append(top)
-        if refuse and top == 20:
-            raise ParameterRangeError("refused")
-        return make(lam, lo, top)
-
-    monkeypatch.setattr(clusters, "slide_setup", setup)
+    primes._base, primes._tile, density._edges = empty
+    if refuse:
+        with pytest.raises(ParameterRangeError, match=" 103,616 window-edge breakpoints "):
+            density.edge_steps(5000.0, 10**9)
     out, fals = tmp_path / "t.csv", tmp_path / "f.jsonl"
     argv = ["slide", "--lambda", "5000", "--x-lo", "10", "--x-hi", "1000000000",
             "--m", "1", "--max-clusters", "1", "--out", str(out),
@@ -217,7 +215,6 @@ def test_slide_setup_limits_leave_the_output_alone(tmp_path, capsys, monkeypatch
     assert out.read_text() == clusters.trace_csv(alone)
     assert fals.read_text() == clusters.falsifications_jsonl(alone)
     assert len(alone.counts) > 10000 and alone.falsifications
-    assert tops == ([20, 10] if refuse else [20])
 
 
 def test_slide_with_constants_file(tmp_path, capsys):

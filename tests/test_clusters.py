@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import types
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from shortint.clusters import (
     slide,
     trace_csv,
 )
-from shortint.density import window_counts
+from shortint.density import required_limit, window_counts
 from shortint.errors import MemoryBudgetError, ParameterRangeError
 from shortint.primes import ALL, PrimeFilter
 
@@ -167,23 +168,17 @@ def test_islice_counts_what_it_consumes(monkeypatch, chunk):
         assert bases <= max(first_span, 2 * consumed), (take, consumed, bases)
 
 
-def test_a_scan_stopped_early_sieves_nothing_far_past_what_it_read(monkeypatch):
+def test_a_scan_stopped_early_sieves_nothing_far_past_what_it_read(nothing_kept):
     # 100 clusters near 10 of a scan to 1e16 come from the first span; the
-    # reader reads to that span's end plus the window, and the piece that
-    # holds it reaches at most twice as far, so no sieve is set up past that
-    limits = []
-
-    class Recording(primes_mod.Sieve):
-        def __init__(self, limit, lo=1):
-            limits.append(limit)
-            super().__init__(limit, lo)
-
-    monkeypatch.setattr(primes_mod, "Sieve", Recording)
+    # reader reads to that span's end plus the window, and the segment that
+    # holds it ends at most 2 * SEGMENT_SIZE past that, so the base primes kept
+    # reach no further than the root of twice its end
     x_lo, x_hi = 10, 10**16
     got = list(itertools.islice(find_clusters(1.0, 1, x_lo, x_hi), 100))
     assert len(got) == 100 and got[-1].base < x_lo + density.SCAN_CHUNK // 64
     read_to = x_lo + density.SCAN_CHUNK // 64 - 1 + math.floor(5 * math.log(x_hi))
-    assert limits and max(limits) <= 2 * read_to
+    root, _ = primes_mod._base
+    assert math.isqrt(read_to) <= root <= math.isqrt(2 * (read_to + 2 * primes_mod.SEGMENT_SIZE))
 
 
 def test_scan_and_slide_far_up_the_line_match_miller_rabin():
@@ -558,11 +553,11 @@ def test_cli_slide_summary_matches_the_oracle(tmp_path, capsys, monkeypatch):
     assert bases[block] < 3269018 <= last + exact_length(1.0, last)
 
 
-def test_cli_slide_sets_up_once_for_all_blocks(tmp_path, monkeypatch):
-    # the breakpoints of L and the base primes of the sieve are computed for
-    # the run, not for each block: a run of 8 blocks makes as many of those
-    # calls as a run of one, and one edge_steps call in all
-    calls = {"slide": 0, "edge_steps": 0, "base primes": 0}
+def test_cli_slide_sets_up_once_for_all_blocks(tmp_path, monkeypatch, nothing_kept):
+    # the breakpoints of L and the base primes of the sieve are kept for the
+    # run, not made for each block: from nothing kept, a run of 8 blocks sieves
+    # base primes as often as a run of one, and settles each breakpoint once
+    calls = {"slide": 0, "settled": 0, "base primes": 0}
 
     def counted(name, fn):
         def call(*args, **kwargs):
@@ -572,22 +567,28 @@ def test_cli_slide_sets_up_once_for_all_blocks(tmp_path, monkeypatch):
         return call
 
     monkeypatch.setattr(clusters_mod, "slide", counted("slide", clusters_mod.slide))
-    monkeypatch.setattr(clusters_mod, "edge_steps", counted("edge_steps", density.edge_steps))
+    # each breakpoint is seeded from one exp(k/lam), density's only exp here
+    own_math = types.SimpleNamespace(**vars(math))
+    own_math.exp = counted("settled", math.exp)
+    monkeypatch.setattr(density, "math", own_math)
     monkeypatch.setattr(
         primes_mod, "_prime_array", counted("base primes", primes_mod._prime_array)
     )
     argv = ["slide", "--lambda", "1", "--x-lo", "100000", "--x-hi", "110000",
             "--m", "1", "--max-clusters", "500", "--out", str(tmp_path / "t.csv")]
-    seen = []
+    seen, empty = [], (primes_mod._base, primes_mod._tile, density._edges)
     for block in (4096, 64):
         monkeypatch.setattr(clusters_mod, "SLIDE_BLOCK", block)
+        primes_mod._base, primes_mod._tile, density._edges = empty
         calls.update(dict.fromkeys(calls, 0))
         assert cli.main(argv) == 0
         seen.append(dict(calls))
     one, many = seen
     assert one["slide"] == 1 and many["slide"] == 8
-    assert one["edge_steps"] == many["edge_steps"] == 1
-    assert one["base primes"] == many["base primes"] > 0
+    assert 0 < many["base primes"] <= one["base primes"]
+    # the breakpoints up to the last window's end, and the first past it
+    last = required_limit(1.0, required_limit(1.0, 110000))
+    assert one["settled"] == many["settled"] == len(density.edge_steps(1.0, last)) + 1
 
 
 def test_slides_dense_overlapping_clusters():

@@ -1,9 +1,11 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +26,7 @@ from shortint.density import (
     window_counts,
     window_runs,
 )
-from shortint.errors import ParameterRangeError
+from shortint.errors import MemoryBudgetError, ParameterRangeError
 from shortint.primes import ALL, PrimeFilter, PrimeReader, prime_segments
 
 from dense_primes import count_between, dense_primes, is_prime
@@ -162,10 +164,11 @@ def test_edge_steps_refuse_too_many_breakpoints():
 
 
 @pytest.mark.parametrize("shift", (-7.0, 7.0))
-def test_edge_steps_settle_from_a_wrong_seed(monkeypatch, shift):
+def test_edge_steps_settle_from_a_wrong_seed(monkeypatch, nothing_kept, shift):
     # the exp(k/lam) seed only starts the search: seeds 7 too high or too low
-    # settle on the same breakpoints
+    # settle on the same breakpoints, from nothing kept
     want = edge_steps(1.0, 10**6).tolist()
+    density._edges = (math.nan, 0, density._edges[2][:0])
     exp = math.exp
     monkeypatch.setattr(math, "exp", lambda t: exp(t) + shift)
     assert edge_steps(1.0, 10**6).tolist() == want
@@ -191,6 +194,75 @@ def test_edge_steps_edge_cases():
     # 10*ln 2 = 6.93 and 10*ln 3 = 10.99: six breakpoints at 2, four at 3
     assert edge_steps(10.0, 3).tolist() == [2] * 6 + [3] * 4
     assert right_edge(np.array([1, 2, 3]), 10.0).tolist() == [1, 8, 13]
+
+
+def test_edge_steps_past_the_float_range_are_refused_typed():
+    # lam*log(limit) is inf, or nan: refused as too many breakpoints, with
+    # the limit named, never as OverflowError or a float conversion error
+    for lam, count in ((1e308, "inf"), (math.nan, "nan")):
+        want = "^" + re.escape(f"lambda={lam} needs {count} window-edge breakpoints "
+                               "up to 10; at most 100,000 are supported") + "$"
+        with pytest.raises(ParameterRangeError, match=want):
+            edge_steps(lam, 10)
+        with pytest.raises(ParameterRangeError, match=want):
+            right_edge(np.array([10]), lam)
+
+
+def test_kept_edge_steps_are_prefixes_of_one_settling(monkeypatch, nothing_kept):
+    # a call within what is kept returns a read-only prefix of it, and one
+    # past it settles only the new k, each seeded from one exp(k/lam) and
+    # kept; another lam starts again
+    want = {lam: edge_steps(lam, 10**10).tolist() for lam in (0.3, 5.0)}
+    density._edges = (math.nan, 0, density._edges[2][:0])
+    seeds = []
+    own_math = types.SimpleNamespace(**vars(math))
+    own_math.exp = lambda t: seeds.append(t) or math.exp(t)
+    monkeypatch.setattr(density, "math", own_math)
+    for lam, limit in ((5.0, 10**4), (5.0, 10**10), (5.0, 100), (0.3, 10**7),
+                       (0.3, 10**10), (5.0, 10**10)):
+        before = len(density._edges[2]) if density._edges[0] == lam else 0
+        seeds.clear()
+        steps = edge_steps(lam, limit)
+        assert len(seeds) == len(density._edges[2]) - before, (lam, limit)
+        assert steps.tolist() == [n for n in want[lam] if n <= limit], (lam, limit)
+        assert not steps.flags.writeable
+        kept_lam, known, kept = density._edges
+        assert kept_lam == lam and known >= limit
+        assert steps.base is kept or steps.base is kept.base
+    # the first breakpoint past a limit is kept too: a limit short of it
+    # settles nothing more
+    kept = density._edges
+    assert kept[2][-1] > 10**10 and kept[1] == kept[2][-1] - 1
+    edge_steps(5.0, kept[1])
+    assert density._edges is kept
+
+
+def test_refusals_do_not_depend_on_what_is_kept(monkeypatch, nothing_kept):
+    # a limit is refused from its own value alone: from nothing kept, and
+    # after calls that kept base primes and breakpoints reaching past it
+    calls = (
+        lambda: list(prime_segments(10**12 + 100, ALL, 10**12)),
+        lambda: edge_steps(10.0, 10**5),
+        lambda: primes.prime_count(primes.MAX_LIMIT + 1),
+    )
+
+    def refusals():
+        monkeypatch.setattr(primes, "DEFAULT_MEMORY_BUDGET", 10**6)
+        monkeypatch.setattr(density, "MAX_EDGE_STEPS", 100)
+        out = []
+        for call in calls:
+            with pytest.raises((MemoryBudgetError, ParameterRangeError)) as info:
+                call()
+            out.append((type(info.value), str(info.value)))
+        monkeypatch.undo()
+        return out
+
+    cold = refusals()
+    assert [kind for kind, _ in cold] == [MemoryBudgetError, *[ParameterRangeError] * 2]
+    for call in calls[:2]:
+        call()  # accepted at the usual budget and cap
+    assert primes._base[0] >= 10**6 and density._edges[1] >= 10**5
+    assert refusals() == cold
 
 
 def test_non_finite_lambda_is_rejected():

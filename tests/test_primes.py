@@ -17,12 +17,12 @@ from shortint.primes import (
     PrimeReader,
     build_table,
     is_fundamental_discriminant,
-    kronecker_symbol,
     prime_count,
     prime_segments,
 )
 
 from dense_primes import dense_primes, dense_sieve
+from kronecker import kronecker_symbol
 
 
 def trial_division_is_prime(n: int) -> bool:
@@ -88,12 +88,12 @@ def test_prime_count_and_sieve_cli_match_dense_sieve(monkeypatch, capsys, segmen
 RANGE_FILTERS = (ALL, PrimeFilter.residue_class(2, 3), PrimeFilter.kronecker(-3, -1))
 
 
-def _check_range(limit, filt, lo, oracle, sieve=None):
-    """prime_segments(limit, filt, lo, sieve) yields the oracle's primes in
+def _check_range(limit, filt, lo, oracle):
+    """prime_segments(limit, filt, lo) yields the oracle's primes in
     [lo, limit], each item's primes inside (previous top, top], and ends at
     top = limit unless the range holds neither 2 nor an odd n > 2."""
     got, low = [], lo
-    for top, found in primes.prime_segments(limit, filt, lo=lo, sieve=sieve):
+    for top, found in primes.prime_segments(limit, filt, lo=lo):
         assert found.dtype == np.int64
         assert found.size == 0 or low <= found[0] <= found[-1] <= top, (lo, limit)
         got.append(found)
@@ -159,28 +159,30 @@ def test_short_ranges_far_above_the_wheel_match_dense_sieve(monkeypatch, filt, s
 
 @pytest.mark.parametrize("filt", RANGE_FILTERS, ids=lambda f: f.tag)
 @pytest.mark.parametrize("segment_size", [97, primes.SEGMENT_SIZE])
-def test_one_sieve_serves_every_range_inside_its_own(monkeypatch, filt, segment_size):
-    # base primes and wheel tile set up once, from n = 1 and from far above
-    # the wheel period, then read for ranges inside; a range reaching outside
-    # is refused
+def test_one_sieve_serves_every_range_inside_its_own(
+    nothing_kept, monkeypatch, filt, segment_size
+):
+    # from nothing kept, a range from n = 1 and one from far above the wheel
+    # period leave base primes and a wheel tile that reach their own ends;
+    # ranges inside, read after them in any order, sieve nothing again and
+    # match the oracle
     monkeypatch.setattr(primes, "SEGMENT_SIZE", segment_size)
     period = 2 * primes.WHEEL  # integers per wheel period of the odd-only index
     oracle = _oracle(4 * period + 6000, filt)
     for lo0, limit0, ranges in (
-        (1, 5000, ((1, 2), (2, 2), (3, 100), (90, 100), (4000, 5000))),
+        (1, 5000, ((4000, 5000), (1, 2), (90, 100), (2, 2), (3, 100))),
         (3 * period - 5, 4 * period + 6000, (
-            (3 * period - 5, 3 * period + 50), (3 * period + 123457, 4 * period),
-            (4 * period - 7, 4 * period + 3000), (4 * period + 6000, 4 * period + 6000),
+            (4 * period + 6000, 4 * period + 6000), (3 * period + 123457, 4 * period),
+            (3 * period - 5, 3 * period + 50), (4 * period - 7, 4 * period + 3000),
             (3 * period - 5, 4 * period + 6000),
         )),
     ):
-        sieve = primes.Sieve(limit0, lo0)
+        _check_range(limit0, filt, lo0, oracle)
+        base, tile = primes._base, primes._tile
+        assert base[0] >= math.isqrt(limit0)
         for lo, limit in ranges:
-            _check_range(limit, filt, lo, oracle, sieve)
-        for lo, limit in ((lo0 - 1, lo0 + 10), (lo0, limit0 + 1)):
-            with pytest.raises(ValueError, match=f"^a sieve set up for \\[{lo0:,}, "
-                               f"{limit0:,}\\] cannot sieve \\[{lo:,}, {limit:,}\\]$"):
-                list(primes.prime_segments(limit, filt, lo, sieve))
+            _check_range(limit, filt, lo, oracle)
+            assert primes._base is base and primes._tile is tile
 
 
 def test_build_argument_validation():
