@@ -13,7 +13,7 @@ _EXPORTS = {
     "clusters": "Cluster Falsification Slides extract_m_runs find_clusters "
     "guaranteed_run_floor slide",
     "density": "DensityReport GrowthResult growth_check measure_density "
-    "poisson_reference required_limit window_counts",
+    "poisson_reference window_counts",
     "errors": "InadmissibleTupleError MemoryBudgetError ParameterRangeError ShortIntervalError",
     "primes": "ALL PrimeFilter PrimeTable build_table is_fundamental_discriminant",
     "tuples": "AdmissibleTuple SievedSet count_spaced_selections first_covered_prime "

@@ -27,15 +27,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .bounds import BoundParams, DEFAULT_PARAMS, spacing_divisor, tuple_size
-from .density import (
-    SCAN_CHUNK,
-    _read_runs,
-    edge_steps,
-    required_limit,
-    spans,
-    table_limit,
-    window_runs,
-)
+from .density import SCAN_CHUNK, _read_runs, edge_steps, right_edge, spans, window_runs
 from .errors import ParameterRangeError, check_lambda
 from .primes import (
     ALL,
@@ -158,7 +150,11 @@ def find_clusters(
         raise ValueError(f"m must be non-negative, got {m}")
     portion, threshold = _scan_scales(lam, x_hi, m, params)
     window = 5.0 * portion
-    table_limit(x_hi + window, lam, x_hi)  # a window beyond the float range
+    if not math.isfinite(window):
+        raise ParameterRangeError(
+            f"the cluster window 5*lambda*log(x_hi) for x_hi={x_hi} at "
+            f"lambda={lam} overflows the float range"
+        )
     win_i = math.floor(window)  # p <= N0 + window  <=>  p - N0 <= win_i
     portion_i = math.ceil(portion) - 1  # p - N0 < portion  <=>  p - N0 <= portion_i
     # a span and its window, y integers, hold under 2y/log y primes (Montgomery
@@ -234,23 +230,22 @@ def slide(
     lo = int(bases.min()) if n else 1  # n = 1 alone for no bases
     if lo < 1:
         raise ValueError(f"bases must be >= 1, got least base {lo}")
-    # traces end by required_limit(lam, top), their windows by the limit of that
-    limit = required_limit(lam, required_limit(lam, int(bases.max(initial=lo))))
-    steps = edge_steps(lam, limit)
-    check_sieve(limit)
+    # the last trace, of the greatest base, ends at hi, and its last window at end
+    hi = right_edge(int(bases.max(initial=lo)), lam)
+    end = right_edge(hi, lam)
+    check_sieve(end)
+    steps = edge_steps(lam, hi)
     lengths = np.searchsorted(steps, bases, side="right") + 1  # j = 0..L(base)
     starts = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(lengths, out=starts[1:])
-    hi = int((bases + lengths - 1).max(initial=lo))
     # about 80 bytes for each of the under 2y/log y primes of the y integers
     # in [lo, hi] (Montgomery and Vaughan, 1973): two copies and two runs each
     y = max(hi - lo + 1, 2)
     who = f"a slide over [{lo:,}, {hi:,}]"
     check_budget(int(160 * y / math.log(y)), who, "the primes and runs there")
     # one kernel pass gives c(n) for n in [lo, hi] as runs, from the filtered
-    # primes up to hi + L(hi); a -1 before them keeps every search for a drop
-    # point in range
-    end = hi + int(np.searchsorted(steps, hi, side="right"))
+    # primes up to end; a -1 before them keeps every search for a drop point
+    # in range
     reader = PrimeReader(prime_segments(end, filt, lo))
     inside = np.concatenate(([-1], reader.between(lo, end)))
     pieces = zip(*_read_runs(inside[1:], steps, lo, hi))

@@ -7,13 +7,13 @@ function whose breakpoints edge_steps settles in decimal arithmetic and
 keeps for the last lam, so that the batches of a slide run settle each one
 once.  They are the one source of L: _read_runs cuts its ranges at them, so
 that L is constant on each piece, slide takes each trace's L(N0) from them,
-and right_edge, which no scan calls, gives n + L(n).  Every window count
-comes from one kernel, window_runs: where L is constant, c(n) changes only
-where a prime leaves or enters the window, so it returns c as run values and
-run lengths in O(pi(x)) work.  The density and growth histograms weight the
-run values by their lengths, window_counts repeats them to give c(n) one n
-at a time, slide reads each trace's c(n) out of the runs of one pass over
-its batch, and the cluster scan runs the kernel at its fixed window lengths.
+and right_edge gives n + L(n), where every range a scan sieves ends.  One
+kernel, window_runs, gives every window count: where L is constant, c(n)
+changes only where a prime leaves or enters the window, so it returns c as
+run values and run lengths in O(pi(x)) work.  The density and growth
+histograms weight the run values by their lengths, window_counts repeats
+them to give c(n) one n at a time, slide reads each trace's c(n) out of the
+runs of one pass over its batch, and the cluster scan runs it at fixed lengths.
 No scan keeps a prime table: _read_runs takes the sorted primes of its
 range as an array, and a scan of a long range reads them span by span
 through one forward PrimeReader over its own range, which holds only the
@@ -34,7 +34,9 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ParameterRangeError, check_lambda
-from .primes import ALL, PrimeFilter, PrimeReader, prime_segments
+from .primes import (
+    ALL, MAX_LIMIT, PrimeFilter, PrimeReader, check_budget, check_sieve, prime_segments
+)
 
 SCAN_CHUNK = 2**18  # starting points per kernel call; bounds the per-call arrays
 # the most breakpoints edge_steps settles, about a second of its loop; lambda
@@ -65,11 +67,18 @@ def edge_steps(lam: float, limit: int) -> np.ndarray:
     until the sign of lam*log n - k is certain always ends.  Only an n whose
     float64 lam*log n lies within a relative 1e-9 of k goes to Decimal.
     Those of the last lam are kept, so each n_k is settled once: a call
-    returns a prefix of them, settling only the k they do not reach.  More
-    than MAX_EDGE_STEPS breakpoints up to limit, or a count past the float
-    range, raise ParameterRangeError before any is settled.
+    returns a prefix of them, settling only the k they do not reach, and the
+    first past limit is kept too where it fits int64.  A limit past the
+    sieve's MAX_LIMIT, more than MAX_EDGE_STEPS breakpoints up to limit, or a
+    count past the float range raise ParameterRangeError before any is
+    settled.
     """
     global _edges
+    if limit > MAX_LIMIT:  # no window reaching past it can be sieved
+        raise ParameterRangeError(
+            f"window edges up to {limit:,} are beyond int64 arithmetic; "
+            f"the largest supported limit is {MAX_LIMIT:,}"
+        )
     count = lam * math.log(limit)  # L(limit) unfloored; inf or nan past the floats
     if not count < MAX_EDGE_STEPS + 1:
         needs = f"{math.floor(count):,}" if math.isfinite(count) else count
@@ -112,8 +121,9 @@ def edge_steps(lam: float, limit: int) -> np.ndarray:
                 n += 1
             while reaches(n - 1, k):
                 n -= 1
-            new.append(n)
-            if n > limit:  # kept too: every n_k < n is known
+            if n <= np.iinfo(np.int64).max:
+                new.append(n)
+            if n > limit:  # every n_k < n is known
                 known = n - 1
                 break
             k += 1
@@ -123,11 +133,13 @@ def edge_steps(lam: float, limit: int) -> np.ndarray:
     return steps[: np.searchsorted(steps, limit, side="right")]
 
 
-def right_edge(n: np.ndarray, lam: float) -> np.ndarray:
-    """n + L(n) for an int64 array of n >= 1: the last integer inside each
-    window [n, n + lam*log n], exact for the float64 value of lam."""
-    steps = edge_steps(lam, int(n.max(initial=1)))
-    return n + np.searchsorted(steps, n, side="right")
+def right_edge(n: int | np.ndarray, lam: float) -> int | np.ndarray:
+    """n + L(n), the last integer of the window [n, n + lam*log n], for an int
+    n >= 1 or each entry of an int64 array; exact for the float64 lam."""
+    if isinstance(n, np.ndarray):
+        steps = edge_steps(lam, int(n.max(initial=1)))
+        return n + np.searchsorted(steps, n, side="right")
+    return n + len(edge_steps(lam, n))
 
 
 def spans(a: int, b: int, ramp: bool = False) -> Iterator[tuple[int, int]]:
@@ -211,13 +223,13 @@ def window_counts(
     lam: float, a: int, b: int, filt: PrimeFilter = ALL
 ) -> np.ndarray:
     """c(n), the number of filtered primes in [n, n + lam*log n], for n = a..b,
-    from one pass of the sieve over [a, required_limit(lam, b)]."""
+    from one pass of the sieve over [a, b + L(b)]."""
     check_lambda(lam)
     if not 1 <= a <= b:
         raise ValueError(f"need 1 <= a <= b, got {a}, {b}")
-    limit = required_limit(lam, b)
+    limit = right_edge(b, lam)
     primes = PrimeReader(prime_segments(limit, filt, a)).between(a, limit)
-    values, runs = zip(*_read_runs(primes, edge_steps(lam, limit), a, b))
+    values, runs = zip(*_read_runs(primes, edge_steps(lam, b), a, b))
     return np.repeat(np.concatenate(values), np.concatenate(runs))
 
 
@@ -280,23 +292,6 @@ class DensityReport:
         return max(0.0, 1.0 - sum(self.poisson.values()))
 
 
-def required_limit(lam: float, x: int) -> int:
-    """A sieve limit that covers every window of a scan up to x: x + 1 +
-    ceil(lam*log x), summed in integers so that it stays above x + L(x)
-    where float64 can no longer hold x exactly."""
-    return x + table_limit(lam * math.log(x), lam, x) + 1
-
-
-def table_limit(top: float, lam: float, x: int) -> int:
-    """ceil(top) for a float top that a scan to x at lam needs; a top beyond
-    the float range raises ParameterRangeError."""
-    if not math.isfinite(top):
-        raise ParameterRangeError(
-            f"the table limit for x={x} at lambda={lam} overflows the float range"
-        )
-    return math.ceil(top)
-
-
 def _histograms(
     lam: float, ends: tuple[int, ...], m_max: int, filt: PrimeFilter
 ) -> np.ndarray:
@@ -308,7 +303,8 @@ def _histograms(
     each in a forked child (workers.run_parts), and their rows, exact
     integers, are summed.
     """
-    steps = edge_steps(lam, required_limit(lam, ends[-1]))
+    steps = edge_steps(lam, ends[-1])
+    check_sieve(right_edge(ends[-1], lam))  # here, before any part is forked
     k = min(WORKERS, ends[-1])
     cuts = [1 + ends[-1] * i // k for i in range(k + 1)]
     parts = [(lam, ends, m_max, filt, steps, a, b - 1) for a, b in zip(cuts, cuts[1:])]
@@ -329,16 +325,16 @@ def _scan_part(
     last: int,
 ) -> np.ndarray:
     """The rows of _histograms counted over the n in [first, last] only, from
-    one reader over [first, required_limit(lam, last)], read span by span:
-    each run of window_runs is counted with its length, in the row of its
-    ends range.  steps holds the breakpoints of L at least up to that limit.
+    one reader over [first, last + L(last)], read span by span: each run of
+    window_runs is counted with its length, in the row of its ends range.
+    steps holds the breakpoints of L at least up to last.
     """
-    reader = PrimeReader(prime_segments(required_limit(lam, last), filt, first))
+    reader = PrimeReader(prime_segments(right_edge(last, lam), filt, first))
     hist = np.zeros((len(ends), m_max + 2), dtype=np.int64)
     a = first
     for row, end in zip(hist, ends):
         for lo, hi in spans(a, min(end, last)):
-            top = hi + int(np.searchsorted(steps, hi, side="right"))  # hi + L(hi)
+            top = right_edge(hi, lam)
             for c, runs in _read_runs(reader.between(lo, top), steps, lo, hi):
                 np.minimum(c, m_max + 1, out=c)
                 weighted = np.bincount(c, weights=runs, minlength=m_max + 2)
@@ -353,6 +349,9 @@ def _validate_scan(lam: float, x: int, m_max: int) -> None:
         raise ValueError(f"x must be >= 1, got {x}")
     if m_max < 0:
         raise ValueError(f"m_max must be >= 0, got {m_max}")
+    # a few int64 histogram rows, and the report's count, density and Poisson
+    # value of each m: under 300 bytes per m, measured with tracemalloc
+    check_budget(384 * (m_max + 2), f"m_max={m_max}", "its histogram and report")
 
 
 def measure_density(

@@ -59,16 +59,13 @@ _TWO_CHARACTERS = {
 
 
 def _legendre_table(p: int) -> np.ndarray:
-    """(r/p) = r^((p-1)/2) mod p, as -1, 0 or 1, for r = 0, ..., p - 1 and
-    an odd prime p <= MAX_DISCRIMINANT, whose products stay in int64."""
-    a, power, e = np.arange(p, dtype=np.int64), np.ones(p, dtype=np.int64), (p - 1) // 2
-    while e:  # square and multiply
-        if e & 1:
-            power = power * a % p
-        a = a * a % p
-        e >>= 1
-    power[power == p - 1] = -1
-    return power.astype(np.int8)
+    """(r/p) as -1, 0 or 1 for r = 0, ..., p - 1 and an odd prime p <=
+    MAX_DISCRIMINANT, whose squares stay in int64: 1 on the nonzero squares
+    mod p, 0 at 0 and -1 elsewhere."""
+    table = np.full(p, -1, dtype=np.int8)
+    table[np.arange(1, p, dtype=np.int64) ** 2 % p] = 1
+    table[0] = 0
+    return table
 
 
 def _kronecker_table(d: int) -> np.ndarray:
@@ -318,7 +315,11 @@ def _array_bytes(limit: int) -> int:
 
 def _prime_array(limit: int) -> np.ndarray:
     """All primes <= limit (>= 2), written segment by segment into one array
-    of _prime_bound(limit) entries and trimmed to a copy of the filled part."""
+    of _prime_bound(limit) entries and trimmed to a copy of the filled part;
+    MemoryBudgetError refuses a limit whose arrays would exceed the budget."""
+    check_budget(
+        _array_bytes(limit), f"limit={limit}", "the prime array and its trimmed copy"
+    )
     out = np.empty(_prime_bound(limit), dtype=np.int64)
     k = 0
     for _, primes in prime_segments(limit):
@@ -333,8 +334,8 @@ def _check_limit(limit: int) -> None:
 
 
 def primes_upto(n: int) -> list[int]:
-    """All primes <= n, from the segmented sieve; meant for small n such as
-    the sieving primes of a table."""
+    """All primes <= n, from the segmented sieve, refused as build_table
+    refuses; meant for small n such as the sieving primes of a table."""
     return _prime_array(n).tolist() if n >= 2 else []
 
 
@@ -350,9 +351,6 @@ def build_table(limit: int) -> PrimeTable:
     """Sieve the primes up to `limit` into a table, refusing limits whose build
     would exceed DEFAULT_MEMORY_BUDGET bytes."""
     _check_limit(limit)
-    check_budget(
-        _array_bytes(limit), f"limit={limit}", "the prime array and its trimmed copy"
-    )
     return PrimeTable(limit, _prime_array(limit))
 
 

@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InadmissibleTupleError, ParameterRangeError
-from .primes import build_table, check_budget, primes_upto
+from .primes import _prime_bound, build_table, check_budget, primes_upto
 
 INT64_MAX = int(np.iinfo(np.int64).max)
 
@@ -119,10 +119,10 @@ def greedy_sieve(window: float, k: int) -> SievedSet:
     one strided store; the primes from the length on pick their class in
     O(1) each, without counting.  The survivors are read out once, at the
     end, as the int64 elements.  Raises MemoryBudgetError before allocating
-    when the mask, the elements and SievedSet's one bool per element for its
-    order check would exceed DEFAULT_MEMORY_BUDGET, with the elements counted
-    at their most: the whole window for k < 2, and half of it (rounded up)
-    after the prime 2.
+    when the mask, the elements, SievedSet's one bool per element for its
+    order check and the primes up to k would exceed DEFAULT_MEMORY_BUDGET,
+    with the elements counted at their most: the whole window for k < 2, and
+    half of it (rounded up) after the prime 2.
     """
     if not 1 <= window < math.inf:
         raise ValueError(f"window must be finite and >= 1, got {window}")
@@ -130,7 +130,11 @@ def greedy_sieve(window: float, k: int) -> SievedSet:
         raise ValueError(f"k must be >= 1, got {k}")
     size = math.floor(window) + 1
     most = size if k < 2 else (size + 1) // 2  # mod 2 the smaller class goes
-    check_budget(size + 9 * most, f"window={window}", "the sieve")
+    # each prime p <= k: its int64 entry, then its int and list slot, and a
+    # (p, r) pair in removed, about 100 bytes measured; 128 are counted
+    n_primes = _prime_bound(k) if k >= 2 else 0
+    need = size + 9 * most + 128 * n_primes
+    check_budget(need, f"window={window} at k={k}", "the sieve and its primes")
     keep = np.ones(size, dtype=bool)
     removed: list[tuple[int, int]] = []
     sieving = primes_upto(k)

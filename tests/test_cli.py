@@ -536,12 +536,38 @@ def test_non_finite_lambda_exits_1_with_one_line(capsys, argv):
     ),
 )
 def test_huge_lambda_exits_1_with_one_line(capsys, argv):
-    # finite, but the table limit x + lam*log x is not
+    # finite, but the window end x + lam*log x is not: the density scan is
+    # refused for its window edges, the cluster scan for its own window
     assert main(argv) == 1
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err.startswith("error: the table limit for x=")
-    assert "overflows the float range" in out.err
+    assert out.err.startswith((
+        "error: lambda=1e+308 needs inf window-edge breakpoints up to 10; ",
+        "error: the cluster window 5*lambda*log(x_hi) for x_hi=100 at lambda=1e+308 "
+        "overflows the float range",
+    ))
+    assert out.err.count("\n") == 1 and "Traceback" not in out.err
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    (
+        # the last window of x = MAX_LIMIT ends past it
+        (["density", "--lambda", "1", "--x", str(primes.MAX_LIMIT), "--m-max", "1"],
+         "error: sieve limit 9,223,372,030,780,774,854 is beyond int64 arithmetic"),
+        # a 745 GiB histogram
+        (["density", "--lambda", "1", "--x", "10", "--m-max", "100000000000"],
+         "error: m_max=100000000000 needs about "),
+        # 37 GiB of primes up to k, before their removed pairs
+        (["tuples", "greedy", "--window", "10", "--k", "100000000000"],
+         "error: window=10.0 at k=100000000000 needs about "),
+    ),
+)
+def test_out_of_range_inputs_exit_1_with_one_line(capsys, argv, error):
+    assert main(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(error)
     assert out.err.count("\n") == 1 and "Traceback" not in out.err
 
 

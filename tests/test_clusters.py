@@ -23,7 +23,7 @@ from shortint.clusters import (
     slide,
     trace_csv,
 )
-from shortint.density import required_limit, window_counts
+from shortint.density import right_edge, window_counts
 from shortint.errors import MemoryBudgetError, ParameterRangeError
 from shortint.primes import ALL, PrimeFilter
 
@@ -449,7 +449,7 @@ def test_find_clusters_range_validation(monkeypatch):
     for lam in (math.inf, math.nan):
         with pytest.raises(ParameterRangeError, match="lambda must be finite"):
             find_clusters(lam, 0, 10, 100)
-    with pytest.raises(ParameterRangeError, match="table limit .* overflows"):
+    with pytest.raises(ParameterRangeError, match="cluster window .* overflows"):
         find_clusters(1e308, 0, 10, 100)
     # the last window of the scan would end past what the sieve supports
     with pytest.raises(ParameterRangeError, match="sieve limit .* beyond int64"):
@@ -586,8 +586,8 @@ def test_cli_slide_sets_up_once_for_all_blocks(tmp_path, monkeypatch, nothing_ke
     one, many = seen
     assert one["slide"] == 1 and many["slide"] == 8
     assert 0 < many["base primes"] <= one["base primes"]
-    # the breakpoints up to the last window's end, and the first past it
-    last = required_limit(1.0, required_limit(1.0, 110000))
+    # the breakpoints up to the last trace's end, and the first past it
+    last = right_edge(110000, 1.0)
     assert one["settled"] == many["settled"] == len(density.edge_steps(1.0, last)) + 1
 
 
@@ -669,6 +669,15 @@ def test_slide_refuses_bases_spanning_beyond_the_memory_budget():
     # its memory grows with the primes between the least and the largest base
     with pytest.raises(MemoryBudgetError, match=r"a slide over \[1,000,000, 1,000,000,000,027\]"):
         slide(1.0, [10**12, 10**6], 1)
+
+
+def test_slide_refuses_windows_past_max_limit(nothing_kept):
+    # a trace that starts at MAX_LIMIT ends past it; a base past it is refused
+    # before its breakpoints are settled
+    for bases in ([primes_mod.MAX_LIMIT], [2**63 - 1]):
+        with pytest.raises(ParameterRangeError, match="window edges up to .* beyond int64"):
+            slide(1.0, bases, 1)
+    assert len(density._edges[2]) == 43  # up to MAX_LIMIT, from the first call
 
 
 def test_slides_of_no_clusters():

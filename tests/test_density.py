@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 import types
 from fractions import Fraction
 
@@ -21,7 +22,6 @@ from shortint.density import (
     growth_csv,
     measure_density,
     poisson_reference,
-    required_limit,
     right_edge,
     window_counts,
     window_runs,
@@ -208,6 +208,69 @@ def test_edge_steps_past_the_float_range_are_refused_typed():
             right_edge(np.array([10]), lam)
 
 
+def test_edge_steps_keep_only_breakpoints_that_fit_int64(nothing_kept):
+    # at lambda 1 the breakpoint after e**43 is about 1.29e19, past int64: it
+    # is settled but not kept, and every limit up to MAX_LIMIT is known
+    steps = edge_steps(1.0, 5 * 10**18)
+    assert len(steps) == exact_length(1.0, 5 * 10**18) == 43
+    assert density._edges[1] >= primes.MAX_LIMIT and len(density._edges[2]) == 43
+    assert right_edge(np.array([5 * 10**18]), 1.0).tolist() == [5 * 10**18 + 43]
+    assert right_edge(primes.MAX_LIMIT, 1.0) == exact_edge(1.0, primes.MAX_LIMIT)
+
+
+def test_scans_past_max_limit_are_refused_before_settling(monkeypatch, nothing_kept):
+    # n past the sieve's MAX_LIMIT is refused, typed, before any breakpoint
+    # is settled; a scan whose windows alone reach past it, by the sieve,
+    # before any part is forked
+    want = "window edges up to .* are beyond int64 arithmetic"
+    calls = (
+        lambda: edge_steps(1.0, primes.MAX_LIMIT + 1),
+        lambda: right_edge(2**63 + 1, 1.0),
+        lambda: window_counts(1.0, 2**63 + 1, 2**63 + 1),
+        lambda: growth_check(1.0, 1, 2**62),
+    )
+    for call in calls:
+        with pytest.raises(ParameterRangeError, match=want):
+            call()
+        assert len(density._edges[2]) == 0
+    from shortint import workers as workers_mod
+
+    def no_fork(*args):
+        raise AssertionError("a part was forked before the sieve was checked")
+
+    monkeypatch.setattr(density, "WORKERS", 2)
+    monkeypatch.setattr(workers_mod, "run_parts", no_fork)
+    with pytest.raises(ParameterRangeError, match="sieve limit .* beyond int64"):
+        measure_density(1.0, primes.MAX_LIMIT, 1)
+
+
+def test_huge_m_max_is_refused_before_allocating(monkeypatch):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("the scan allocated before checking its budget")
+
+    monkeypatch.setattr(primes, "DEFAULT_MEMORY_BUDGET", 10**6)
+    monkeypatch.setattr(np, "zeros", no_allocation)
+    for call in (measure_density, lambda lam, x, m: growth_check(lam, m, x)):
+        with pytest.raises(MemoryBudgetError, match="^m_max=10000 needs about "):
+            call(1.0, 10, 10**4)
+
+
+def test_the_scan_budget_covers_the_report(monkeypatch):
+    # a report of many m, at one part, holds no more than its budget counts
+    counted = []
+    monkeypatch.setattr(density, "check_budget", lambda need, *_: counted.append(need))
+    monkeypatch.setattr(density, "WORKERS", 1)
+    measure_density(1.0, 10, 10)  # what numpy sets up on first use is not traced
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        measure_density(1.0, 10, 10**5)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= counted[-1]
+
+
 def test_kept_edge_steps_are_prefixes_of_one_settling(monkeypatch, nothing_kept):
     # a call within what is kept returns a read-only prefix of it, and one
     # past it settles only the new k, each seeded from one exp(k/lam) and
@@ -277,14 +340,16 @@ def test_non_finite_lambda_is_rejected():
 
 @pytest.mark.parametrize("lam", (0.3, 1.0, 5.0))
 def test_required_limit_covers_the_last_window_beyond_2_53(lam):
-    # from 2**53 on float64 skips integers, and a float sum x + lam*log x + 1
-    # can round below the last integer x + L(x) of the window of x
+    # the sieve limit a scan to x requires is right_edge(x): from 2**53 on
+    # float64 skips integers, and a float sum x + lam*log x can round away
+    # from the last integer x + L(x) of the window of x
     rng = np.random.default_rng(53)
     xs = [2**53, 2**53 + 1, 2**53 + 3, 2**57 - 1, 2**60 - 1, 2**60]
     xs += rng.integers(2**53, 2**60, 20).tolist()
     for x in xs:
-        edge = exact_edge(lam, x)
-        assert edge <= required_limit(lam, x) <= edge + 2, x
+        assert right_edge(x, lam) == exact_edge(lam, x), x
+        assert type(right_edge(x, lam)) is int
+    assert right_edge(np.array(xs), lam).tolist() == [exact_edge(lam, x) for x in xs]
 
 
 def test_short_range_far_up_the_line_matches_miller_rabin():
@@ -298,14 +363,16 @@ def test_short_range_far_up_the_line_matches_miller_rabin():
 
 
 def test_overflowing_table_limit_is_rejected():
-    # lam*log x, and so x + lam*log x, lies beyond the float range
-    with pytest.raises(ParameterRangeError, match="table limit .* overflows"):
-        required_limit(1e308, 10)
-    with pytest.raises(ParameterRangeError, match="table limit .* overflows"):
+    # lam*log x, and so the window end x + lam*log x, lies beyond the float
+    # range: every scan is refused by edge_steps, with one message
+    want = "lambda=1e+308 needs inf window-edge breakpoints up to "
+    with pytest.raises(ParameterRangeError, match=re.escape(want + "10;")):
+        right_edge(10, 1e308)
+    with pytest.raises(ParameterRangeError, match=re.escape(want + "10;")):
         measure_density(1e308, 10, 1)
-    with pytest.raises(ParameterRangeError, match="table limit .* overflows"):
+    with pytest.raises(ParameterRangeError, match=re.escape(want + "20;")):
         growth_check(1e308, 1, 10)
-    with pytest.raises(ParameterRangeError, match="table limit .* overflows"):
+    with pytest.raises(ParameterRangeError, match=re.escape(want + "10;")):
         window_counts(1e308, 5, 10)
 
 

@@ -196,6 +196,16 @@ def test_memory_budget_error_names_required_bytes(monkeypatch):
     monkeypatch.setattr(primes, "DEFAULT_MEMORY_BUDGET", 10**6)
     with pytest.raises(MemoryBudgetError, match=r"bytes"):
         build_table(10**9)
+    # primes_upto takes the same path, and the same check, before allocating
+    monkeypatch.undo()
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("the prime array was allocated before the check")
+
+    monkeypatch.setattr(np, "empty", no_allocation)
+    want = f"^limit=100000000000 needs about {primes._array_bytes(10**11):,} bytes "
+    with pytest.raises(MemoryBudgetError, match=want):
+        primes.primes_upto(10**11)
 
 
 def test_limits_beyond_int64_marking_fail_typed_at_once():

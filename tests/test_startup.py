@@ -19,7 +19,8 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "GOTO_NUM_THREADS")
 
 # the package's exports as they were when its __init__ imported them eagerly,
 # less kronecker_symbol, which no module of the package calls: it is now the
-# tests' oracle for the Kronecker classes, in tests/kronecker.py
+# tests' oracle for the Kronecker classes, in tests/kronecker.py; and less
+# required_limit, a float sieve bound that density.right_edge replaced
 EXPORTS = [
     "BoundParams", "BoundValue", "DEFAULT_PARAMS", "ParamCheck", "bounds_report",
     "check_uniform_range", "lambda_cap", "lower_bound", "mertens_product",
@@ -27,7 +28,7 @@ EXPORTS = [
     "Cluster", "Falsification", "Slides", "extract_m_runs", "find_clusters",
     "guaranteed_run_floor", "slide",
     "DensityReport", "GrowthResult", "growth_check", "measure_density",
-    "poisson_reference", "required_limit", "window_counts",
+    "poisson_reference", "window_counts",
     "InadmissibleTupleError", "MemoryBudgetError", "ParameterRangeError",
     "ShortIntervalError",
     "ALL", "PrimeFilter", "PrimeTable", "build_table", "is_fundamental_discriminant",

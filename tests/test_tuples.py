@@ -89,9 +89,9 @@ def test_greedy_sieve_refuses_windows_over_the_memory_budget(monkeypatch):
         greedy_sieve(1e12, 3)
     message = str(info.value)
     # a bool per integer, then at most half the window as int64 elements and
-    # a bool each for SievedSet's order check
+    # a bool each for SievedSet's order check, and 128 bytes per prime up to k
     size = 10**12 + 1
-    assert f"{size + 9 * ((size + 1) // 2):,}" in message
+    assert f"{size + 9 * ((size + 1) // 2) + 128 * primes._prime_bound(3):,}" in message
     assert f"{DEFAULT_MEMORY_BUDGET:,}" in message
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError, match="finite"):
@@ -125,6 +125,10 @@ def test_greedy_sieve_never_holds_more_than_its_budget_counts(monkeypatch, k):
     peak, need = _traced_peak_and_budget(monkeypatch, lambda: greedy_sieve(1e6, k))
     assert peak <= need
     assert need <= 10 * (10**6 + 1)  # at most 10 bytes per integer
+    # a short window sieved by many primes: the primes up to k as an array,
+    # then as a list, and their removed pairs hold the most
+    peak, need = _traced_peak_and_budget(monkeypatch, lambda: greedy_sieve(100, 10**4 * k))
+    assert peak <= need
 
 
 @pytest.mark.parametrize(
