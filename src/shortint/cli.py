@@ -23,7 +23,7 @@ import sys
 from typing import TextIO
 
 from .errors import ShortIntervalError
-from .primes import ALL, PrimeFilter, prime_count
+from .primes import ALL, PrimeFilter, check_budget, prime_count
 # unused here; kept because the benchmark's tracer patches cli.build_table.
 # These imports of primes are what load numpy at `import shortint.cli`; each
 # command imports the further modules it runs.
@@ -89,10 +89,22 @@ def _cmd_sieve(args) -> int:
     return 0
 
 
+# the bytes per m that a density report or growth table and its text hold at
+# their peak: up to 486 for CSV and 1,821 for JSON by tracemalloc, at m_max
+# 1e4 to 4e5, with room to spare
+_TEXT_BYTES = {"CSV": 640, "JSON": 2560}
+
+
 def _cmd_density(args) -> int:
     from . import density as density_mod
 
     filt = _filter_from_args(args)
+    text = "JSON" if args.json else "CSV"
+    check_budget(  # before the scan, which counts only its own arrays
+        _TEXT_BYTES[text] * (args.m_max + 2),
+        f"m_max={args.m_max}",
+        f"its report and {text} text",
+    )
     if args.growth:
         results = density_mod.growth_check(args.lam, args.m_max, args.x, filt)
         if args.json:

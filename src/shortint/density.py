@@ -5,16 +5,20 @@ Window edges are exact for the float64 value of lam.  For integer n the last
 integer of the window is n + L(n) with L(n) = floor(lam*log n), a step
 function whose breakpoints edge_steps settles in decimal arithmetic and
 keeps for the last lam, so that the batches of a slide run settle each one
-once.  They are the one source of L: _read_runs cuts its ranges at them, so
+once.  They are the one source of L: _pieces cuts its ranges at them, so
 that L is constant on each piece, slide takes each trace's L(N0) from them,
 and right_edge gives n + L(n), where every range a scan sieves ends.  One
-kernel, window_runs, gives every window count: where L is constant, c(n)
-changes only where a prime leaves or enters the window, so it returns c as
-run values and run lengths in O(pi(x)) work.  The density and growth
-histograms weight the run values by their lengths, window_counts repeats
-them to give c(n) one n at a time, slide reads each trace's c(n) out of the
-runs of one pass over its batch, and the cluster scan runs it at fixed lengths.
-No scan keeps a prime table: _read_runs takes the sorted primes of its
+kernel, window_runs, gives every per-n window count: where L is constant,
+c(n) changes only where a prime leaves or enters the window, so it returns c
+as run values and run lengths in O(pi(x)) work.  window_counts repeats them
+to give c(n) one n at a time, slide reads each trace's c(n) out of the runs
+of one pass over its batch, and the cluster scan runs it at fixed lengths.
+The density and growth histograms need no c(n): _add_levels counts, for
+each level m up to m_max + 1, the n that see at least m primes, from the
+gaps between the primes, in O(levels * pi(x)) work.  Up to LEVEL_CUTOVER
+levels that costs less than the runs; past it they count the run values of
+window_runs, each with its length.
+No scan keeps a prime table: _pieces takes the sorted primes of its
 range as an array, and a scan of a long range reads them span by span
 through one forward PrimeReader over its own range, which holds only the
 primes that windows still to be scanned can reach, so memory is O(segment)
@@ -39,6 +43,11 @@ from .primes import (
 )
 
 SCAN_CHUNK = 2**18  # starting points per kernel call; bounds the per-call arrays
+# the most levels, m_max + 1, that the density and growth scans count by
+# levels (_add_levels); past it they count runs (_add_runs).  Per 2^18-integer
+# span from 1e8 to 1e14 a level cost 1/40 to 1/20 of the runs, and at lambda
+# 10, where every level holds some n, 16 levels took at most 3/4 of their time
+LEVEL_CUTOVER = 16
 # the most breakpoints edge_steps settles, about a second of its loop; lambda
 # 10 needs 368 up to 1e16
 MAX_EDGE_STEPS = 10**5
@@ -159,13 +168,13 @@ def spans(a: int, b: int, ramp: bool = False) -> Iterator[tuple[int, int]]:
         size = min(max(size, lo - a), SCAN_CHUNK)
 
 
-def _read_runs(
+def _pieces(
     primes: np.ndarray, steps: np.ndarray, a: int, b: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """window_runs over n = a..b, from primes, the sorted filtered primes of
-    at least [a, b + L(b)]: the spans of [a, b] are cut again at the
-    breakpoints steps (known at least up to b), so that L is constant on each
-    piece, and each piece reads its primes out of the array."""
+) -> Iterator[tuple[np.ndarray, int, int, int]]:
+    """The spans of [a, b] cut again at the breakpoints steps (known at least
+    up to b), so that L is constant on each piece, as (piece, lo, hi, L):
+    piece is read out of primes, the sorted filtered primes of at least
+    [a, b + L(b)], and holds those of [lo, hi + L]."""
     for lo, hi in spans(a, b):
         i, j = np.searchsorted(steps, (lo, hi), side="right").tolist()
         cuts = [lo, *steps[i:j].tolist(), hi + 1]
@@ -173,8 +182,15 @@ def _read_runs(
             if start < stop:  # coinciding breakpoints leave empty pieces
                 first = np.searchsorted(primes, start)
                 last = np.searchsorted(primes, stop - 1 + length, side="right")
-                piece = primes[first:last]
-                yield window_runs(piece, piece, start, stop - 1, length)
+                yield primes[first:last], start, stop - 1, length
+
+
+def _read_runs(
+    primes: np.ndarray, steps: np.ndarray, a: int, b: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """window_runs over n = a..b, one piece of _pieces at a time."""
+    for piece, lo, hi, length in _pieces(primes, steps, a, b):
+        yield window_runs(piece, piece, lo, hi, length)
 
 
 def window_runs(
@@ -295,8 +311,8 @@ class DensityReport:
 def _histograms(
     lam: float, ends: tuple[int, ...], m_max: int, filt: PrimeFilter
 ) -> np.ndarray:
-    """One bincount of c(n) per range [1, ends[0]], [ends[0] + 1, ends[1]],
-    ..., every c(n) > m_max in the last bin.
+    """The histogram of c(n) over each range [1, ends[0]], [ends[0] + 1,
+    ends[1]], ..., every c(n) > m_max in the last bin.
 
     [1, ends[-1]] is cut into min(WORKERS, ends[-1]) contiguous parts, and
     each part sieves only its own range.  Several parts run at the same time,
@@ -325,22 +341,76 @@ def _scan_part(
     last: int,
 ) -> np.ndarray:
     """The rows of _histograms counted over the n in [first, last] only, from
-    one reader over [first, last + L(last)], read span by span: each run of
-    window_runs is counted with its length, in the row of its ends range.
-    steps holds the breakpoints of L at least up to last.
+    one reader over [first, last + L(last)], read span by span: each piece of
+    each span is counted into the row of its ends range, by _add_levels where
+    m_max + 1 <= LEVEL_CUTOVER, else by _add_runs.  steps holds the
+    breakpoints of L at least up to last.
     """
     reader = PrimeReader(prime_segments(right_edge(last, lam), filt, first))
     hist = np.zeros((len(ends), m_max + 2), dtype=np.int64)
+    add = _add_levels if m_max + 1 <= LEVEL_CUTOVER else _add_runs
     a = first
     for row, end in zip(hist, ends):
         for lo, hi in spans(a, min(end, last)):
-            top = right_edge(hi, lam)
-            for c, runs in _read_runs(reader.between(lo, top), steps, lo, hi):
-                np.minimum(c, m_max + 1, out=c)
-                weighted = np.bincount(c, weights=runs, minlength=m_max + 2)
-                row += weighted.astype(np.int64)
+            primes = reader.between(lo, right_edge(hi, lam))
+            for piece in _pieces(primes, steps, lo, hi):
+                add(*piece, row)
         a = max(a, end + 1)
     return hist
+
+
+def _add_runs(
+    primes: np.ndarray, lo: int, hi: int, length: int, row: np.ndarray
+) -> None:
+    """Add to row[m] the number of n in [lo, hi] whose window [n, n + length]
+    holds m of primes, the sorted primes of [lo, hi + length], and to row[-1]
+    those with more than len(row) - 2: each run of window_runs is counted
+    with its length."""
+    c, runs = window_runs(primes, primes, lo, hi, length)
+    np.minimum(c, len(row) - 1, out=c)
+    row += np.bincount(c, weights=runs, minlength=len(row)).astype(np.int64)
+
+
+def _add_levels(
+    primes: np.ndarray, lo: int, hi: int, length: int, row: np.ndarray
+) -> None:
+    """_add_runs counted level by level from the gaps between the primes, in
+    O(levels * len(primes)) work, levels <= len(row) - 1.
+
+    With primes q_0 < ... < q_{r-1} and q_{-1} = lo - 1, group j holds the n
+    in (q_{j-1}, min(q_j, hi)], whose first prime is q_j: such an n sees at
+    least m primes exactly when q_{j+m-1} <= n + length.  So N_m, the number
+    of n in [lo, hi] that see at least m, is the sum over j of the clipped
+    min(w_j, min(q_j, hi) + 1 + length - q_{j+m-1}), w_j the width of group
+    j, and row[m] gains N_m - N_{m+1}.  The levels stop at the first empty
+    one.  Every value is an offset from lo of at most hi - lo + length + 1 <
+    SCAN_CHUNK + MAX_EDGE_STEPS + 1, so it is held in int32.
+    """
+    r = len(primes)
+    q = np.subtract(primes, lo, out=np.empty(r, dtype=np.int32), casting="unsafe")
+    # only the groups up to the first prime at or past hi hold any n
+    g = min(int(np.searchsorted(q, hi - lo)) + 1, r)
+    top = q[:g].copy()  # min(q_j, hi) - lo
+    top[g - 1 :] = np.minimum(top[g - 1 :], hi - lo)
+    width = np.empty(g, dtype=np.int32)
+    width[:1] = top[:1] + 1
+    np.subtract(top[1:], q[: g - 1], out=width[1:])
+    top += 1 + length
+    atleast = [hi - lo + 1]
+    buf, zeros = np.empty(g, dtype=np.int32), np.zeros(g, dtype=np.int32)
+    for m in range(1, min(len(row), r + 1)):
+        k = min(g, r - m + 1)
+        seen = buf[:k]
+        np.subtract(top[:k], q[m - 1 : m - 1 + k], out=seen)
+        np.minimum(seen, width[:k], out=seen)
+        # a scalar 0 here, or a sum in int64, takes about three times as long
+        np.maximum(seen, zeros[:k], out=seen)
+        atleast.append(int(seen.sum(dtype=np.int32)))
+        if not atleast[-1]:
+            break
+    atleast.append(0)
+    for m, (n, more) in enumerate(zip(atleast, atleast[1:])):
+        row[m] += n - more
 
 
 def _validate_scan(lam: float, x: int, m_max: int) -> None:

@@ -10,7 +10,7 @@ single reused buffer so the working set stays cache-resident; the prime 2 is
 handled logically.  Each segment is pre-sieved by a wheel: the flags of the
 odd n free of 3, 5, ..., 17 repeat with period WHEEL = 255255 in the odd-only
 index, so one tile of that pattern is copied in, and only the base primes
-above 17 are marked, from start offsets computed for all of them at once.
+above 17 are marked, their start offsets computed MARK_CHUNK at a time.
 It is the package's only sieve.  Its fixed part, the base primes and the
 wheel tile, is kept here and replaced only when a segment needs more: the
 base primes are sieved again up to the root of twice the value that first
@@ -41,6 +41,9 @@ WHEEL_PRIMES = (3, 5, 7, 11, 13, 17)
 WHEEL = math.prod(WHEEL_PRIMES)
 _WHEEL_INDEX = [(p - 3) // 2 for p in WHEEL_PRIMES]  # their odd-only indices
 DEFAULT_MEMORY_BUDGET = 2**31  # bytes
+# base primes whose start offsets in a segment are computed at once: a few
+# int64 temporaries of this length, and one chunk for every segment below 6.7e11
+MARK_CHUNK = 2**16
 # the largest sieve limit whose marking products, below limit + 2*isqrt(limit),
 # fit int64
 MAX_LIMIT = 2**63 - 6_074_000_997
@@ -220,13 +223,15 @@ def _mark_segment(flags: np.ndarray, i0: int, limit: int) -> None:
             root = math.isqrt(hi_val)
         base = _prime_array(root)[len(WHEEL_PRIMES) + 1 :]  # past 2, ..., 17
         _base = root, base
-    live = base[: np.searchsorted(base, math.isqrt(hi_val), side="right")]
-    first = (-(-lo_val // live)) | 1  # first odd cofactor q with q*p >= lo_val
-    starts = (np.maximum(live * live, first * live) - lo_val) // 2
-    # far up the line most base primes have no multiple in a short segment
-    hits = starts < len(flags)
-    for p, start in zip(live[hits].tolist(), starts[hits].tolist()):
-        flags[start::p] = False
+    stop = int(np.searchsorted(base, math.isqrt(hi_val), side="right"))
+    for at in range(0, stop, MARK_CHUNK):  # a few temporaries of MARK_CHUNK entries
+        live = base[at : min(at + MARK_CHUNK, stop)]
+        first = (-(-lo_val // live)) | 1  # first odd cofactor q with q*p >= lo_val
+        starts = (np.maximum(live * live, first * live) - lo_val) // 2
+        # far up the line most base primes have no multiple in a short segment
+        hits = starts < len(flags)
+        for p, start in zip(live[hits].tolist(), starts[hits].tolist()):
+            flags[start::p] = False
 
 
 def check_sieve(limit: int) -> None:

@@ -73,28 +73,78 @@ def test_report_rejects_broken_partition():
         DensityReport(lam=1.0, x=10, filt=ALL, m_max=1, counts={0: 5, 1: 4}, overflow=0)
 
 
-def test_sliding_scan_equals_naive_recount():
-    for lam in (0.25, 1.0, 5.0):
-        rep = measure_density(lam, 3000, 8)
-        counts, overflow = naive_histogram(lam, 3000, 8)
-        assert rep.counts == counts and rep.overflow == overflow
+def kernels(monkeypatch):
+    """Each of the two kernels of the density and growth scans in turn: by
+    levels, _add_levels, then by runs, _add_runs, with LEVEL_CUTOVER moved
+    past every m_max, then below every one."""
+    for cutover, kernel in ((10**6, "levels"), (0, "runs")):
+        monkeypatch.setattr(density, "LEVEL_CUTOVER", cutover)
+        yield kernel
 
 
-def test_sliding_scan_equals_naive_recount_filtered():
-    for filt in (PrimeFilter.residue_class(1, 4), PrimeFilter.kronecker(-4, 1)):
-        rep = measure_density(5.0, 1500, 5, filt)
-        counts, overflow = naive_histogram(5.0, 1500, 5, filt)
-        assert rep.counts == counts and rep.overflow == overflow
+def test_sliding_scan_equals_naive_recount(monkeypatch):
+    for kernel in kernels(monkeypatch):
+        for lam in (0.25, 1.0, 5.0):
+            rep = measure_density(lam, 3000, 8)
+            counts, overflow = naive_histogram(lam, 3000, 8)
+            assert rep.counts == counts and rep.overflow == overflow, (kernel, lam)
+
+
+def test_sliding_scan_equals_naive_recount_filtered(monkeypatch):
+    for kernel in kernels(monkeypatch):
+        for filt in (PrimeFilter.residue_class(1, 4), PrimeFilter.kronecker(-4, 1)):
+            rep = measure_density(5.0, 1500, 5, filt)
+            counts, overflow = naive_histogram(5.0, 1500, 5, filt)
+            assert rep.counts == counts and rep.overflow == overflow, (kernel, filt.tag)
 
 
 def test_chunking_does_not_change_counts(monkeypatch):
-    base = measure_density(1.0, 30000, 6)
-    monkeypatch.setattr(density, "SCAN_CHUNK", 1024)
-    chunked = measure_density(1.0, 30000, 6)
-    monkeypatch.setattr(density, "SCAN_CHUNK", 4096)
-    other = measure_density(1.0, 30000, 6)
-    assert base.counts == chunked.counts == other.counts
-    assert base.overflow == chunked.overflow == other.overflow
+    reports = []
+    for kernel in kernels(monkeypatch):
+        for chunk in (2**18, 1024, 4096):
+            monkeypatch.setattr(density, "SCAN_CHUNK", chunk)
+            reports.append(measure_density(1.0, 30000, 6))
+    assert len({(tuple(r.counts.items()), r.overflow) for r in reports}) == 1
+
+
+def piece_case(rng, case):
+    """A random piece (primes, lo, hi, length, m_max) for the two kernels: n
+    in [lo, hi] with lo up to about 1e12, and a random dense or sparse set of
+    integers in [lo, hi + length], cut by a filter, for its primes.  Some
+    cases hold no n, one n, no primes, a prime at exactly hi + length, or
+    only primes past hi."""
+    lo = int(10 ** rng.uniform(0, 12))
+    count = (0, 1, int(rng.integers(2, 300)))[min(case % 7, 2)]
+    hi, length = lo + count - 1, int(rng.integers(0, 201))
+    every = np.arange(lo, hi + length + 1)
+    primes = every[rng.random(len(every)) < rng.uniform(0, 1) ** 2]
+    filt = (
+        ALL, PrimeFilter.residue_class(1, 4), PrimeFilter.residue_class(2, 3),
+        PrimeFilter.kronecker(-3, -1),
+    )[case % 4]
+    primes = primes[filt.mask(primes)]
+    if case % 5 == 1:
+        primes = primes[:0]
+    elif case % 5 == 2:
+        primes = np.union1d(primes, [hi + length])
+    elif case % 5 == 3:
+        primes = primes[primes > hi]
+    m_max = int(rng.integers(0, density.LEVEL_CUTOVER + 3))
+    return primes.astype(np.int64), lo, hi, length, m_max
+
+
+def test_level_and_run_kernels_agree_on_random_pieces():
+    rng = np.random.default_rng(30)
+    for case in range(2000):
+        primes_, lo, hi, length, m_max = piece_case(rng, case)
+        ns = np.arange(lo, hi + 1)
+        seen = np.searchsorted(primes_, ns + length, side="right")
+        seen -= np.searchsorted(primes_, ns)
+        want = np.bincount(np.minimum(seen, m_max + 1), minlength=m_max + 2)
+        for add in (density._add_levels, density._add_runs):
+            row = np.zeros(m_max + 2, dtype=np.int64)
+            add(primes_, lo, hi, length, row)
+            assert row.tolist() == want.tolist(), (add.__name__, case, lo, hi, length)
 
 
 # (lam, x): x at a breakpoint of L(n) = floor(lam*log n), one below it, or tiny
@@ -114,13 +164,15 @@ def test_event_scan_matches_naive_recount(monkeypatch, chunk):
         assert at_break == ((lam, x) in BREAKPOINTS)
         for filt in filters:
             counts, overflow = naive_histogram(lam, x, 3, filt)
-            rep = measure_density(lam, x, 3, filt)
-            assert (rep.counts, rep.overflow) == (counts, overflow), (lam, x, filt.tag)
             counts_2x, _ = naive_histogram(lam, 2 * x, 3, filt)
-            results = growth_check(lam, 3, x, filt)
-            assert [(r.count_at_x, r.count_at_2x) for r in results] == [
-                (counts[m], counts_2x[m]) for m in range(4)
-            ], (lam, x, filt.tag)
+            for kernel in kernels(monkeypatch):
+                case = (kernel, lam, x, filt.tag)
+                rep = measure_density(lam, x, 3, filt)
+                assert (rep.counts, rep.overflow) == (counts, overflow), case
+                results = growth_check(lam, 3, x, filt)
+                assert [(r.count_at_x, r.count_at_2x) for r in results] == [
+                    (counts[m], counts_2x[m]) for m in range(4)
+                ], case
 
 
 def test_right_edge_where_the_float_sum_misfloors():
@@ -256,19 +308,36 @@ def test_huge_m_max_is_refused_before_allocating(monkeypatch):
 
 
 def test_the_scan_budget_covers_the_report(monkeypatch):
-    # a report of many m, at one part, holds no more than its budget counts
+    # a report of many m, at one part, holds no more than its budget counts,
+    # and the CLI's report with its CSV or JSON text, density or growth, no
+    # more than the CLI counts before the scan
+    from shortint import cli
+
+    def traced_peak(run, m_max):
+        run(10)  # what numpy and json set up on first use is not traced
+        counted.clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            run(m_max)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        return peak
+
     counted = []
     monkeypatch.setattr(density, "check_budget", lambda need, *_: counted.append(need))
+    monkeypatch.setattr(cli, "check_budget", lambda need, *_: counted.append(need))
     monkeypatch.setattr(density, "WORKERS", 1)
-    measure_density(1.0, 10, 10)  # what numpy sets up on first use is not traced
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        measure_density(1.0, 10, 10**5)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    assert peak <= counted[-1]
+    assert traced_peak(lambda m: measure_density(1.0, 10, m), 10**5) <= counted[-1]
+    for flags in ([], ["--json", "--compare-poisson"], ["--growth"], ["--growth", "--json"]):
+
+        def run(m_max):
+            argv = ["density", "--lambda", "1", "--x", "10", "--m-max", str(m_max)]
+            assert cli.main([*argv, "--out", os.devnull, *flags]) == 0
+
+        peak = traced_peak(run, 5000)
+        assert len(counted) == 2 and peak <= max(counted), flags
 
 
 def test_kept_edge_steps_are_prefixes_of_one_settling(monkeypatch, nothing_kept):

@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from shortint.primes import (
     prime_segments,
 )
 
-from dense_primes import dense_primes, dense_sieve
+from dense_primes import dense_primes, dense_sieve, is_prime
 from kronecker import kronecker_symbol
 
 
@@ -223,6 +224,26 @@ def test_limits_beyond_int64_marking_fail_typed_at_once():
     with pytest.raises(MemoryBudgetError, match="base primes"):
         prime_count(top)
     assert time.perf_counter() - begin < 1.0
+
+
+def test_marking_far_up_holds_a_few_chunks_of_offsets(nothing_kept, monkeypatch):
+    # a short range at 1e12 is marked with the 78k base primes up to 1e6,
+    # kept from its first read; their start offsets come MARK_CHUNK at a
+    # time, so a read holds a few chunks of temporaries, not a few arrays
+    # the size of the base primes, and still matches Miller-Rabin
+    lo, hi = 10**12, 10**12 + 3000
+    want = [n for n in range(lo, hi + 1) if is_prime(n)]
+    assert read(lo, hi, start=lo, limit=hi).tolist() == want
+    monkeypatch.setattr(primes, "MARK_CHUNK", 1024)
+    tracemalloc.start()
+    try:
+        got = read(lo, hi, start=lo, limit=hi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tolist() == want
+    assert len(primes._base[1]) > 70 * primes.MARK_CHUNK
+    assert peak < 16 * 8 * primes.MARK_CHUNK
 
 
 def read(lo, hi, filt=ALL, start=1, limit=10**5):
