@@ -14,7 +14,8 @@ _EXPORTS = {
     "guaranteed_run_floor slide",
     "density": "DensityReport GrowthResult growth_check measure_density "
     "poisson_reference window_counts",
-    "errors": "InadmissibleTupleError MemoryBudgetError ParameterRangeError ShortIntervalError",
+    "errors": "InadmissibleTupleError MemoryBudgetError ParameterRangeError "
+    "ShortIntervalError WorkerError",
     "primes": "ALL PrimeFilter PrimeTable build_table is_fundamental_discriminant",
     "tuples": "AdmissibleTuple SievedSet count_spaced_selections first_covered_prime "
     "format_offsets greedy_sieve is_admissible parse_offsets select_spaced singular_series",

@@ -20,7 +20,7 @@ wheel tile, through what density.edge_steps and the sieve keep.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import chain, repeat
 from typing import Iterator, NamedTuple, Sequence
 
@@ -84,15 +84,7 @@ class Falsification:
     def to_json(self) -> str:
         import json  # only a slide that finds a falsification writes one
 
-        return json.dumps(
-            {
-                "kind": self.kind,
-                "base": self.base,
-                "j": self.j,
-                "expected": self.expected,
-                "observed": self.observed,
-            }
-        )
+        return json.dumps(asdict(self))
 
 
 @dataclass(frozen=True, eq=False)

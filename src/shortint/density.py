@@ -13,11 +13,11 @@ c(n) changes only where a prime leaves or enters the window, so it returns c
 as run values and run lengths in O(pi(x)) work.  window_counts repeats them
 to give c(n) one n at a time, slide reads each trace's c(n) out of the runs
 of one pass over its batch, and the cluster scan runs it at fixed lengths.
-The density and growth histograms need no c(n): _add_levels counts, for
-each level m up to m_max + 1, the n that see at least m primes, from the
-gaps between the primes, in O(levels * pi(x)) work.  Up to LEVEL_CUTOVER
-levels that costs less than the runs; past it they count the run values of
-window_runs, each with its length.
+The density and growth histograms need no c(n): _add_piece counts each
+piece level by level, the n that see at least m primes for each m, from the
+gaps between the primes, in O(levels * pi(x)) work, or, where the piece may
+need more than LEVEL_CUTOVER levels, each run value of window_runs with its
+length.  Both kernels stay: each is several times faster where it is used.
 No scan keeps a prime table: _pieces takes the sorted primes of its
 range as an array, and a scan of a long range reads them span by span
 through one forward PrimeReader over its own range, which holds only the
@@ -43,10 +43,9 @@ from .primes import (
 )
 
 SCAN_CHUNK = 2**18  # starting points per kernel call; bounds the per-call arrays
-# the most levels, m_max + 1, that the density and growth scans count by
-# levels (_add_levels); past it they count runs (_add_runs).  Per 2^18-integer
-# span from 1e8 to 1e14 a level cost 1/40 to 1/20 of the runs, and at lambda
-# 10, where every level holds some n, 16 levels took at most 3/4 of their time
+# the most levels _add_piece counts a piece in; past it, runs.  Per 2^18 n
+# from 1e8 to 1e14 a level cost 1/40 to 1/20 of the runs, and at lambda 10,
+# where every level holds some n, 16 levels took at most 3/4 of their time
 LEVEL_CUTOVER = 16
 # the most breakpoints edge_steps settles, about a second of its loop; lambda
 # 10 needs 368 up to 1e16
@@ -341,51 +340,46 @@ def _scan_part(
     last: int,
 ) -> np.ndarray:
     """The rows of _histograms counted over the n in [first, last] only, from
-    one reader over [first, last + L(last)], read span by span: each piece of
-    each span is counted into the row of its ends range, by _add_levels where
-    m_max + 1 <= LEVEL_CUTOVER, else by _add_runs.  steps holds the
-    breakpoints of L at least up to last.
+    one reader over [first, last + L(last)], read span by span: _add_piece
+    counts each piece of each span into the row of its ends range.  steps
+    holds the breakpoints of L at least up to last.
     """
     reader = PrimeReader(prime_segments(right_edge(last, lam), filt, first))
     hist = np.zeros((len(ends), m_max + 2), dtype=np.int64)
-    add = _add_levels if m_max + 1 <= LEVEL_CUTOVER else _add_runs
     a = first
     for row, end in zip(hist, ends):
         for lo, hi in spans(a, min(end, last)):
             primes = reader.between(lo, right_edge(hi, lam))
             for piece in _pieces(primes, steps, lo, hi):
-                add(*piece, row)
+                _add_piece(*piece, row)
         a = max(a, end + 1)
     return hist
 
 
-def _add_runs(
+def _add_piece(
     primes: np.ndarray, lo: int, hi: int, length: int, row: np.ndarray
 ) -> None:
     """Add to row[m] the number of n in [lo, hi] whose window [n, n + length]
     holds m of primes, the sorted primes of [lo, hi + length], and to row[-1]
-    those with more than len(row) - 2: each run of window_runs is counted
-    with its length."""
-    c, runs = window_runs(primes, primes, lo, hi, length)
-    np.minimum(c, len(row) - 1, out=c)
-    row += np.bincount(c, weights=runs, minlength=len(row)).astype(np.int64)
-
-
-def _add_levels(
-    primes: np.ndarray, lo: int, hi: int, length: int, row: np.ndarray
-) -> None:
-    """_add_runs counted level by level from the gaps between the primes, in
-    O(levels * len(primes)) work, levels <= len(row) - 1.
+    those with more than len(row) - 2.
 
     With primes q_0 < ... < q_{r-1} and q_{-1} = lo - 1, group j holds the n
     in (q_{j-1}, min(q_j, hi)], whose first prime is q_j: such an n sees at
     least m primes exactly when q_{j+m-1} <= n + length.  So N_m, the number
     of n in [lo, hi] that see at least m, is the sum over j of the clipped
-    min(w_j, min(q_j, hi) + 1 + length - q_{j+m-1}), w_j the width of group
-    j, and row[m] gains N_m - N_{m+1}.  The levels stop at the first empty
-    one.  Every value is an offset from lo of at most hi - lo + length + 1 <
-    SCAN_CHUNK + MAX_EDGE_STEPS + 1, so it is held in int32.
+    min(w_j, min(q_j, hi) + 1 + length - q_{j+m-1}), w_j the width of group j,
+    and row[m] gains N_m - N_{m+1}, each level in O(len(primes)) work.  The
+    levels stop at the first empty one, and length + 1 integers hold at most
+    length // 2 + 2 primes, so at most min(len(row) - 1, length // 2 + 3) are
+    counted; past LEVEL_CUTOVER, each run of window_runs is counted with its
+    length instead.  Every value is an offset from lo of at most hi - lo +
+    length + 1 < SCAN_CHUNK + MAX_EDGE_STEPS + 1, so it is held in int32.
     """
+    if min(len(row) - 1, length // 2 + 3) > LEVEL_CUTOVER:
+        c, runs = window_runs(primes, primes, lo, hi, length)
+        np.minimum(c, len(row) - 1, out=c)
+        row += np.bincount(c, weights=runs, minlength=len(row)).astype(np.int64)
+        return
     r = len(primes)
     q = np.subtract(primes, lo, out=np.empty(r, dtype=np.int32), casting="unsafe")
     # only the groups up to the first prime at or past hi hold any n

@@ -19,6 +19,10 @@ class ParameterRangeError(ShortIntervalError):
     """A parameter lies outside the range an operation supports."""
 
 
+class WorkerError(ShortIntervalError):
+    """A worker process ended, by a signal or an exit code, before its result."""
+
+
 def check_lambda(lam: float) -> None:
     """ParameterRangeError for a non-finite lam, ValueError for lam <= 0."""
     if not math.isfinite(lam):

@@ -27,7 +27,7 @@ and safe to share between threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
@@ -47,9 +47,9 @@ MARK_CHUNK = 2**16
 # the largest sieve limit whose marking products, below limit + 2*isqrt(limit),
 # fit int64
 MAX_LIMIT = 2**63 - 6_074_000_997
-# the largest |d| of a Kronecker filter: its kept classes are held as a tuple
-# of about |d|/2 Python ints, some 20 MB at the cap, and found as arrays of
-# |d| entries in a few tenths of a second there
+# the largest |d| of a Kronecker filter: its about |d|/2 kept classes, found in
+# a few tenths of a second there, are a tuple of Python ints (some 20 MB) and a
+# table of one bool per class mod |d| (at most 1 MB), made once with the filter
 MAX_DISCRIMINANT = 10**6
 
 
@@ -125,11 +125,14 @@ def is_fundamental_discriminant(d: int) -> bool:
 
 @dataclass(frozen=True)
 class PrimeFilter:
-    """The primes whose class mod modulus is in classes; tag names it in outputs."""
+    """The primes whose class mod modulus is in classes; tag names it in
+    outputs.  Several classes mod at most MAX_DISCRIMINANT are marked once, in
+    a table of at most 1 MB that mask gathers from; others are compared."""
 
     modulus: int = 1
     classes: tuple[int, ...] = (0,)
     tag: str = "all"
+    _kept: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         q = self.modulus
@@ -140,6 +143,11 @@ class PrimeFilter:
                 raise ValueError(f"residue must satisfy 0 <= a < {q}, got {a}")
         if len(set(self.classes)) != len(self.classes):
             raise ValueError(f"classes must be distinct, got {self.classes}")
+        if len(self.classes) > 1 and q <= MAX_DISCRIMINANT:
+            kept = np.zeros(q, dtype=bool)
+            kept[np.array(self.classes)] = True
+            kept.setflags(write=False)
+            object.__setattr__(self, "_kept", kept)
 
     @classmethod
     def residue_class(cls, a: int, q: int) -> "PrimeFilter":
@@ -165,14 +173,12 @@ class PrimeFilter:
     def mask(self, primes: np.ndarray) -> np.ndarray:
         """Boolean mask over an array of primes."""
         r = primes % self.modulus
-        if (len(self.classes) - 1) * len(r) < self.modulus:  # compares cost less
-            keep = np.zeros(len(r), dtype=bool)
-            for a in self.classes:
-                keep |= r == a
-            return keep
-        table = np.zeros(self.modulus, dtype=bool)  # a gather costs less
-        table[list(self.classes)] = True
-        return table[r]
+        if self._kept is not None:
+            return self._kept[r]
+        keep = np.zeros(len(r), dtype=bool)
+        for a in self.classes:
+            keep |= r == a
+        return keep
 
 
 ALL = PrimeFilter()

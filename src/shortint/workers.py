@@ -21,6 +21,8 @@ import sys
 import threading
 from typing import Callable
 
+from .errors import WorkerError
+
 
 def run_parts(fn: Callable, parts: list[tuple]) -> list:
     """[fn(*part) for part in parts], each part in its own forked child, all
@@ -58,10 +60,10 @@ def run_parts(fn: Callable, parts: list[tuple]) -> list:
                 if not data:
                     running.remove(pid)
                     code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                    raise RuntimeError(
-                        f"scan worker {pid} exited with code {code} "
-                        "before it sent its part"
-                    )
+                    names = {s.value: s.name for s in signal.Signals}  # 9: "SIGKILL"
+                    name = names.get(-code, f"signal {-code}")
+                    how = f"was killed by {name}" if code < 0 else f"exited with code {code}"
+                    raise WorkerError(f"scan worker {pid} {how} before it sent its part")
                 ok, value = pickle.loads(data)
                 if not ok:
                     raise value

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -26,11 +27,12 @@ from shortint.density import (
     window_counts,
     window_runs,
 )
-from shortint.errors import MemoryBudgetError, ParameterRangeError
+from shortint.errors import MemoryBudgetError, ParameterRangeError, WorkerError
 from shortint.primes import ALL, PrimeFilter, PrimeReader, prime_segments
 
-from dense_primes import count_between, dense_primes, is_prime
+from dense_primes import count_between, dense_primes, dense_sieve, is_prime
 from exact_edges import exact_edge, exact_edges, exact_length
+from kronecker import kronecker_symbol
 
 
 def naive_histogram(lam, x, m_max, filt=ALL):
@@ -74,9 +76,9 @@ def test_report_rejects_broken_partition():
 
 
 def kernels(monkeypatch):
-    """Each of the two kernels of the density and growth scans in turn: by
-    levels, _add_levels, then by runs, _add_runs, with LEVEL_CUTOVER moved
-    past every m_max, then below every one."""
+    """Each of the two kernels of _add_piece in turn: by levels, then by
+    runs, with LEVEL_CUTOVER moved past the levels of every piece, then below
+    every one."""
     for cutover, kernel in ((10**6, "levels"), (0, "runs")):
         monkeypatch.setattr(density, "LEVEL_CUTOVER", cutover)
         yield kernel
@@ -90,12 +92,48 @@ def test_sliding_scan_equals_naive_recount(monkeypatch):
             assert rep.counts == counts and rep.overflow == overflow, (kernel, lam)
 
 
+def test_one_scan_counts_by_levels_and_by_runs(monkeypatch):
+    # at lambda 3, L(n) passes from 27 to 28 near n = 11,271: with m_max 20
+    # the pieces below count by levels, those above by runs
+    run_lengths = []
+    original = density.window_runs
+
+    def runs(starts, ends, lo, hi, length):
+        run_lengths.append(length)
+        return original(starts, ends, lo, hi, length)
+
+    monkeypatch.setattr(density, "window_runs", runs)
+    monkeypatch.setattr(density, "WORKERS", 1)  # the spy sees every piece
+    rep = measure_density(3.0, 20000, 20)
+    counts, overflow = naive_histogram(3.0, 20000, 20)
+    assert rep.counts == counts and rep.overflow == overflow
+    assert min(run_lengths) == 28 and exact_length(3.0, 11270) == 27
+    counts_2x, _ = naive_histogram(3.0, 40000, 20)
+    assert [(r.count_at_x, r.count_at_2x) for r in growth_check(3.0, 20, 20000)] == [
+        (counts[m], counts_2x[m]) for m in range(21)
+    ]
+
+
 def test_sliding_scan_equals_naive_recount_filtered(monkeypatch):
     for kernel in kernels(monkeypatch):
         for filt in (PrimeFilter.residue_class(1, 4), PrimeFilter.kronecker(-4, 1)):
             rep = measure_density(5.0, 1500, 5, filt)
             counts, overflow = naive_histogram(5.0, 1500, 5, filt)
             assert rep.counts == counts and rep.overflow == overflow, (kernel, filt.tag)
+
+
+@pytest.mark.parametrize("sign", (1, -1))
+def test_window_counts_at_the_discriminant_cap(sign):
+    # d = 999997 = 757 * 1321, near the cap: the filter gathers from a table
+    # of 999997 classes; the oracle takes (d/p) one prime at a time
+    d, lam, a, b = 999997, 10.0, 10**6 - 5, 10**6 + 5
+    n = np.arange(a, b + 1)
+    edges = exact_edges(lam, n)
+    kept = [p for p in dense_sieve(int(edges[-1])).tolist()
+            if p >= a and kronecker_symbol(d, p) == sign]
+    want = count_between(np.array(kept), n, edges)
+    got = window_counts(lam, a, b, PrimeFilter.kronecker(d, sign))
+    assert got.tolist() == want.tolist() and want.min() > 0
 
 
 def test_chunking_does_not_change_counts(monkeypatch):
@@ -133,18 +171,18 @@ def piece_case(rng, case):
     return primes.astype(np.int64), lo, hi, length, m_max
 
 
-def test_level_and_run_kernels_agree_on_random_pieces():
+def test_level_and_run_kernels_agree_on_random_pieces(monkeypatch):
     rng = np.random.default_rng(30)
-    for case in range(2000):
-        primes_, lo, hi, length, m_max = piece_case(rng, case)
-        ns = np.arange(lo, hi + 1)
-        seen = np.searchsorted(primes_, ns + length, side="right")
-        seen -= np.searchsorted(primes_, ns)
-        want = np.bincount(np.minimum(seen, m_max + 1), minlength=m_max + 2)
-        for add in (density._add_levels, density._add_runs):
+    cases = [piece_case(rng, case) for case in range(2000)]
+    for kernel in kernels(monkeypatch):
+        for case, (primes_, lo, hi, length, m_max) in enumerate(cases):
+            ns = np.arange(lo, hi + 1)
+            seen = np.searchsorted(primes_, ns + length, side="right")
+            seen -= np.searchsorted(primes_, ns)
+            want = np.bincount(np.minimum(seen, m_max + 1), minlength=m_max + 2)
             row = np.zeros(m_max + 2, dtype=np.int64)
-            add(primes_, lo, hi, length, row)
-            assert row.tolist() == want.tolist(), (add.__name__, case, lo, hi, length)
+            density._add_piece(primes_, lo, hi, length, row)
+            assert row.tolist() == want.tolist(), (kernel, case, lo, hi, length)
 
 
 # (lam, x): x at a breakpoint of L(n) = floor(lam*log n), one below it, or tiny
@@ -673,8 +711,44 @@ def test_failing_later_part_is_raised_at_once(monkeypatch):
 
 def test_dead_worker_raises_and_leaves_no_process(monkeypatch):
     _patch_parts(monkeypatch, rest=lambda: os._exit(3))
-    with pytest.raises(RuntimeError, match="exited with code 3"):
+    with pytest.raises(WorkerError, match="exited with code 3"):
         growth_check(1.0, 4, 30000)
+    assert_no_child_process()
+
+
+def _kill_self_in_child(parent):
+    """SIGKILL this process, which must be a forked child of parent."""
+    assert os.getpid() != parent  # never the test process itself
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def test_killed_worker_raises_a_typed_error_naming_the_signal():
+    from shortint.workers import run_parts
+
+    with pytest.raises(WorkerError, match=r"^scan worker \d+ was killed by SIGKILL "
+                       "before it sent its part$"):
+        run_parts(_kill_self_in_child, [(os.getpid(),)])
+    assert_no_child_process()
+
+
+def test_killed_worker_ends_the_cli_with_one_error_line(monkeypatch, capsys):
+    from shortint import cli
+
+    parent = os.getpid()
+
+    def scan_part(lam, ends, m_max, filt, steps, first, last):
+        if first == 1:
+            _kill_self_in_child(parent)
+        return np.zeros((len(ends), m_max + 2), dtype=np.int64)
+
+    monkeypatch.setattr(density, "WORKERS", 2)
+    monkeypatch.setattr(density, "_scan_part", scan_part)
+    assert cli.main(["density", "--lambda", "1", "--x", "1000", "--m-max", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(
+        r"error: scan worker \d+ was killed by SIGKILL before it sent its part\n", err
+    ), err
     assert_no_child_process()
 
 

@@ -461,6 +461,23 @@ def test_filters_with_a_modulus_past_int32():
     assert two.mask(values).tolist() == [False, True, True, True, True]
 
 
+def test_filter_of_many_classes_gathers_from_a_table_made_once():
+    # more than one class mod at most MAX_DISCRIMINANT: one read-only bool
+    # per class, made with the filter; one class or a larger modulus: none
+    big = PrimeFilter.kronecker(999997, -1)
+    assert big._kept.nbytes == 999997 and not big._kept.flags.writeable
+    assert big == PrimeFilter.kronecker(999997, -1) != PrimeFilter.kronecker(999997, 1)
+    values = np.arange(10**6 - 500, 10**6 + 500)
+    for filt, gathers in (
+        (big, True), (PrimeFilter.kronecker(5, 1), True), (PrimeFilter(30, (1, 7), "two"), True),
+        (PrimeFilter.kronecker(-4, 1), False), (PrimeFilter.residue_class(1, 4), False),
+        (PrimeFilter(2**31 + 11, (1, 3), "far"), False),
+    ):
+        assert (filt._kept is not None) == gathers, filt.tag
+        want = np.isin(values % filt.modulus, filt.classes)
+        assert filt.mask(values).tolist() == want.tolist(), filt.tag
+
+
 def test_filter_form_of_each_constructor():
     assert (ALL.modulus, ALL.classes, ALL.tag) == (1, (0,), "all")
     for a, q in ((1, 4), (3, 4), (0, 1), (7, 30), (2, 3)):

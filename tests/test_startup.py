@@ -30,7 +30,7 @@ EXPORTS = [
     "DensityReport", "GrowthResult", "growth_check", "measure_density",
     "poisson_reference", "window_counts",
     "InadmissibleTupleError", "MemoryBudgetError", "ParameterRangeError",
-    "ShortIntervalError",
+    "ShortIntervalError", "WorkerError",
     "ALL", "PrimeFilter", "PrimeTable", "build_table", "is_fundamental_discriminant",
     "AdmissibleTuple", "SievedSet", "count_spaced_selections", "first_covered_prime",
     "format_offsets", "greedy_sieve", "is_admissible", "parse_offsets", "select_spaced",
